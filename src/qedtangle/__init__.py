@@ -9,14 +9,9 @@ the (COM momentum, scattering angle) plane.
 __version__ = "0.1.0"
 
 from .amplitudes import (AmplitudeMatrix, amplitude, amplitude_at,
-                         annihilation_amplitude, bhabha_amplitude,
-                         compton_amplitude, electron_muon_amplitude,
-                         helicity_amplitudes_batch, moller_amplitude,
-                         muon_pair_amplitude)
+                         helicity_amplitudes_batch)
 from .constants import Constants, DEFAULT
-from .dirac import (DiracSpinor, FourVector, PolarizationVector, bilinear,
-                    minkowski_dot, photon_polarization, slash, u_spinor,
-                    v_spinor)
+from .dirac import FourVector
 from .entanglement import (EntanglementReport, analyze, bell_fidelities,
                            bell_fidelities_phase_opt, partial_transpose)
 from .errors import (BelowThresholdError, DivergentKinematicsError,

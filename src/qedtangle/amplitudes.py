@@ -5,9 +5,12 @@ particle 1 (the leg entering along +z / leaving at theta). Columns are
 incoming configurations, rows outgoing ones. Channel matrices are retained
 for diagnostics; their sum is the stored total.
 
-Everything is evaluated in batch over (p, theta) arrays; the per-point
-functions wrap the batch path with N = 1. Feynman gauge photon propagator
--i g_munu / q^2, vertices -i e gamma^mu, fermion propagators
+One engine evaluates every process from its `PROCESS_TABLE` entry, in batch
+over (p, theta) arrays; the per-point functions wrap the batch path with
+N = 1. Each leg is a helicity-indexed (..., 2, 4) tensor, and every channel
+is evaluated for all 16 helicity configurations at once by broadcasting the
+legs onto the (out1, out2, in1, in2) helicity axes. Feynman gauge photon
+propagator -i g_munu / q^2, vertices -i e gamma^mu, fermion propagators
 i (qslash + m) / (q^2 - m^2).
 """
 from __future__ import annotations
@@ -21,13 +24,14 @@ from .constants import Constants, DEFAULT
 from .dirac import (GAMMA0, IDENTITY4, current_batch, eps_batch,
                     lorentz_dot_batch, slash_batch, u_batch, v_batch)
 from .errors import DivergentKinematicsError
-from .kinematics import KinematicPoint, ProcessKind, build_kinematics, mandelstam_batch
-
-BASIS = ("LL", "LR", "RL", "RR")
-_PAIRS = tuple((a, b) for a in "LR" for b in "LR")   # index 0..3 -> (h1, h2)
+from .kinematics import (PROCESS_TABLE, KinematicPoint, ProcessKind,
+                         build_kinematics, mandelstam_batch, momenta_batch)
 
 #: relative denominator threshold below which a point counts as divergent
 POLE_RTOL = 1e-12
+
+#: propagator momentum of channel s, t, u as p1 + sign * (momentum of leg)
+_PROPAGATOR = {"s": (1, 1.0), "t": (2, -1.0), "u": (3, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -41,266 +45,98 @@ class AmplitudeMatrix:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
-def _bar(spinors: np.ndarray) -> np.ndarray:
-    """Batched Dirac adjoint psi+ gamma^0, (N, 4) -> (N, 4)."""
-    return spinors.conj() @ GAMMA0
+def _legs(specs, theta, energies, consts, photon_vectors):
+    """Helicity-indexed leg tensors (..., 2, 4), helicity axis ordered L, R.
 
-
-def _four_vectors_batch(process: ProcessKind, p, theta, consts):
-    """(N,4) arrays p1, p2, q1, q2 plus invariants; mirrors build_kinematics."""
-    p = np.asarray(p, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    s, t, u, e1, e2, e3, e4, q = mandelstam_batch(process, p, theta, consts)
-    zeros = np.zeros_like(p)
-    st, ct = np.sin(theta), np.cos(theta)
-    p1 = np.stack([e1, zeros, zeros, p], axis=-1)
-    p2 = np.stack([e2, zeros, zeros, -p], axis=-1)
-    q1 = np.stack([e3, q * st, zeros, q * ct], axis=-1)
-    q2 = np.stack([e4, -q * st, zeros, -q * ct], axis=-1)
-    return s, t, u, e1, e2, e3, e4, q, p1, p2, q1, q2
-
-
-def _assemble(mats: dict) -> np.ndarray:
-    total = None
-    for m in mats.values():
-        total = m.copy() if total is None else total + m
-    return total
-
-
-# ---------------------------------------------------------------------------
-# fermion-current processes
-
-def moller_batch(p, theta, consts: Constants = DEFAULT):
-    """e- e- -> e- e-. Returns (total (N,4,4), channels, divergent mask)."""
-    m = consts.m_e
-    e2c = consts.e2
-    s, t, u, e1, e2_, e3, e4, q, *_ = _four_vectors_batch(ProcessKind.MOLLER, p, theta, consts)
-    theta = np.asarray(theta, dtype=float)
-    z = np.zeros_like(theta)
-    u_in1 = {h: u_batch(m, e1, z, h) for h in "LR"}
-    u_in2 = {h: u_batch(m, e2_, z + math.pi, h) for h in "LR"}
-    u_out1 = {h: u_batch(m, e3, theta, h) for h in "LR"}
-    u_out2 = {h: u_batch(m, e4, theta + math.pi, h) for h in "LR"}
-
-    J1 = {(r, si): current_batch(u_out1[r], u_in1[si]) for r in "LR" for si in "LR"}
-    J2 = {(r, si): current_batch(u_out2[r], u_in2[si]) for r in "LR" for si in "LR"}
-    K1 = {(r, si): current_batch(u_out1[r], u_in2[si]) for r in "LR" for si in "LR"}
-    K2 = {(r, si): current_batch(u_out2[r], u_in1[si]) for r in "LR" for si in "LR"}
-
-    n = theta.shape + (4, 4)
-    mt = np.empty(n, dtype=complex)
-    mu = np.empty(n, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_t, inv_u = e2c / t, e2c / u
-        for io, (r1, r2) in enumerate(_PAIRS):
-            for ii, (s1, s2) in enumerate(_PAIRS):
-                mt[..., io, ii] = inv_t * lorentz_dot_batch(J1[(r1, s1)], J2[(r2, s2)])
-                mu[..., io, ii] = -inv_u * lorentz_dot_batch(K1[(r1, s2)], K2[(r2, s1)])
-    channels = {"t": mt, "u": mu}
-    divergent = (np.abs(t) < POLE_RTOL * s) | (np.abs(u) < POLE_RTOL * s)
-    return _assemble(channels), channels, divergent
-
-
-def bhabha_batch(p, theta, consts: Constants = DEFAULT):
-    """e- e+ -> e- e+ (s and t channels, relative minus sign on t)."""
-    m = consts.m_e
-    e2c = consts.e2
-    s, t, u, e1, e2_, e3, e4, q, *_ = _four_vectors_batch(ProcessKind.BHABHA, p, theta, consts)
-    theta = np.asarray(theta, dtype=float)
-    z = np.zeros_like(theta)
-    u_in1 = {h: u_batch(m, e1, z, h) for h in "LR"}           # e- in
-    v_in2 = {h: v_batch(m, e2_, z + math.pi, h) for h in "LR"}  # e+ in
-    u_out1 = {h: u_batch(m, e3, theta, h) for h in "LR"}        # e- out
-    v_out2 = {h: v_batch(m, e4, theta + math.pi, h) for h in "LR"}  # e+ out
-
-    A = {(s1, s2): current_batch(v_in2[s2], u_in1[s1]) for s1 in "LR" for s2 in "LR"}
-    B = {(r1, r2): current_batch(u_out1[r1], v_out2[r2]) for r1 in "LR" for r2 in "LR"}
-    C = {(s2, r2): current_batch(v_in2[s2], v_out2[r2]) for s2 in "LR" for r2 in "LR"}
-    D = {(r1, s1): current_batch(u_out1[r1], u_in1[s1]) for r1 in "LR" for s1 in "LR"}
-
-    n = theta.shape + (4, 4)
-    ms = np.empty(n, dtype=complex)
-    mt = np.empty(n, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_s, inv_t = e2c / s, e2c / t
-        for io, (r1, r2) in enumerate(_PAIRS):
-            for ii, (s1, s2) in enumerate(_PAIRS):
-                ms[..., io, ii] = inv_s * lorentz_dot_batch(A[(s1, s2)], B[(r1, r2)])
-                mt[..., io, ii] = -inv_t * lorentz_dot_batch(C[(s2, r2)], D[(r1, s1)])
-    channels = {"s": ms, "t": mt}
-    divergent = np.abs(t) < POLE_RTOL * s
-    return _assemble(channels), channels, divergent
-
-
-def muon_pair_batch(p, theta, consts: Constants = DEFAULT):
-    """e- e+ -> mu- mu+ (single s-channel)."""
-    me, mm = consts.m_e, consts.m_mu
-    e2c = consts.e2
-    s, t, u, e1, e2_, e3, e4, q, *_ = _four_vectors_batch(ProcessKind.MUON_PAIR, p, theta, consts)
-    theta = np.asarray(theta, dtype=float)
-    z = np.zeros_like(theta)
-    u_in1 = {h: u_batch(me, e1, z, h) for h in "LR"}
-    v_in2 = {h: v_batch(me, e2_, z + math.pi, h) for h in "LR"}
-    u_out1 = {h: u_batch(mm, e3, theta, h) for h in "LR"}
-    v_out2 = {h: v_batch(mm, e4, theta + math.pi, h) for h in "LR"}
-
-    A = {(s1, s2): current_batch(v_in2[s2], u_in1[s1]) for s1 in "LR" for s2 in "LR"}
-    B = {(r1, r2): current_batch(u_out1[r1], v_out2[r2]) for r1 in "LR" for r2 in "LR"}
-
-    n = theta.shape + (4, 4)
-    ms = np.empty(n, dtype=complex)
-    inv_s = e2c / s
-    for io, (r1, r2) in enumerate(_PAIRS):
-        for ii, (s1, s2) in enumerate(_PAIRS):
-            ms[..., io, ii] = inv_s * lorentz_dot_batch(A[(s1, s2)], B[(r1, r2)])
-    channels = {"s": ms}
-    divergent = np.zeros(theta.shape, dtype=bool)
-    return _assemble(channels), channels, divergent
-
-
-def electron_muon_batch(p, theta, consts: Constants = DEFAULT):
-    """e- mu- -> e- mu- (single t-channel)."""
-    me, mm = consts.m_e, consts.m_mu
-    e2c = consts.e2
-    s, t, u, e1, e2_, e3, e4, q, *_ = _four_vectors_batch(ProcessKind.ELECTRON_MUON, p, theta, consts)
-    theta = np.asarray(theta, dtype=float)
-    z = np.zeros_like(theta)
-    u_in1 = {h: u_batch(me, e1, z, h) for h in "LR"}
-    u_in2 = {h: u_batch(mm, e2_, z + math.pi, h) for h in "LR"}
-    u_out1 = {h: u_batch(me, e3, theta, h) for h in "LR"}
-    u_out2 = {h: u_batch(mm, e4, theta + math.pi, h) for h in "LR"}
-
-    J1 = {(r, s_): current_batch(u_out1[r], u_in1[s_]) for r in "LR" for s_ in "LR"}
-    J2 = {(r, s_): current_batch(u_out2[r], u_in2[s_]) for r in "LR" for s_ in "LR"}
-
-    n = theta.shape + (4, 4)
-    mt = np.empty(n, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_t = e2c / t
-        for io, (r1, r2) in enumerate(_PAIRS):
-            for ii, (s1, s2) in enumerate(_PAIRS):
-                mt[..., io, ii] = inv_t * lorentz_dot_batch(J1[(r1, s1)], J2[(r2, s2)])
-    channels = {"t": mt}
-    divergent = np.abs(t) < POLE_RTOL * s
-    return _assemble(channels), channels, divergent
-
-
-# ---------------------------------------------------------------------------
-# photon-leg processes (slash chains)
-
-def _chain(bar_l, mid, right):
-    """(N,) contraction  lbar . mid . right  with (N,4,4) mid."""
-    return np.einsum('...a,...ab,...b->...', bar_l, mid, right)
-
-
-def annihilation_batch(p, theta, consts: Constants = DEFAULT,
-                       eps1_vectors=None, eps2_vectors=None):
-    """e- e+ -> gamma gamma (t and u fermion-exchange channels).
-
-    eps1_vectors / eps2_vectors override the conjugated outgoing polarization
-    vectors per helicity, {hel: (N,4) complex}; used for Ward-identity checks
-    by substituting the photon momentum itself.
+    Incoming legs run along +z and -z, outgoing legs at theta and theta + pi.
+    Outgoing photons carry the conjugated polarization vector; a leg listed
+    in `photon_vectors` carries the given (..., 4) vector for both helicities.
     """
-    m = consts.m_e
-    e2c = consts.e2
-    s, t, u, e1, e2_, e3, e4, q, p1v, p2v, q1v, q2v = _four_vectors_batch(
-        ProcessKind.ANNIHILATION, p, theta, consts)
-    theta = np.asarray(theta, dtype=float)
     z = np.zeros_like(theta)
-    u_in1 = {h: u_batch(m, e1, z, h) for h in "LR"}
-    vbar_in2 = {h: _bar(v_batch(m, e2_, z + math.pi, h)) for h in "LR"}
-    if eps1_vectors is None:
-        eps1_vectors = {h: eps_batch(theta, h).conj() for h in "LR"}
-    if eps2_vectors is None:
-        eps2_vectors = {h: eps_batch(theta + math.pi, h).conj() for h in "LR"}
-    eps1_sl = {h: slash_batch(eps1_vectors[h]) for h in "LR"}
-    eps2_sl = {h: slash_batch(eps2_vectors[h]) for h in "LR"}
-
-    prop_t = slash_batch(p1v - q1v) + m * IDENTITY4
-    prop_u = slash_batch(p1v - q2v) + m * IDENTITY4
-
-    n = theta.shape + (4, 4)
-    mt = np.empty(n, dtype=complex)
-    mu = np.empty(n, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dt = -e2c / (t - m ** 2)
-        du = -e2c / (u - m ** 2)
-        for io, (l1, l2) in enumerate(_PAIRS):
-            gt = eps2_sl[l2] @ prop_t @ eps1_sl[l1]
-            gu = eps1_sl[l1] @ prop_u @ eps2_sl[l2]
-            for ii, (s1, s2) in enumerate(_PAIRS):
-                mt[..., io, ii] = dt * _chain(vbar_in2[s2], gt, u_in1[s1])
-                mu[..., io, ii] = du * _chain(vbar_in2[s2], gu, u_in1[s1])
-    channels = {"t": mt, "u": mu}
-    divergent = (np.abs(t - m ** 2) < POLE_RTOL * s) | (np.abs(u - m ** 2) < POLE_RTOL * s)
-    return _assemble(channels), channels, divergent
+    angles = (z, z + math.pi, theta, theta + math.pi)
+    legs = []
+    for k, spec in enumerate(specs):
+        if k in photon_vectors:
+            vec = np.asarray(photon_vectors[k], dtype=complex)
+            legs.append(np.stack([vec, vec], axis=-2))
+        elif spec.field == "photon":
+            eps = np.stack([eps_batch(angles[k], h) for h in "LR"], axis=-2)
+            legs.append(eps.conj() if k >= 2 else eps)
+        else:
+            build = u_batch if spec.field == "u" else v_batch
+            legs.append(np.stack([build(spec.mass(consts), energies[k], angles[k], h)
+                                  for h in "LR"], axis=-2))
+    return legs
 
 
-def compton_batch(p, theta, consts: Constants = DEFAULT,
-                  eps_in_vectors=None, eps_out_vectors=None):
-    """e- gamma -> e- gamma (s and u channels).
+def _spread(leg_tensor, k):
+    """View a (..., 2, X) leg tensor on the (out1, out2, in1, in2) helicity axes."""
+    axes = [1, 1, 1, 1]
+    axes[(k + 2) % 4] = 2
+    return leg_tensor.reshape(leg_tensor.shape[:-2] + tuple(axes) + leg_tensor.shape[-1:])
 
-    Incoming photon travels along -z; the outgoing photon recoils at
-    theta + pi so that theta is simultaneously the electron and the photon
-    scattering angle. Overrides as in annihilation_batch (incoming
-    polarization unconjugated, outgoing conjugated).
+
+def _slash_chain(legs, bar, a, b, leg, prop):
+    """bar eps_a-slash prop eps_b-slash leg on the helicity axes, (..., 2, 2, 2, 2).
+
+    One photon-helicity pair at a time, which bounds the (..., 4, 4)
+    intermediates to what a single pair needs.
     """
-    m = consts.m_e
-    e2c = consts.e2
-    s, t, u, e1, e2_, e3, e4, q, p1v, p2v, q1v, q2v = _four_vectors_batch(
-        ProcessKind.COMPTON, p, theta, consts)
-    theta = np.asarray(theta, dtype=float)
-    z = np.zeros_like(theta)
-    u_in1 = {h: u_batch(m, e1, z, h) for h in "LR"}
-    ubar_out = {h: _bar(u_batch(m, e3, theta, h)) for h in "LR"}
-    if eps_in_vectors is None:
-        eps_in_vectors = {h: eps_batch(z + math.pi, h) for h in "LR"}
-    if eps_out_vectors is None:
-        eps_out_vectors = {h: eps_batch(theta + math.pi, h).conj() for h in "LR"}
-    eps_in_sl = {h: slash_batch(eps_in_vectors[h]) for h in "LR"}
-    eps_out_sl = {h: slash_batch(eps_out_vectors[h]) for h in "LR"}
-
-    prop_s = slash_batch(p1v + p2v) + m * IDENTITY4     # p2v is the incoming photon
-    prop_u = slash_batch(p1v - q2v) + m * IDENTITY4     # q2v the outgoing photon
-
-    n = theta.shape + (4, 4)
-    ms_ = np.empty(n, dtype=complex)
-    mu = np.empty(n, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ds = -e2c / (s - m ** 2)
-        du = -e2c / (u - m ** 2)
-        chains = {}
-        for l1 in "LR":
-            for l2 in "LR":
-                chains[(l1, l2)] = (eps_out_sl[l2] @ prop_s @ eps_in_sl[l1],
-                                    eps_in_sl[l1] @ prop_u @ eps_out_sl[l2])
-        for io, (s2, l2) in enumerate(_PAIRS):
-            for ii, (s1, l1) in enumerate(_PAIRS):
-                gs, gu = chains[(l1, l2)]
-                ms_[..., io, ii] = ds * _chain(ubar_out[s2], gs, u_in1[s1])
-                mu[..., io, ii] = du * _chain(ubar_out[s2], gu, u_in1[s1])
-    channels = {"s": ms_, "u": mu}
-    divergent = (np.abs(s - m ** 2) < POLE_RTOL * s) | (np.abs(u - m ** 2) < POLE_RTOL * s)
-    return _assemble(channels), channels, divergent
-
-
-# ---------------------------------------------------------------------------
-# per-point API
-
-_BATCH_FNS = {
-    ProcessKind.MOLLER: moller_batch,
-    ProcessKind.MUON_PAIR: muon_pair_batch,
-    ProcessKind.ANNIHILATION: annihilation_batch,
-    ProcessKind.BHABHA: bhabha_batch,
-    ProcessKind.ELECTRON_MUON: electron_muon_batch,
-    ProcessKind.COMPTON: compton_batch,
-}
+    left = _spread(legs[bar].conj() @ GAMMA0, bar)
+    right = _spread(legs[leg], leg)
+    slashed_a, slashed_b = slash_batch(legs[a]), slash_batch(legs[b])
+    out = np.empty(prop.shape[:-2] + (2, 2, 2, 2), dtype=complex)
+    for ha in range(2):
+        for hb in range(2):
+            mid = slashed_a[..., ha, :, :] @ prop @ slashed_b[..., hb, :, :]
+            index = [slice(None)] * 4
+            index[(a + 2) % 4] = slice(ha, ha + 1)
+            index[(b + 2) % 4] = slice(hb, hb + 1)
+            out[(Ellipsis, *index)] = np.einsum(
+                '...a,...ab,...b->...', left, mid[..., None, None, None, None, :, :], right)
+    return out
 
 
 def helicity_amplitudes_batch(process: ProcessKind, p, theta,
-                              consts: Constants = DEFAULT):
-    """(total (N,4,4), channels, divergent mask) for arrays of (p, theta)."""
-    return _BATCH_FNS[process](p, theta, consts)
+                              consts: Constants = DEFAULT, photon_vectors=None):
+    """(total (N,4,4), channels, divergent mask) for arrays of (p, theta).
+
+    `photon_vectors` maps a photon leg (0..3 = in1, in2, out1, out2) to an
+    (N, 4) vector used in place of its polarization vectors; substituting the
+    photon momentum checks the Ward identity.
+    """
+    info = PROCESS_TABLE[process]
+    specs = info["in"] + info["out"]
+    p = np.asarray(p, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    s, t, u, e1, e2, e3, e4, q = mandelstam_batch(process, p, theta, consts)
+    invariants = {"s": s, "t": t, "u": u}
+    legs = _legs(specs, theta, (e1, e2, e3, e4), consts, photon_vectors or {})
+    momenta = None
+    channels = {}
+    divergent = np.zeros(theta.shape, dtype=bool)
+    for name, sign, spec in info["channels"]:
+        if len(spec) == 2:              # two currents joined by a photon
+            (bar1, leg1), (bar2, leg2) = spec
+            value = lorentz_dot_batch(
+                current_batch(_spread(legs[bar1], bar1), _spread(legs[leg1], leg1)),
+                current_batch(_spread(legs[bar2], bar2), _spread(legs[leg2], leg2)))
+            m_prop = 0.0
+        else:                           # slash chain around a fermion propagator
+            if momenta is None:
+                momenta = momenta_batch(p, theta, e1, e2, e3, e4, q)
+            m_prop = specs[spec[0]].mass(consts)
+            k_leg, k_sign = _PROPAGATOR[name]
+            prop = slash_batch(momenta[0] + k_sign * momenta[k_leg]) + m_prop * IDENTITY4
+            value = _slash_chain(legs, *spec, prop)
+        den = invariants[name] - m_prop ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = sign * consts.e2 / den
+        channels[name] = (coef[..., None, None, None, None] * value).reshape(
+            theta.shape + (4, 4))
+        divergent |= np.abs(den) < POLE_RTOL * s
+    mats = list(channels.values())
+    return sum(mats[1:], mats[0].copy()), channels, divergent
 
 
 def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
@@ -315,22 +151,6 @@ def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
         raise DivergentKinematicsError(
             f"{kin.process.value}: propagator pole at p={kin.p}, theta={kin.theta}")
     return AmplitudeMatrix(total[0], kin, {k: v[0] for k, v in channels.items()})
-
-
-def _make_wrapper(process: ProcessKind):
-    def wrapper(kin: KinematicPoint) -> AmplitudeMatrix:
-        if kin.process is not process:
-            raise ValueError(f"kinematic point is for {kin.process}, not {process}")
-        return amplitude(kin)
-    return wrapper
-
-
-moller_amplitude = _make_wrapper(ProcessKind.MOLLER)
-muon_pair_amplitude = _make_wrapper(ProcessKind.MUON_PAIR)
-annihilation_amplitude = _make_wrapper(ProcessKind.ANNIHILATION)
-bhabha_amplitude = _make_wrapper(ProcessKind.BHABHA)
-electron_muon_amplitude = _make_wrapper(ProcessKind.ELECTRON_MUON)
-compton_amplitude = _make_wrapper(ProcessKind.COMPTON)
 
 
 def amplitude_at(process: ProcessKind, p: float, theta: float,

@@ -20,12 +20,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .amplitudes import amplitude
-from .constants import DEFAULT
+from .amplitudes import amplitude, helicity_amplitudes_batch
 from .entanglement import analyze, measures_batch
 from .errors import (EigenSolverError, InvalidConfigError, InvalidKinematicsError,
                      QedTangleError)
-from .kinematics import ProcessKind, build_kinematics, mandelstam_batch
+from .kinematics import ProcessKind, build_kinematics, mandelstam_batch, momenta_batch
 from .qstate import evolve
 from .scan import (ScanConfig, cross_section_check, emit_csv, emit_plot_script,
                    find_threshold, parse_initial, parse_process, run_scan)
@@ -183,22 +182,17 @@ def _cmd_audit(args) -> int:
             worst = max(worst, abs(amp.spin_summed_msq() - want) / abs(want))
         report(f"oracle {process.value}", worst < 1e-8, f"worst rel err {worst:.2e}")
 
-    # 2. Ward identities (replace a polarization vector by its momentum)
-    from .amplitudes import annihilation_batch, compton_batch
+    # 2. Ward identities (replace a photon's polarization vector by its momentum)
     p = np.array([rng.uniform(0.5, 5.0)])
     th = np.array([rng.uniform(0.2, math.pi - 0.2)])
-    s, t, u, e1, e2, e3, e4, q = mandelstam_batch(ProcessKind.ANNIHILATION, p, th)
-    kvec = np.stack([e3, q * np.sin(th), np.zeros(1), q * np.cos(th)], axis=-1).astype(complex)
-    scale = np.max(np.abs(annihilation_batch(p, th)[0]))
-    ward = np.max(np.abs(annihilation_batch(p, th, DEFAULT,
-                                            eps1_vectors={h: kvec for h in "LR"})[0]))
-    report("Ward annihilation", ward / scale < 1e-10, f"residual {ward / scale:.2e}")
-    s, t, u, e1, e2, e3, e4, q = mandelstam_batch(ProcessKind.COMPTON, p, th)
-    kvec = np.stack([e4, -q * np.sin(th), np.zeros(1), -q * np.cos(th)], axis=-1).astype(complex)
-    scale = np.max(np.abs(compton_batch(p, th)[0]))
-    ward = np.max(np.abs(compton_batch(p, th, DEFAULT,
-                                       eps_out_vectors={h: kvec for h in "LR"})[0]))
-    report("Ward compton", ward / scale < 1e-10, f"residual {ward / scale:.2e}")
+    for process, leg in ((ProcessKind.ANNIHILATION, 2), (ProcessKind.ANNIHILATION, 3),
+                         (ProcessKind.COMPTON, 1), (ProcessKind.COMPTON, 3)):
+        k = momenta_batch(p, th, *mandelstam_batch(process, p, th)[3:])[leg]
+        scale = np.max(np.abs(helicity_amplitudes_batch(process, p, th)[0]))
+        ward = np.max(np.abs(helicity_amplitudes_batch(
+            process, p, th, photon_vectors={leg: k})[0]))
+        report(f"Ward {process.value} leg {leg}", ward / scale < 1e-10,
+               f"residual {ward / scale:.2e}")
 
     # 3. symmetry spot checks on small grids
     from .scan import symmetry_audit

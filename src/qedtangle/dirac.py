@@ -5,9 +5,9 @@ Conventions (documented so Bell-state phases are reproducible):
 * Metric (+,-,-,-); Dirac (standard) representation:
   gamma^0 = diag(1,1,-1,-1), gamma^i = [[0, sigma_i], [-sigma_i, 0]],
   gamma5 = i g0 g1 g2 g3.
-* Two-component helicity spinors, Jacob-Wick style,
-      chi_+(theta, phi) = ( cos(theta/2),  e^{+i phi} sin(theta/2) )
-      chi_-(theta, phi) = ( -e^{-i phi} sin(theta/2),  cos(theta/2) ),
+* Two-component helicity spinors, Jacob-Wick style, in the phi = 0 plane,
+      chi_+(theta) = ( cos(theta/2),  sin(theta/2) )
+      chi_-(theta) = ( -sin(theta/2),  cos(theta/2) ),
   so (sigma . phat) chi_± = ± chi_±.  R means helicity +, L helicity -.
 * u(p, h) = ( sqrt(E+m) chi_h, ±sqrt(E-m) chi_h ) with + for R, - for L;
   normalisation ubar u = 2m, u+ u = 2E.
@@ -16,10 +16,10 @@ Conventions (documented so Bell-state phases are reproducible):
   v(p, L) = ( +sqrt(E-m) chi_+, sqrt(E+m) chi_+ ),
   giving vbar v = -2m and (Sigma . phat) v(h) = -(h) v(h).
 * Photon helicity vectors eps(±, khat=z) = ∓(0, 1, ±i, 0)/sqrt(2), rotated to
-  a general direction with e_theta, e_phi.
+  direction theta with e_theta, e_phi.
 
-Everything in the scan pipeline lives in the phi = 0 scattering plane; the
-batch builders therefore take a bare polar angle, which may be any real number
+Everything lives in the phi = 0 scattering plane; the builders therefore take
+a bare polar angle, which may be any real number
 (theta + pi for the recoiling particle, theta > pi for the lower half plane).
 The resulting spinors are smooth in theta everywhere, including theta = pi.
 """
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-
-from .errors import InvalidKinematicsError
 
 # ---------------------------------------------------------------------------
 # constant matrices
@@ -55,8 +53,6 @@ GAMMA_LOWER = GAMMA * METRIC[:, None, None]
 # gamma^0 gamma^mu, used to form currents ubar gamma^mu u = u+ (g0 g^mu) u
 G0_GAMMA = np.einsum('ab,mbc->mac', GAMMA0, GAMMA)
 
-HELICITIES = ("L", "R")
-
 
 @dataclass(frozen=True)
 class FourVector:
@@ -67,18 +63,12 @@ class FourVector:
     py: float
     pz: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e, self.px, self.py, self.pz])
-
     def dot(self, other: "FourVector") -> float:
         return (self.e * other.e - self.px * other.px
                 - self.py * other.py - self.pz * other.pz)
 
     def mass2(self) -> float:
         return self.dot(self)
-
-    def spatial_mag(self) -> float:
-        return math.sqrt(self.px ** 2 + self.py ** 2 + self.pz ** 2)
 
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.e + other.e, self.px + other.px,
@@ -87,34 +77,6 @@ class FourVector:
     def __sub__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.e - other.e, self.px - other.px,
                           self.py - other.py, self.pz - other.pz)
-
-
-def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    return a.dot(b)
-
-
-@dataclass(frozen=True)
-class DiracSpinor:
-    """Four-component helicity spinor u or v."""
-
-    components: np.ndarray      # (4,) complex
-    kind: str                   # "u" | "v"
-    helicity: str               # "L" | "R"
-    momentum: FourVector
-    mass: float
-
-    def bar(self) -> np.ndarray:
-        """ubar = u+ gamma^0 as a row vector."""
-        return self.components.conj() @ GAMMA0
-
-
-@dataclass(frozen=True)
-class PolarizationVector:
-    """Photon circular polarization vector eps^mu(helicity, k)."""
-
-    components: np.ndarray      # (4,) complex
-    helicity: str
-    momentum: FourVector
 
 
 # ---------------------------------------------------------------------------
@@ -182,99 +144,3 @@ def current_batch(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def lorentz_dot_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minkowski contraction a . b over the last axis for complex batches."""
     return np.einsum('...m,m,...m->...', a, METRIC, b)
-
-
-# ---------------------------------------------------------------------------
-# scalar API
-
-def _direction(momentum: FourVector) -> tuple[float, float]:
-    """(theta, phi) of the 3-momentum; phi = 0 for momenta on the z-axis."""
-    pmag = momentum.spatial_mag()
-    if pmag == 0.0:
-        return 0.0, 0.0
-    theta = math.acos(max(-1.0, min(1.0, momentum.pz / pmag)))
-    phi = math.atan2(momentum.py, momentum.px) if (momentum.px or momentum.py) else 0.0
-    return theta, phi
-
-
-def _chi(theta: float, phi: float, hel: str) -> np.ndarray:
-    half = 0.5 * theta
-    if hel == "R":
-        return np.array([math.cos(half),
-                         complex(math.cos(phi), math.sin(phi)) * math.sin(half)])
-    return np.array([-complex(math.cos(phi), -math.sin(phi)) * math.sin(half),
-                     math.cos(half)])
-
-
-def _check_on_shell(momentum: FourVector, mass: float) -> float:
-    if not all(math.isfinite(x) for x in (momentum.e, momentum.px, momentum.py, momentum.pz)):
-        raise InvalidKinematicsError(f"non-finite momentum {momentum}")
-    m2 = momentum.mass2()
-    scale = max(momentum.e ** 2, mass ** 2, 1e-300)
-    if abs(m2 - mass ** 2) > 1e-6 * scale:
-        raise InvalidKinematicsError(
-            f"momentum off-shell for mass {mass}: p^2 = {m2:.6e}, m^2 = {mass**2:.6e}")
-    return momentum.e
-
-
-def u_spinor(mass: float, momentum: FourVector, helicity: str) -> DiracSpinor:
-    """Particle spinor u(p, h) with (pslash - m) u = 0 and ubar u = 2m."""
-    energy = _check_on_shell(momentum, mass)
-    theta, phi = _direction(momentum)
-    chi = _chi(theta, phi, helicity)
-    wp = math.sqrt(max(energy + mass, 0.0))
-    wm = math.sqrt(max(energy - mass, 0.0))
-    sign = 1.0 if helicity == "R" else -1.0
-    comps = np.concatenate([wp * chi, sign * wm * chi])
-    return DiracSpinor(comps, "u", helicity, momentum, mass)
-
-
-def v_spinor(mass: float, momentum: FourVector, helicity: str) -> DiracSpinor:
-    """Antiparticle spinor with (pslash + m) v = 0, vbar v = -2m.
-
-    The label is the physical helicity of the antiparticle, so
-    (Sigma . phat) v(R) = -v(R).
-    """
-    energy = _check_on_shell(momentum, mass)
-    theta, phi = _direction(momentum)
-    flipped = "L" if helicity == "R" else "R"
-    chi = _chi(theta, phi, flipped)
-    wp = math.sqrt(max(energy + mass, 0.0))
-    wm = math.sqrt(max(energy - mass, 0.0))
-    sign = -1.0 if helicity == "R" else 1.0
-    comps = np.concatenate([sign * wm * chi, wp * chi])
-    return DiracSpinor(comps, "v", helicity, momentum, mass)
-
-
-def photon_polarization(momentum: FourVector, helicity: str) -> PolarizationVector:
-    """Circular polarization eps^mu(h, k) for a lightlike k; eps . k = 0, eps . eps* = -1."""
-    if not all(math.isfinite(x) for x in (momentum.e, momentum.px, momentum.py, momentum.pz)):
-        raise InvalidKinematicsError(f"non-finite momentum {momentum}")
-    m2 = momentum.mass2()
-    if abs(m2) > 1e-9 * max(momentum.e ** 2, 1e-300):
-        raise InvalidKinematicsError(f"photon momentum not lightlike: k^2 = {m2:.6e}")
-    theta, phi = _direction(momentum)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    e_theta = np.array([0.0, ct * cp, ct * sp, -st], dtype=complex)
-    e_phi = np.array([0.0, -sp, cp, 0.0], dtype=complex)
-    lam = 1.0 if helicity == "R" else -1.0
-    comps = -lam * (e_theta + 1j * lam * e_phi) / math.sqrt(2.0)
-    return PolarizationVector(comps, helicity, momentum)
-
-
-def slash(vec: FourVector | np.ndarray) -> np.ndarray:
-    """gamma^mu v_mu as a 4x4 complex matrix. Accepts FourVector or array."""
-    arr = vec.as_array() if isinstance(vec, FourVector) else np.asarray(vec)
-    return np.einsum('m,mab->ab', arr.astype(complex), GAMMA_LOWER)
-
-
-def bilinear(bar_spinor: DiracSpinor, matrix: np.ndarray, spinor: DiracSpinor) -> complex:
-    """(u1)bar Gamma u2 = u1+ gamma^0 Gamma u2."""
-    return complex(bar_spinor.bar() @ matrix @ spinor.components)
-
-
-def current(bar_spinor: DiracSpinor, spinor: DiracSpinor) -> np.ndarray:
-    """Vector current J^mu = (u1)bar gamma^mu u2, shape (4,) complex."""
-    return np.einsum('a,mab,b->m', bar_spinor.components.conj(), G0_GAMMA,
-                     spinor.components)

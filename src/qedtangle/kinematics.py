@@ -49,16 +49,36 @@ _MU = ParticleSpec("mu-", "u", "mu")
 _MUP = ParticleSpec("mu+", "v", "mu")
 _PH = ParticleSpec("gamma", "photon", "photon")
 
-#: incoming pair, outgoing pair, and polar angles of poles of the
-#: photon-propagator channels (only channels whose denominator can vanish
-#: exactly at physical kinematics; fermion propagators never do).
+#: incoming pair, outgoing pair, tree-level channels, and polar angles of
+#: poles of the photon-propagator channels (only channels whose denominator
+#: can vanish exactly at physical kinematics; fermion propagators never do).
+#:
+#: Legs are numbered 0..3 = in1, in2, out1, out2 (momenta p1, p2, q1, q2). A
+#: channel is (name, sign, legs); its name is the Mandelstam invariant x of
+#: the propagator, whose momentum is p1 + p2, p1 - q1 or p1 - q2 for s, t, u.
+#: Two currents ((bar, leg), (bar, leg)) exchange a photon:
+#:     sign e^2 / x  J1 . J2,   J = bar-leg-bar gamma^mu leg.
+#: A slash chain (bar, photon, photon, leg) runs a fermion of the bar leg's mass m:
+#:     sign e^2 / (x - m^2)  bar  eps_a-slash (k-slash + m) eps_b-slash  leg.
 PROCESS_TABLE: dict[ProcessKind, dict] = {
-    ProcessKind.MOLLER: {"in": (_E, _E), "out": (_E, _E), "pole_thetas": (0.0, math.pi)},
-    ProcessKind.MUON_PAIR: {"in": (_E, _EP), "out": (_MU, _MUP), "pole_thetas": ()},
-    ProcessKind.ANNIHILATION: {"in": (_E, _EP), "out": (_PH, _PH), "pole_thetas": ()},
-    ProcessKind.BHABHA: {"in": (_E, _EP), "out": (_E, _EP), "pole_thetas": (0.0,)},
-    ProcessKind.ELECTRON_MUON: {"in": (_E, _MU), "out": (_E, _MU), "pole_thetas": (0.0,)},
-    ProcessKind.COMPTON: {"in": (_E, _PH), "out": (_E, _PH), "pole_thetas": ()},
+    ProcessKind.MOLLER: {
+        "in": (_E, _E), "out": (_E, _E), "pole_thetas": (0.0, math.pi),
+        "channels": (("t", 1.0, ((2, 0), (3, 1))), ("u", -1.0, ((2, 1), (3, 0))))},
+    ProcessKind.MUON_PAIR: {
+        "in": (_E, _EP), "out": (_MU, _MUP), "pole_thetas": (),
+        "channels": (("s", 1.0, ((1, 0), (2, 3))),)},
+    ProcessKind.ANNIHILATION: {
+        "in": (_E, _EP), "out": (_PH, _PH), "pole_thetas": (),
+        "channels": (("t", -1.0, (1, 3, 2, 0)), ("u", -1.0, (1, 2, 3, 0)))},
+    ProcessKind.BHABHA: {
+        "in": (_E, _EP), "out": (_E, _EP), "pole_thetas": (0.0,),
+        "channels": (("s", 1.0, ((1, 0), (2, 3))), ("t", -1.0, ((1, 3), (2, 0))))},
+    ProcessKind.ELECTRON_MUON: {
+        "in": (_E, _MU), "out": (_E, _MU), "pole_thetas": (0.0,),
+        "channels": (("t", 1.0, ((2, 0), (3, 1))),)},
+    ProcessKind.COMPTON: {
+        "in": (_E, _PH), "out": (_E, _PH), "pole_thetas": (),
+        "channels": (("s", -1.0, (2, 3, 1, 0)), ("u", -1.0, (2, 1, 3, 0)))},
 }
 
 
@@ -169,3 +189,13 @@ def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     t = m1 ** 2 + m3 ** 2 - 2.0 * (e1 * e3 - p * q * ct)
     u = m1 ** 2 + m4 ** 2 - 2.0 * (e1 * e4 + p * q * ct)
     return s, t, u, e1, e2, e3, e4, q
+
+
+def momenta_batch(p, theta, e1, e2, e3, e4, q):
+    """(..., 4) four-momenta p1, p2, q1, q2 in the phi = 0 scattering plane."""
+    zeros = np.zeros_like(p)
+    st, ct = np.sin(theta), np.cos(theta)
+    return (np.stack([e1, zeros, zeros, p], axis=-1),
+            np.stack([e2, zeros, zeros, -p], axis=-1),
+            np.stack([e3, q * st, zeros, q * ct], axis=-1),
+            np.stack([e4, -q * st, zeros, -q * ct], axis=-1))

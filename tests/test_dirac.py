@@ -1,31 +1,53 @@
+"""Gamma algebra and the batch spinor / polarization builders.
+
+Directions are drawn from theta in [-2 pi, 4 pi], which covers the recoil
+legs at theta + pi and the lower half plane; the helicity spinors are smooth
+in theta, so every property must hold there as well.
+"""
 import math
 
 import numpy as np
 import pytest
 
 from qedtangle.dirac import (GAMMA, GAMMA0, GAMMA5, IDENTITY4, METRIC,
-                             FourVector, bilinear, current, minkowski_dot,
-                             photon_polarization, slash, u_spinor, v_spinor)
-from qedtangle.errors import InvalidKinematicsError
+                             FourVector, current_batch, eps_batch,
+                             lorentz_dot_batch, slash_batch, u_batch, v_batch)
 
 RNG = np.random.default_rng(42)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def random_onshell(mass, pmax=20.0):
-    p = RNG.uniform(0.01, pmax)
-    theta = RNG.uniform(0.0, math.pi)
-    phi = RNG.uniform(0.0, 2 * math.pi)
-    e = math.sqrt(p ** 2 + mass ** 2)
-    return FourVector(e, p * math.sin(theta) * math.cos(phi),
-                      p * math.sin(theta) * math.sin(phi), p * math.cos(theta))
+def random_onshell(mass, n=10, pmax=20.0):
+    """(p, theta, E, k) for n on-shell momenta in the phi = 0 plane."""
+    p = RNG.uniform(0.01, pmax, n)
+    theta = RNG.uniform(-2 * math.pi, 4 * math.pi, n)
+    e = np.sqrt(p ** 2 + mass ** 2)
+    k = np.stack([e, p * np.sin(theta), np.zeros(n), p * np.cos(theta)], axis=-1)
+    return p, theta, e, k
 
 
-def sigma_dot(direction):
+def bar(spinors):
+    return spinors.conj() @ GAMMA0
+
+
+def sandwich(left, mid, right):
+    """left-bar . mid . right over a batch, mid (4,4) or (N,4,4)."""
+    return np.einsum('na,...ab,nb->n', bar(left), mid, right)
+
+
+def helicity_operator(theta):
+    """(N,4,4) Sigma . phat for directions theta in the xz-plane."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    s = direction[0] * sx + direction[1] * sy + direction[2] * sz
-    return np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), s]])
+    s = np.sin(theta)[:, None, None] * sx + np.cos(theta)[:, None, None] * sz
+    z = np.zeros_like(s)
+    return np.block([[s, z], [z, s]])
+
+
+def rotation_y(theta):
+    """(4,4) spin-1/2 rotation exp(-i theta Sigma_y / 2)."""
+    rot2 = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * SIGMA_Y
+    return np.block([[rot2, np.zeros((2, 2))], [np.zeros((2, 2)), rot2]])
 
 
 def test_clifford_algebra():
@@ -47,119 +69,88 @@ def test_gamma_hermiticity_and_gamma5():
 @pytest.mark.parametrize("hel", ["L", "R"])
 def test_u_spinor_dirac_equation_and_norm(hel):
     m = 0.51099895
-    for _ in range(10):
-        mom = random_onshell(m)
-        u = u_spinor(m, mom, hel)
-        residual = (slash(mom) - m * IDENTITY4) @ u.components
-        assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(u.components)
-        assert bilinear(u, IDENTITY4, u) == pytest.approx(2 * m, rel=1e-12)
-        assert bilinear(u, GAMMA0, u) == pytest.approx(2 * mom.e, rel=1e-12)
+    p, theta, e, k = random_onshell(m)
+    u = u_batch(m, e, theta, hel)
+    residual = np.einsum('nab,nb->na', slash_batch(k) - m * IDENTITY4, u)
+    assert np.all(np.linalg.norm(residual, axis=1) < 1e-9 * np.linalg.norm(u, axis=1))
+    assert np.allclose(sandwich(u, IDENTITY4, u), 2 * m, rtol=1e-12)
+    assert np.allclose(np.sum(np.abs(u) ** 2, axis=1), 2 * e, rtol=1e-12)
 
 
 @pytest.mark.parametrize("hel", ["L", "R"])
 def test_v_spinor_dirac_equation_and_norm(hel):
     m = 105.6583755
-    for _ in range(10):
-        mom = random_onshell(m, pmax=300.0)
-        v = v_spinor(m, mom, hel)
-        residual = (slash(mom) + m * IDENTITY4) @ v.components
-        assert np.linalg.norm(residual) < 1e-9 * np.linalg.norm(v.components)
-        assert bilinear(v, IDENTITY4, v) == pytest.approx(-2 * m, rel=1e-12)
+    p, theta, e, k = random_onshell(m, pmax=300.0)
+    v = v_batch(m, e, theta, hel)
+    residual = np.einsum('nab,nb->na', slash_batch(k) + m * IDENTITY4, v)
+    assert np.all(np.linalg.norm(residual, axis=1) < 1e-9 * np.linalg.norm(v, axis=1))
+    assert np.allclose(sandwich(v, IDENTITY4, v), -2 * m, rtol=1e-12)
+    assert np.allclose(np.sum(np.abs(v) ** 2, axis=1), 2 * e, rtol=1e-12)
 
 
 def test_helicity_eigenvalues():
     m = 0.51099895
-    mom = FourVector(math.sqrt(4.0 + m ** 2), 0.0, 0.0, 2.0)
-    op = sigma_dot([0.0, 0.0, 1.0])
-    u_r = u_spinor(m, mom, "R").components
-    u_l = u_spinor(m, mom, "L").components
-    assert np.allclose(op @ u_r, u_r)
-    assert np.allclose(op @ u_l, -u_l)
-    # v spinors labelled by physical helicity: opposite Sigma.phat eigenvalue
-    v_r = v_spinor(m, mom, "R").components
-    assert np.allclose(op @ v_r, -v_r)
+    p, theta, e, k = random_onshell(m)
+    op = helicity_operator(theta)
+    for hel, lam in (("R", 1.0), ("L", -1.0)):
+        u = u_batch(m, e, theta, hel)
+        assert np.allclose(np.einsum('nab,nb->na', op, u), lam * u, atol=1e-12)
+        # v spinors labelled by physical helicity: opposite Sigma.phat eigenvalue
+        v = v_batch(m, e, theta, hel)
+        assert np.allclose(np.einsum('nab,nb->na', op, v), -lam * v, atol=1e-12)
 
 
 def test_completeness_relations():
     m = 0.51099895
-    for _ in range(5):
-        mom = random_onshell(m)
-        acc_u = sum(np.outer(u_spinor(m, mom, h).components,
-                             u_spinor(m, mom, h).bar()) for h in "LR")
-        acc_v = sum(np.outer(v_spinor(m, mom, h).components,
-                             v_spinor(m, mom, h).bar()) for h in "LR")
-        assert np.max(np.abs(acc_u - (slash(mom) + m * IDENTITY4))) < 1e-9 * mom.e
-        assert np.max(np.abs(acc_v - (slash(mom) - m * IDENTITY4))) < 1e-9 * mom.e
+    p, theta, e, k = random_onshell(m, n=5)
+    acc_u = sum(np.einsum('na,nb->nab', u_batch(m, e, theta, h), bar(u_batch(m, e, theta, h)))
+                for h in "LR")
+    acc_v = sum(np.einsum('na,nb->nab', v_batch(m, e, theta, h), bar(v_batch(m, e, theta, h)))
+                for h in "LR")
+    scale = 1e-9 * e[:, None, None]
+    assert np.all(np.abs(acc_u - (slash_batch(k) + m * IDENTITY4)) < scale)
+    assert np.all(np.abs(acc_v - (slash_batch(k) - m * IDENTITY4)) < scale)
 
 
 def test_massless_u_v_proportional():
     # m -> 0 limit: u and v of opposite helicity labels coincide up to phase
     m = 1e-8
-    mom = FourVector(2.0 + m ** 2 / 4.0, 0.0, 0.0, 2.0)
-    u = u_spinor(m, mom, "R").components
-    v = v_spinor(m, mom, "L").components
-    overlap = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-    assert overlap == pytest.approx(1.0, abs=1e-8)
+    theta = RNG.uniform(-2 * math.pi, 4 * math.pi, 6)
+    e = np.full(6, 2.0 + m ** 2 / 4.0)
+    u = u_batch(m, e, theta, "R")
+    v = v_batch(m, e, theta, "L")
+    overlap = np.abs(np.sum(u.conj() * v, axis=1)) / (
+        np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+    assert np.allclose(overlap, 1.0, atol=1e-8)
 
 
 def test_u_spinor_rotation_consistency():
-    # spinor at angle theta equals the spin-1/2 rotation of the +z spinor
+    # spinors at angle theta equal the spin-1/2 rotation of the +z spinors,
+    # with no sign flip across theta = pi or outside [0, 2 pi)
     m = 0.51099895
-    p = 1.3
-    e = math.sqrt(p ** 2 + m ** 2)
-    theta = 1.1
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    rot2 = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * sy
-    rot4 = np.block([[rot2, np.zeros((2, 2))], [np.zeros((2, 2)), rot2]])
-    for hel in "LR":
-        u_z = u_spinor(m, FourVector(e, 0, 0, p), hel).components
-        u_t = u_spinor(m, FourVector(e, p * math.sin(theta), 0, p * math.cos(theta)),
-                       hel).components
-        assert np.allclose(rot4 @ u_z, u_t, atol=1e-12)
-
-
-def test_u_spinor_rotation_consistency_off_plane():
-    # general direction: spinors match exp(-i phi Sz/2) exp(-i theta Sy/2)
-    # acting on the +z spinor, up to a global phase
-    m = 0.51099895
-    p = 2.1
-    e = math.sqrt(p ** 2 + m ** 2)
-    theta, phi = 0.9, 2.3
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    rot2 = (np.cos(phi / 2) * np.eye(2) - 1j * np.sin(phi / 2) * sz) @ \
-           (np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * sy)
-    rot4 = np.block([[rot2, np.zeros((2, 2))], [np.zeros((2, 2)), rot2]])
-    mom = FourVector(e, p * math.sin(theta) * math.cos(phi),
-                     p * math.sin(theta) * math.sin(phi), p * math.cos(theta))
-    for hel in "LR":
-        u_z = u_spinor(m, FourVector(e, 0, 0, p), hel).components
-        u_rot = rot4 @ u_z
-        u_dir = u_spinor(m, mom, hel).components
-        overlap = abs(np.vdot(u_rot, u_dir)) / (
-            np.linalg.norm(u_rot) * np.linalg.norm(u_dir))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_off_shell_rejected():
-    with pytest.raises(InvalidKinematicsError):
-        u_spinor(0.511, FourVector(1.0, 0.0, 0.0, 1.0), "R")
-    with pytest.raises(InvalidKinematicsError):
-        u_spinor(0.511, FourVector(float("nan"), 0.0, 0.0, 1.0), "R")
+    e = np.array([math.sqrt(1.3 ** 2 + m ** 2)])
+    for theta in RNG.uniform(-2 * math.pi, 4 * math.pi, 6):
+        rot = rotation_y(theta)
+        for build in (u_batch, v_batch):
+            for hel in "LR":
+                at_z = build(m, e, np.zeros(1), hel)[0]
+                at_theta = build(m, e, np.array([theta]), hel)[0]
+                assert np.allclose(rot @ at_z, at_theta, atol=1e-12)
 
 
 def test_minkowski_dot_and_mass_shell():
     v = FourVector(5.0, 1.0, 2.0, 3.0)
-    assert minkowski_dot(v, v) == pytest.approx(25 - 1 - 4 - 9)
+    assert v.dot(v) == pytest.approx(25 - 1 - 4 - 9)
+    arr = np.array([[5.0, 1.0, 2.0, 3.0]])
+    assert lorentz_dot_batch(arr, arr)[0] == pytest.approx(25 - 1 - 4 - 9)
     m = 105.6583755
-    mom = random_onshell(m, pmax=500.0)
-    assert mom.mass2() == pytest.approx(m ** 2, rel=1e-9)
+    p, theta, e, k = random_onshell(m, pmax=500.0)
+    assert np.allclose(lorentz_dot_batch(k, k), m ** 2, rtol=1e-9)
 
 
 def test_photon_polarization_plus_z():
-    k = FourVector(2.0, 0.0, 0.0, 2.0)
-    eps_r = photon_polarization(k, "R").components
-    eps_l = photon_polarization(k, "L").components
+    eps_r = eps_batch(np.zeros(1), "R")[0]
+    eps_l = eps_batch(np.zeros(1), "L")[0]
     want_r = -np.array([0, 1, 1j, 0]) / math.sqrt(2)
     want_l = np.array([0, 1, -1j, 0]) / math.sqrt(2)
     assert np.allclose(eps_r, want_r)
@@ -167,59 +158,48 @@ def test_photon_polarization_plus_z():
 
 
 def test_photon_polarization_invariants():
-    for _ in range(8):
-        theta = RNG.uniform(0, math.pi)
-        phi = RNG.uniform(0, 2 * math.pi)
-        w = RNG.uniform(0.1, 10.0)
-        k = FourVector(w, w * math.sin(theta) * math.cos(phi),
-                       w * math.sin(theta) * math.sin(phi), w * math.cos(theta))
-        for hel in "LR":
-            eps = photon_polarization(k, hel).components
-            # transversality and normalization
-            k_arr = k.as_array()
-            assert abs(np.sum(eps * METRIC * k_arr)) < 1e-12 * w
-            assert np.sum(eps * METRIC * eps.conj()).real == pytest.approx(-1.0, abs=1e-12)
-        # conjugation flips helicity up to phase
-        eps_r = photon_polarization(k, "R").components
-        eps_l = photon_polarization(k, "L").components
-        overlap = abs(np.vdot(eps_r.conj(), eps_l)) / (
-            np.linalg.norm(eps_r) * np.linalg.norm(eps_l))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
+    theta = RNG.uniform(-2 * math.pi, 4 * math.pi, 8)
+    w = RNG.uniform(0.1, 10.0, 8)
+    k = np.stack([w, w * np.sin(theta), np.zeros(8), w * np.cos(theta)], axis=-1)
+    for hel in "LR":
+        eps = eps_batch(theta, hel)
+        # transversality and normalization
+        assert np.all(np.abs(lorentz_dot_batch(eps, k)) < 1e-12 * w)
+        assert np.allclose(lorentz_dot_batch(eps, eps.conj()), -1.0, atol=1e-12)
+    # conjugation flips helicity up to phase
+    eps_r, eps_l = eps_batch(theta, "R"), eps_batch(theta, "L")
+    overlap = np.abs(np.sum(eps_r * eps_l, axis=1)) / (
+        np.linalg.norm(eps_r, axis=1) * np.linalg.norm(eps_l, axis=1))
+    assert np.allclose(overlap, 1.0, atol=1e-12)
 
 
 def test_photon_polarization_rotation_oracle():
-    # rotated +z polarization vector equals the vector built at angle theta
-    theta = 0.77
-    w = 3.0
-    rot = np.array([[math.cos(theta), 0, math.sin(theta)],
-                    [0, 1, 0],
-                    [-math.sin(theta), 0, math.cos(theta)]])
-    for hel in "LR":
-        eps_z = photon_polarization(FourVector(w, 0, 0, w), hel).components
-        rotated = np.concatenate([[0.0], rot @ eps_z[1:]])
-        k = FourVector(w, w * math.sin(theta), 0.0, w * math.cos(theta))
-        assert np.allclose(photon_polarization(k, hel).components, rotated, atol=1e-12)
-
-
-def test_photon_massive_rejected():
-    with pytest.raises(InvalidKinematicsError):
-        photon_polarization(FourVector(2.0, 0.0, 0.0, 1.0), "R")
+    # the rotated +z polarization vector equals the vector built at angle theta
+    for theta in (0.77, -4.0, 10.5):
+        rot = np.array([[math.cos(theta), 0, math.sin(theta)],
+                        [0, 1, 0],
+                        [-math.sin(theta), 0, math.cos(theta)]])
+        for hel in "LR":
+            eps_z = eps_batch(np.zeros(1), hel)[0]
+            rotated = np.concatenate([[0.0], rot @ eps_z[1:]])
+            assert np.allclose(eps_batch(np.array([theta]), hel)[0], rotated, atol=1e-12)
 
 
 def test_slash_identities():
-    p = FourVector(3.0, 0.4, -1.0, 2.0)
-    k = FourVector(1.5, 0.2, 0.9, -0.3)
-    assert np.allclose(slash(p) @ slash(p), p.mass2() * IDENTITY4, atol=1e-12)
-    assert np.allclose(slash(FourVector(0, 0, 0, 0)), np.zeros((4, 4)))
-    assert np.allclose(slash(p + k), slash(p) + slash(k), atol=1e-13)
+    p = np.array([[3.0, 0.4, -1.0, 2.0]])
+    k = np.array([[1.5, 0.2, 0.9, -0.3]])
+    mass2 = lorentz_dot_batch(p, p)[0]
+    assert np.allclose(slash_batch(p)[0] @ slash_batch(p)[0], mass2 * IDENTITY4, atol=1e-12)
+    assert np.allclose(slash_batch(np.zeros((1, 4))), np.zeros((4, 4)))
+    assert np.allclose(slash_batch(p + k), slash_batch(p) + slash_batch(k), atol=1e-13)
 
 
 def test_current_matches_bilinear():
     m = 0.51099895
-    mom1 = random_onshell(m)
-    mom2 = random_onshell(m)
-    u1 = u_spinor(m, mom1, "R")
-    u2 = u_spinor(m, mom2, "L")
-    j = current(u1, u2)
+    _, theta1, e1, _ = random_onshell(m, n=4)
+    _, theta2, e2, _ = random_onshell(m, n=4)
+    u1 = u_batch(m, e1, theta1, "R")
+    u2 = u_batch(m, e2, theta2, "L")
+    j = current_batch(u1, u2)
     for mu in range(4):
-        assert j[mu] == pytest.approx(bilinear(u1, GAMMA[mu], u2), abs=1e-12)
+        assert np.allclose(j[:, mu], sandwich(u1, GAMMA[mu], u2), atol=1e-12)
