@@ -130,13 +130,14 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
             prop = slash_batch(momenta[0] + k_sign * momenta[k_leg]) + m_prop * IDENTITY4
             value = _slash_chain(legs, *spec, prop)
         den = invariants[name] - m_prop ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = sign * consts.e2 / den
-        channels[name] = (coef[..., None, None, None, None] * value).reshape(
-            theta.shape + (4, 4))
         divergent |= np.abs(den) < POLE_RTOL * s
+        with np.errstate(divide="ignore", invalid="ignore"):    # poles: flagged above
+            coef = sign * consts.e2 / den
+            channels[name] = (coef[..., None, None, None, None] * value).reshape(
+                theta.shape + (4, 4))
     mats = list(channels.values())
-    return sum(mats[1:], mats[0].copy()), channels, divergent
+    with np.errstate(invalid="ignore"):
+        return sum(mats[1:], mats[0].copy()), channels, divergent
 
 
 def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:

@@ -117,15 +117,18 @@ class KinematicPoint:
 def _com_energies(process: ProcessKind, p: np.ndarray, consts: Constants):
     """Batch energies (E1, E2, E3, E4) and outgoing momentum q for |p| = p.
 
-    q is NaN below threshold.
+    q = sqrt(lambda(s, m3^2, m4^2)) / (2 sqrt s) with lambda factored as
+    gap (sqrt s + m3 + m4) (gap + 2 m3) (gap + 2 m4), where
+    gap = sqrt s - m3 - m4 = p^2/(E1 + m1) + p^2/(E2 + m2) + (m1 + m2 - m3 - m4)
+    has no cancellation at low p. q is NaN below threshold.
     """
     m1, m2, m3, m4 = process_masses(process, consts)
     p = np.asarray(p, dtype=float)
     e1 = np.sqrt(p ** 2 + m1 ** 2)
     e2 = np.sqrt(p ** 2 + m2 ** 2)
     rs = e1 + e2
-    s = rs ** 2
-    lam = (s - (m3 + m4) ** 2) * (s - (m3 - m4) ** 2)
+    gap = p ** 2 / (e1 + m1) + p ** 2 / (e2 + m2) + (m1 + m2 - m3 - m4)
+    lam = gap * (rs + m3 + m4) * (gap + 2.0 * m3) * (gap + 2.0 * m4)
     with np.errstate(invalid="ignore"):
         q = np.sqrt(lam) / (2.0 * rs)
     e3 = np.sqrt(q ** 2 + m3 ** 2)
@@ -152,19 +155,17 @@ def build_kinematics(process: ProcessKind, p: float, theta: float,
         raise BelowThresholdError(
             f"{process.value}: p = {p} MeV below threshold {p_thr:.6f} MeV")
 
-    e1, e2, e3, e4, q = _com_energies(process, np.asarray(p), consts)
-    e1, e2, e3, e4 = float(e1), float(e2), float(e3), float(e4)
-    q = float(q) if math.isfinite(float(q)) else 0.0
+    s, t, u, e1, e2, e3, e4, q = (float(x) for x in mandelstam_batch(
+        process, np.asarray(p), np.asarray(theta), consts))
+    if not math.isfinite(q):    # p rounds onto the threshold: the pair forms at rest
+        q, e3, e4 = 0.0, m3, m4
+        t, u = (e1 - m3) ** 2 - p ** 2, (e1 - m4) ** 2 - p ** 2
 
     st, ct = math.sin(theta), math.cos(theta)
     p1 = FourVector(e1, 0.0, 0.0, p)
     p2 = FourVector(e2, 0.0, 0.0, -p)
     q1 = FourVector(e3, q * st, 0.0, q * ct)
     q2 = FourVector(e4, -q * st, 0.0, -q * ct)
-
-    s = (p1 + p2).mass2()
-    t = (p1 - q1).mass2()
-    u = (p1 - q2).mass2()
     return KinematicPoint(process, p, theta, p1, p2, q1, q2, s, t, u, q,
                           (m1, m2, m3, m4), consts)
 
@@ -179,15 +180,18 @@ def mandelstam(kin: KinematicPoint) -> tuple[float, float, float]:
 
 def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
                      consts: Constants = DEFAULT):
-    """Vectorized (s, t, u) plus energies and q_out over (p, theta) arrays."""
+    """Vectorized (s, t, u) plus energies and q_out over (p, theta) arrays.
+
+    t and u are written as (E1 - E3)^2 - (p - q)^2 - 4 p q sin^2(theta/2) and
+    (E1 - E4)^2 - (p - q)^2 - 4 p q cos^2(theta/2), which keep their digits
+    at forward and backward angles.
+    """
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    m1, m2, m3, m4 = process_masses(process, consts)
     e1, e2, e3, e4, q = _com_energies(process, p, consts)
-    ct = np.cos(theta)
     s = (e1 + e2) ** 2
-    t = m1 ** 2 + m3 ** 2 - 2.0 * (e1 * e3 - p * q * ct)
-    u = m1 ** 2 + m4 ** 2 - 2.0 * (e1 * e4 + p * q * ct)
+    t = (e1 - e3) ** 2 - (p - q) ** 2 - 4.0 * p * q * np.sin(0.5 * theta) ** 2
+    u = (e1 - e4) ** 2 - (p - q) ** 2 - 4.0 * p * q * np.cos(0.5 * theta) ** 2
     return s, t, u, e1, e2, e3, e4, q
 
 

@@ -136,10 +136,11 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
     out = theta.copy()
     nudged = 0
     for pole in PROCESS_TABLE[process]["pole_thetas"]:
-        for ray in (pole, pole + 2.0 * math.pi):
-            hit = np.abs(out - ray) < POLE_NUDGE_TOL
-            out[hit] += 0.5 * step
-            nudged += int(hit.sum())
+        # signed distance to the nearest ray pole + 2 pi k, in [-pi, pi)
+        offset = np.remainder(out - pole + math.pi, 2.0 * math.pi) - math.pi
+        hit = np.abs(offset) < POLE_NUDGE_TOL
+        out[hit] += 0.5 * step
+        nudged += int(hit.sum())
     if nudged:
         log.warning("nudged %d grid angle(s) off propagator poles by half a step", nudged)
     return out

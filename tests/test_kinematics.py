@@ -62,6 +62,22 @@ def test_forward_limit_t_zero_elastic():
     assert kin.t == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("proc", [ProcessKind.MOLLER, ProcessKind.BHABHA,
+                                  ProcessKind.ELECTRON_MUON, ProcessKind.COMPTON])
+def test_forward_t_matches_exact_elastic_form(proc):
+    # elastic in the COM frame: t = -4 p^2 sin^2(theta/2) exactly, which the
+    # naive m1^2 + m3^2 - 2 (E1 E3 - p q cos theta) misses by up to 1e-3
+    p = np.repeat([0.01, 3.0, 1e4], 4)
+    theta = np.tile([1e-6, 1e-5, 1e-3, math.pi - 1e-4], 3)
+    want = -4.0 * p ** 2 * np.sin(0.5 * theta) ** 2
+    _, t, *_ = mandelstam_batch(proc, p, theta)
+    assert np.max(np.abs(t - want) / np.abs(want)) <= 1e-14
+    for i in range(p.size):
+        kin = build_kinematics(proc, float(p[i]), float(theta[i]))
+        assert abs(kin.t - want[i]) <= 1e-14 * abs(want[i])
+        assert abs(kin.q_out - p[i]) <= 1e-15 * p[i]
+
+
 def test_elastic_q_out_equals_p():
     for proc in (ProcessKind.MOLLER, ProcessKind.BHABHA,
                  ProcessKind.ELECTRON_MUON, ProcessKind.COMPTON):

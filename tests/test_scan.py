@@ -75,6 +75,17 @@ def test_pole_nudging():
     assert rows[1].theta == pytest.approx(math.pi + 0.5 * step)
 
 
+@pytest.mark.parametrize("centre", [-2 * math.pi, -math.pi, 4 * math.pi])
+def test_pole_nudging_outside_first_turn(centre):
+    # pole rays repeat every 2 pi: a grid centred on -2 pi, -pi or 4 pi puts
+    # its middle point on a Moller pole, which must be nudged like theta = 0
+    cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=1.0, p_max=1.0, p_steps=1,
+                     theta_min=centre - 1.0, theta_max=centre + 1.0, theta_steps=3)
+    rows = run_scan(cfg)
+    assert all(r.status == "ok" for r in rows)
+    assert rows[1].theta == pytest.approx(centre + 1.0 / 3.0)
+
+
 def test_exact_pole_is_divergent():
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=1.0, p_max=1.0, p_steps=1,
                      theta_min=0.0, theta_max=0.0, theta_steps=1)
