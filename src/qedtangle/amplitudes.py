@@ -131,13 +131,13 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
             value = _slash_chain(legs, *spec, prop)
         den = invariants[name] - m_prop ** 2
         divergent |= np.abs(den) < POLE_RTOL * s
-        with np.errstate(divide="ignore", invalid="ignore"):    # poles: flagged above
+        # points on a pole give inf/nan here; the divergent mask flags them
+        with np.errstate(divide="ignore", invalid="ignore"):
             coef = sign * consts.e2 / den
             channels[name] = (coef[..., None, None, None, None] * value).reshape(
                 theta.shape + (4, 4))
     mats = list(channels.values())
-    with np.errstate(invalid="ignore"):
-        return sum(mats[1:], mats[0].copy()), channels, divergent
+    return sum(mats[1:], mats[0].copy()), channels, divergent
 
 
 def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
