@@ -18,10 +18,10 @@ Conventions (documented so Bell-state phases are reproducible):
 * Photon helicity vectors eps(±, khat=z) = ∓(0, 1, ±i, 0)/sqrt(2), rotated to
   direction theta with e_theta, e_phi.
 
-Everything lives in the phi = 0 scattering plane; the builders therefore take
-a bare polar angle, which may be any real number
-(theta + pi for the recoiling particle, theta > pi for the lower half plane).
-The resulting spinors are smooth in theta everywhere, including theta = pi.
+Everything lives in the phi = 0 scattering plane; the builders therefore
+take a bare polar angle, which may be any real number (theta + pi for the
+recoiling particle, theta > pi for the lower half plane). The resulting
+spinors are smooth in theta everywhere, including theta = pi.
 """
 from __future__ import annotations
 
