@@ -15,9 +15,9 @@ from .dirac import FourVector
 from .entanglement import (EntanglementReport, analyze, bell_fidelities,
                            bell_fidelities_phase_opt, partial_transpose)
 from .errors import (BelowThresholdError, DivergentKinematicsError,
-                     EigenSolverError, InvalidConfigError,
-                     InvalidKinematicsError, NonHermitianError,
-                     QedTangleError, UnfilterableStateError)
+                     InvalidConfigError, InvalidKinematicsError,
+                     NonHermitianError, QedTangleError,
+                     UnfilterableStateError)
 from .kinematics import (KinematicPoint, ProcessKind, build_kinematics,
                          mandelstam, threshold_momentum)
 from .linalg import hermitian_eigenvalues

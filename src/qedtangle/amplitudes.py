@@ -45,12 +45,13 @@ class AmplitudeMatrix:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
-def _legs(specs, theta, energies, consts, photon_vectors):
+def _legs(specs, theta, moduli, consts, photon_vectors):
     """Helicity-indexed leg tensors (..., 2, 4), helicity axis ordered L, R.
 
-    Incoming legs run along +z and -z, outgoing legs at theta and theta + pi.
-    Outgoing photons carry the conjugated polarization vector; a leg listed
-    in `photon_vectors` carries the given (..., 4) vector for both helicities.
+    Incoming legs run along +z and -z, outgoing legs at theta and theta + pi;
+    `moduli` holds each leg's |momentum|. Outgoing photons carry the
+    conjugated polarization vector; a leg listed in `photon_vectors` carries
+    the given (..., 4) vector for both helicities.
     """
     z = np.zeros_like(theta)
     angles = (z, z + math.pi, theta, theta + math.pi)
@@ -64,7 +65,7 @@ def _legs(specs, theta, energies, consts, photon_vectors):
             legs.append(eps.conj() if k >= 2 else eps)
         else:
             build = u_batch if spec.field == "u" else v_batch
-            legs.append(np.stack([build(spec.mass(consts), energies[k], angles[k], h)
+            legs.append(np.stack([build(spec.mass(consts), moduli[k], angles[k], h)
                                   for h in "LR"], axis=-2))
     return legs
 
@@ -111,7 +112,7 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
     theta = np.asarray(theta, dtype=float)
     s, t, u, e1, e2, e3, e4, q = mandelstam_batch(process, p, theta, consts)
     invariants = {"s": s, "t": t, "u": u}
-    legs = _legs(specs, theta, (e1, e2, e3, e4), consts, photon_vectors or {})
+    legs = _legs(specs, theta, (p, p, q, q), consts, photon_vectors or {})
     momenta = None
     channels = {}
     divergent = np.zeros(theta.shape, dtype=bool)

@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .amplitudes import amplitude, helicity_amplitudes_batch
 from .entanglement import analyze, measures_batch
-from .errors import (EigenSolverError, InvalidConfigError, InvalidKinematicsError,
-                     QedTangleError)
+from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
 from .kinematics import ProcessKind, build_kinematics, mandelstam_batch, momenta_batch
 from .qstate import evolve
 from .scan import (ScanConfig, cross_section_check, emit_csv, emit_plot_script,
@@ -215,7 +214,8 @@ def _cmd_audit(args) -> int:
     res = measures_batch(rho)
     from .entanglement import partial_transpose_batch
     from .linalg import hermitian_eigenvalues_batch
-    eigs = hermitian_eigenvalues_batch(partial_transpose_batch(rho))
+    pt = partial_transpose_batch(rho)
+    eigs = hermitian_eigenvalues_batch(pt)
     at_most_one = int(np.max(np.sum(eigs < -1e-10, axis=1)))
     ent_ok = bool(np.all(res["entropy"] > -1e-12)
                   and np.all(res["entropy"] < math.log(4.0) + 1e-9))
@@ -223,6 +223,13 @@ def _cmd_audit(args) -> int:
                              np.log2(2 * res["negativity"] + 1), atol=1e-12))
     report("measure sanity", at_most_one <= 1 and ent_ok and en_ok,
            f"{n} random states, max negative PT count {at_most_one}")
+    # two qubits: entangled iff det(rho^T_B) < 0, an eigen-free verdict
+    # (Augusiak, Demianowicz & Horodecki, PRA 77, 030301 (2008))
+    keep = np.abs(res["min_pt_eig"]) > 1e-8
+    wrong = int(np.sum((np.linalg.det(pt).real < 0.0)[keep] != res["entangled"][keep]))
+    report("measure sanity det(rho^T_B)", wrong == 0,
+           f"{wrong} verdicts differ from det < 0 ({int(np.sum(~keep))} of {n} "
+           f"within 1e-8 of PPT excluded)")
 
     print(f"{'ALL PASS' if failures == 0 else f'{failures} FAILURE(S)'}")
     return 0 if failures == 0 else 3
@@ -290,7 +297,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except EigenSolverError as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (InvalidConfigError, InvalidKinematicsError, QedTangleError) as exc:

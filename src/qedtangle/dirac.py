@@ -10,7 +10,8 @@ Conventions (documented so Bell-state phases are reproducible):
       chi_-(theta) = ( -sin(theta/2),  cos(theta/2) ),
   so (sigma . phat) chi_± = ± chi_±.  R means helicity +, L helicity -.
 * u(p, h) = ( sqrt(E+m) chi_h, ±sqrt(E-m) chi_h ) with + for R, - for L;
-  normalisation ubar u = 2m, u+ u = 2E.
+  normalisation ubar u = 2m, u+ u = 2E. The builders take |p| and form
+  sqrt(E-m) as |p|/sqrt(E+m), which keeps its digits at low p.
 * v spinors are labelled by the *physical* helicity of the antiparticle:
   v(p, R) = ( -sqrt(E-m) chi_-, sqrt(E+m) chi_- ),
   v(p, L) = ( +sqrt(E-m) chi_+, sqrt(E+m) chi_+ ),
@@ -93,25 +94,28 @@ def chi_batch(theta: np.ndarray, hel: str) -> np.ndarray:
     raise ValueError(f"helicity must be 'L' or 'R', got {hel!r}")
 
 
-def u_batch(mass: float, energy: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
-    """u spinors for on-shell particles with energy E(p), direction theta, (N, 4)."""
-    energy = np.asarray(energy, dtype=float)
-    wp = np.sqrt(np.maximum(energy + mass, 0.0))
-    wm = np.sqrt(np.maximum(energy - mass, 0.0))
+def _weights(mass: float, momentum: np.ndarray):
+    """(sqrt(E + m), sqrt(E - m)), the latter as |p| / sqrt(E + m)."""
+    momentum = np.asarray(momentum, dtype=float)
+    wp = np.sqrt(np.sqrt(momentum ** 2 + mass ** 2) + mass)
+    return wp[..., None], (momentum / wp)[..., None]
+
+
+def u_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
+    """u spinors for on-shell particles of momentum |p|, direction theta, (N, 4)."""
+    wp, wm = _weights(mass, momentum)
     chi = chi_batch(theta, hel)
     sign = 1.0 if hel == "R" else -1.0
-    return np.concatenate([wp[..., None] * chi, sign * wm[..., None] * chi], axis=-1)
+    return np.concatenate([wp * chi, sign * wm * chi], axis=-1)
 
 
-def v_batch(mass: float, energy: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
+def v_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
     """v spinors labelled by physical antiparticle helicity, (N, 4)."""
-    energy = np.asarray(energy, dtype=float)
-    wp = np.sqrt(np.maximum(energy + mass, 0.0))
-    wm = np.sqrt(np.maximum(energy - mass, 0.0))
+    wp, wm = _weights(mass, momentum)
     flipped = "L" if hel == "R" else "R"
     chi = chi_batch(theta, flipped)
     sign = -1.0 if hel == "R" else 1.0
-    return np.concatenate([sign * wm[..., None] * chi, wp[..., None] * chi], axis=-1)
+    return np.concatenate([sign * wm * chi, wp * chi], axis=-1)
 
 
 def eps_batch(theta: np.ndarray, hel: str) -> np.ndarray:

@@ -78,11 +78,22 @@ def bell_fidelities_phase_opt(rho) -> dict:
     return {"phi+": phi, "phi-": phi, "psi+": psi, "psi-": psi}
 
 
-def entropy_from_eigenvalues(nu: np.ndarray) -> float:
-    """Von Neumann entropy -sum nu ln nu with 0 ln 0 := 0."""
-    nu = np.clip(np.asarray(nu, dtype=float), 0.0, None)
-    positive = nu[nu > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+def _measures(pt_eigs: np.ndarray, nu: np.ndarray, tol: float,
+              consts: Constants) -> dict:
+    """Measures from ascending spectra (N,4) of rho^T_B (pt_eigs) and rho (nu)."""
+    negativity = np.sum((np.abs(pt_eigs) - pt_eigs) / 2.0, axis=1)
+    nu = np.clip(nu, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(nu > 0.0, nu * np.log(nu), 0.0)     # 0 ln 0 := 0
+    min_eig = pt_eigs[:, 0]
+    return {
+        "min_pt_eig": min_eig,
+        "negativity": negativity,
+        "log_negativity": np.log2(2.0 * negativity + 1.0),
+        "entropy": -np.sum(terms, axis=1),
+        "entangled": min_eig < -tol,
+        "switching": np.abs(min_eig) <= consts.alpha3,
+    }
 
 
 def analyze(rho, tol: float = PPT_TOL, consts: Constants = DEFAULT) -> EntanglementReport:
@@ -94,11 +105,7 @@ def analyze(rho, tol: float = PPT_TOL, consts: Constants = DEFAULT) -> Entanglem
     """
     m = _entries(rho)
     pt_eigs = hermitian_eigenvalues(partial_transpose(m))
-    negativity = float(np.sum((np.abs(pt_eigs) - pt_eigs) / 2.0))
-    log_negativity = math.log2(2.0 * negativity + 1.0)
-    nu = hermitian_eigenvalues(m)
-    entropy = entropy_from_eigenvalues(nu)
-    purity = float(np.einsum('ij,ji->', m, m).real)
+    res = _measures(pt_eigs[None], hermitian_eigenvalues(m)[None], tol, consts)
 
     raw = bell_fidelities(m)
     raw_label = max(raw, key=raw.get)
@@ -109,15 +116,14 @@ def analyze(rho, tol: float = PPT_TOL, consts: Constants = DEFAULT) -> Entanglem
     else:
         opt_label = "psi+" if raw["psi+"] >= raw["psi-"] else "psi-"
 
-    min_eig = float(pt_eigs[0])
     return EntanglementReport(
         pt_eigenvalues=tuple(float(x) for x in pt_eigs),
-        negativity=negativity,
-        log_negativity=log_negativity,
-        entropy=entropy,
-        purity=purity,
-        entangled=min_eig < -tol,
-        switching_potential=abs(min_eig) <= consts.alpha3,
+        negativity=float(res["negativity"][0]),
+        log_negativity=float(res["log_negativity"][0]),
+        entropy=float(res["entropy"][0]),
+        purity=float(np.einsum('ij,ji->', m, m).real),
+        entangled=bool(res["entangled"][0]),
+        switching_potential=bool(res["switching"][0]),
         closest_bell=(raw_label, raw[raw_label]),
         closest_bell_phase_opt=(opt_label, opt[opt_label]),
     )
@@ -130,19 +136,5 @@ def measures_batch(rho: np.ndarray, tol: float = PPT_TOL,
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
     entangled, switching.
     """
-    pt_eigs = hermitian_eigenvalues_batch(partial_transpose_batch(rho))
-    negativity = np.sum((np.abs(pt_eigs) - pt_eigs) / 2.0, axis=1)
-    log_negativity = np.log2(2.0 * negativity + 1.0)
-    nu = np.clip(hermitian_eigenvalues_batch(rho), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(nu > 0.0, nu * np.log(nu), 0.0)
-    entropy = -np.sum(terms, axis=1)
-    min_eig = pt_eigs[:, 0]
-    return {
-        "min_pt_eig": min_eig,
-        "negativity": negativity,
-        "log_negativity": log_negativity,
-        "entropy": entropy,
-        "entangled": min_eig < -tol,
-        "switching": np.abs(min_eig) <= consts.alpha3,
-    }
+    return _measures(hermitian_eigenvalues_batch(partial_transpose_batch(rho)),
+                     hermitian_eigenvalues_batch(rho), tol, consts)

@@ -25,9 +25,5 @@ class NonHermitianError(QedTangleError):
     """Matrix handed to the Hermitian eigensolver is not Hermitian."""
 
 
-class EigenSolverError(QedTangleError):
-    """Jacobi diagonalization failed to converge within the sweep budget."""
-
-
 class InvalidConfigError(QedTangleError):
     """Scan configuration file or CLI flags are inconsistent or out of range."""

@@ -1,86 +1,22 @@
-"""Self-contained Hermitian eigensolver: batched cyclic Jacobi for 4x4.
+"""Hermitian eigenvalues of 4x4 matrices, via numpy.linalg.eigvalsh (LAPACK).
 
-Complex Jacobi rotations U = D(phase) . J(c, s) annihilate one off-diagonal
-element at a time; cyclic sweeps over the six (k, l) pairs converge
-quadratically. The batch variant rotates all matrices simultaneously and
-drops converged ones from the working set, which keeps full-grid scans cheap
-without an external eigensolver. Tolerance 1e-13 * |H|_F, at most 100 sweeps.
+`hermitian_eigenvalues_batch` handles the scan's (N,4,4) stacks;
+`hermitian_eigenvalues` validates one matrix (shape, Hermiticity) first.
+A LAPACK convergence failure surfaces as numpy.linalg.LinAlgError.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigenSolverError, NonHermitianError
-
-SWEEP_TOL = 1e-13
-MAX_SWEEPS = 100
-
-_PAIRS_4 = [(k, l) for k in range(4) for l in range(k + 1, 4)]
-_OFF_DIAG = ~np.eye(4, dtype=bool)
-
-
-def _off_norm2(h: np.ndarray) -> np.ndarray:
-    off = h * _OFF_DIAG
-    return np.einsum('nij,nij->n', off, off.conj()).real
-
-
-def _sweep(h: np.ndarray) -> None:
-    """One cyclic Jacobi sweep, in place, over a batch (N,4,4)."""
-    for k, l in _PAIRS_4:
-        hkl = h[:, k, l]
-        mag = np.abs(hkl)
-        act = mag > 1e-300
-        # phase factor e^{-i phi} making the pivot real, and the real rotation
-        phase = np.where(act, hkl.conj() / np.where(act, mag, 1.0), 1.0)
-        tau = np.zeros_like(mag)
-        np.divide(h[:, l, l].real - h[:, k, k].real, 2.0 * mag, out=tau, where=act)
-        with np.errstate(over="ignore"):
-            t = np.where(act, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
-        t[act & (tau == 0.0)] = 1.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        sp = s * phase
-        colk = c[:, None] * h[:, :, k] - sp[:, None] * h[:, :, l]
-        coll = sp.conj()[:, None] * h[:, :, k] + c[:, None] * h[:, :, l]
-        h[:, :, k] = colk
-        h[:, :, l] = coll
-        rowk = c[:, None] * h[:, k, :] - sp.conj()[:, None] * h[:, l, :]
-        rowl = sp[:, None] * h[:, k, :] + c[:, None] * h[:, l, :]
-        h[:, k, :] = rowk
-        h[:, l, :] = rowl
+from .errors import NonHermitianError
 
 
 def hermitian_eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a batch (N,4,4) of Hermitian matrices, (N,4).
 
-    Raises EigenSolverError if any matrix fails to converge within the sweep
-    budget (does not happen for finite input).
+    A single (4,4) matrix gives shape (4,). Only the lower triangle is read.
     """
-    h = np.array(h, dtype=complex)
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = h[None]
-    scale2 = np.einsum('nij,nij->n', h, h.conj()).real
-    scale2 = np.where(scale2 > 0.0, scale2, 1.0)
-    tol2 = (SWEEP_TOL ** 2) * scale2
-
-    work = h
-    active = np.arange(h.shape[0])
-    for _ in range(MAX_SWEEPS):
-        live = _off_norm2(work) > tol2[active]
-        if not live.any():
-            break
-        if not live.all():
-            h[active] = work
-            active = active[live]
-            work = h[active].copy()
-        _sweep(work)
-    h[active] = work
-    if np.any(_off_norm2(h) > tol2):
-        raise EigenSolverError(f"Jacobi sweep budget ({MAX_SWEEPS}) exhausted")
-
-    eig = np.sort(np.einsum('nii->ni', h).real, axis=1)
-    return eig[0] if squeeze else eig
+    return np.linalg.eigvalsh(np.asarray(h, dtype=complex))
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:

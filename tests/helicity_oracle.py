@@ -90,6 +90,17 @@ def dot(a: Leg, b: Leg) -> np.ndarray:
     return gap + a.mag * b.mag * one_minus_cos
 
 
+def diff2(a: Leg, b: Leg) -> np.ndarray:
+    """(a - b)^2 for on-shell legs without cancellation at small momentum transfer.
+
+    E_a - E_b = ((|a| - |b|)(|a| + |b|) + (m_a - m_b)(m_a + m_b)) / (E_a + E_b)
+    and |a - b|^2 = (|a| - |b|)^2 + |a||b| |ahat - bhat|^2.
+    """
+    de = ((a.mag - b.mag) * (a.mag + b.mag) + (a.m - b.m) * (a.m + b.m)) / (a.e + b.e)
+    dvec2 = (a.mag - b.mag) ** 2 + a.mag * b.mag * np.sum((a.hat - b.hat) ** 2, axis=-1)
+    return de ** 2 - dvec2
+
+
 def _sigma_dot(hat):
     return np.einsum('ni,iab->nab', hat, _PAULI)
 
@@ -193,8 +204,7 @@ def amplitudes(process: str, p, theta) -> np.ndarray:
         b1 = {h: u_spinor(q1, h) for h in "LR"}
         b2 = {h: (v_spinor if anti_in else u_spinor)(q2, h) for h in "LR"}
         s = p1.m ** 2 + p2.m ** 2 + 2.0 * dot(p1, p2)
-        t = p1.m ** 2 + q1.m ** 2 - 2.0 * dot(p1, q1)
-        u = p1.m ** 2 + q2.m ** 2 - 2.0 * dot(p1, q2)
+        t, u = diff2(p1, q1), diff2(p1, q2)
         for io, (r1, r2) in enumerate(_PAIRS):
             for ii, (s1, s2) in enumerate(_PAIRS):
                 if anti_in:

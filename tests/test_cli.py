@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qedtangle.cli import main
@@ -89,6 +90,17 @@ def test_audit_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "ALL PASS" in out
+    assert "PASS  measure sanity det(rho^T_B)" in out
+
+
+def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr("qedtangle.entanglement.hermitian_eigenvalues_batch", fail)
+    rc = main(["scan", "--process", "moller", "--p-steps", "2", "--theta-steps", "2",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_scan_log_grid_flag(tmp_path):

@@ -70,7 +70,7 @@ def test_gamma_hermiticity_and_gamma5():
 def test_u_spinor_dirac_equation_and_norm(hel):
     m = 0.51099895
     p, theta, e, k = random_onshell(m)
-    u = u_batch(m, e, theta, hel)
+    u = u_batch(m, p, theta, hel)
     residual = np.einsum('nab,nb->na', slash_batch(k) - m * IDENTITY4, u)
     assert np.all(np.linalg.norm(residual, axis=1) < 1e-9 * np.linalg.norm(u, axis=1))
     assert np.allclose(sandwich(u, IDENTITY4, u), 2 * m, rtol=1e-12)
@@ -81,7 +81,7 @@ def test_u_spinor_dirac_equation_and_norm(hel):
 def test_v_spinor_dirac_equation_and_norm(hel):
     m = 105.6583755
     p, theta, e, k = random_onshell(m, pmax=300.0)
-    v = v_batch(m, e, theta, hel)
+    v = v_batch(m, p, theta, hel)
     residual = np.einsum('nab,nb->na', slash_batch(k) + m * IDENTITY4, v)
     assert np.all(np.linalg.norm(residual, axis=1) < 1e-9 * np.linalg.norm(v, axis=1))
     assert np.allclose(sandwich(v, IDENTITY4, v), -2 * m, rtol=1e-12)
@@ -93,19 +93,19 @@ def test_helicity_eigenvalues():
     p, theta, e, k = random_onshell(m)
     op = helicity_operator(theta)
     for hel, lam in (("R", 1.0), ("L", -1.0)):
-        u = u_batch(m, e, theta, hel)
+        u = u_batch(m, p, theta, hel)
         assert np.allclose(np.einsum('nab,nb->na', op, u), lam * u, atol=1e-12)
         # v spinors labelled by physical helicity: opposite Sigma.phat eigenvalue
-        v = v_batch(m, e, theta, hel)
+        v = v_batch(m, p, theta, hel)
         assert np.allclose(np.einsum('nab,nb->na', op, v), -lam * v, atol=1e-12)
 
 
 def test_completeness_relations():
     m = 0.51099895
     p, theta, e, k = random_onshell(m, n=5)
-    acc_u = sum(np.einsum('na,nb->nab', u_batch(m, e, theta, h), bar(u_batch(m, e, theta, h)))
+    acc_u = sum(np.einsum('na,nb->nab', u_batch(m, p, theta, h), bar(u_batch(m, p, theta, h)))
                 for h in "LR")
-    acc_v = sum(np.einsum('na,nb->nab', v_batch(m, e, theta, h), bar(v_batch(m, e, theta, h)))
+    acc_v = sum(np.einsum('na,nb->nab', v_batch(m, p, theta, h), bar(v_batch(m, p, theta, h)))
                 for h in "LR")
     scale = 1e-9 * e[:, None, None]
     assert np.all(np.abs(acc_u - (slash_batch(k) + m * IDENTITY4)) < scale)
@@ -116,9 +116,9 @@ def test_massless_u_v_proportional():
     # m -> 0 limit: u and v of opposite helicity labels coincide up to phase
     m = 1e-8
     theta = RNG.uniform(-2 * math.pi, 4 * math.pi, 6)
-    e = np.full(6, 2.0 + m ** 2 / 4.0)
-    u = u_batch(m, e, theta, "R")
-    v = v_batch(m, e, theta, "L")
+    p = np.full(6, 2.0)
+    u = u_batch(m, p, theta, "R")
+    v = v_batch(m, p, theta, "L")
     overlap = np.abs(np.sum(u.conj() * v, axis=1)) / (
         np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
     assert np.allclose(overlap, 1.0, atol=1e-8)
@@ -128,14 +128,28 @@ def test_u_spinor_rotation_consistency():
     # spinors at angle theta equal the spin-1/2 rotation of the +z spinors,
     # with no sign flip across theta = pi or outside [0, 2 pi)
     m = 0.51099895
-    e = np.array([math.sqrt(1.3 ** 2 + m ** 2)])
+    p = np.array([1.3])
     for theta in RNG.uniform(-2 * math.pi, 4 * math.pi, 6):
         rot = rotation_y(theta)
         for build in (u_batch, v_batch):
             for hel in "LR":
-                at_z = build(m, e, np.zeros(1), hel)[0]
-                at_theta = build(m, e, np.array([theta]), hel)[0]
+                at_z = build(m, p, np.zeros(1), hel)[0]
+                at_theta = build(m, p, np.array([theta]), hel)[0]
                 assert np.allclose(rot @ at_z, at_theta, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-2])
+def test_small_components_keep_their_digits_at_low_p(p):
+    # |small| / |large| = sqrt(E - m) / sqrt(E + m) = p / (E + m); forming
+    # sqrt(E - m) directly loses about m / (E - m) ulps (3.6e-9 at 1e-4 MeV)
+    m = 0.51099895
+    want = p / (math.sqrt(p ** 2 + m ** 2) + m)
+    for build, large in ((u_batch, slice(0, 2)), (v_batch, slice(2, 4))):
+        small = slice(2, 4) if large.start == 0 else slice(0, 2)
+        for hel in "LR":
+            spinor = build(m, np.array([p]), np.zeros(1), hel)[0]   # chi is exactly 0 or 1
+            ratio = np.max(np.abs(spinor[small])) / np.max(np.abs(spinor[large]))
+            assert abs(ratio / want - 1.0) <= 1e-15
 
 
 def test_minkowski_dot_and_mass_shell():
@@ -196,10 +210,10 @@ def test_slash_identities():
 
 def test_current_matches_bilinear():
     m = 0.51099895
-    _, theta1, e1, _ = random_onshell(m, n=4)
-    _, theta2, e2, _ = random_onshell(m, n=4)
-    u1 = u_batch(m, e1, theta1, "R")
-    u2 = u_batch(m, e2, theta2, "L")
+    p1, theta1, _, _ = random_onshell(m, n=4)
+    p2, theta2, _, _ = random_onshell(m, n=4)
+    u1 = u_batch(m, p1, theta1, "R")
+    u2 = u_batch(m, p2, theta2, "L")
     j = current_batch(u1, u2)
     for mu in range(4):
         assert np.allclose(j[:, mu], sandwich(u1, GAMMA[mu], u2), atol=1e-12)

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.entanglement import (BELL_STATES, analyze, bell_fidelities,
                                     bell_fidelities_phase_opt,
                                     measures_batch, partial_transpose,
                                     partial_transpose_batch)
 from qedtangle.errors import NonHermitianError
+from qedtangle.kinematics import ProcessKind
 from qedtangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_batch
+from qedtangle.qstate import evolve_batch
+from qedtangle.scan import ScanConfig, parse_initial, run_scan
 
 RNG = np.random.default_rng(13)
 
@@ -51,10 +55,14 @@ def test_eigenvalues_trace_identities():
 
 
 def test_eigenvalues_against_reference_solver():
+    # the batch solver is numpy's eigvalsh, so check it against the trace
+    # identities sum l = tr H and sum l^2 = tr H^2 = sum |H_ij|^2 instead
     h = random_density(300)
-    mine = hermitian_eigenvalues_batch(h)
-    ref = np.linalg.eigvalsh(h)
-    assert np.max(np.abs(mine - ref)) < 1e-12
+    eig = hermitian_eigenvalues_batch(h)
+    assert eig.shape == (300, 4) and np.all(np.diff(eig, axis=1) >= 0.0)
+    assert np.max(np.abs(np.sum(eig, axis=1) - np.einsum('nii->n', h).real)) < 1e-14
+    tr_h2 = np.sum(np.abs(h) ** 2, axis=(1, 2))
+    assert np.max(np.abs(np.sum(eig ** 2, axis=1) / tr_h2 - 1.0)) < 1e-13
 
 
 def test_eigenvalues_degenerate_and_zero():
@@ -128,6 +136,53 @@ def test_analyze_depolarized_bell():
     assert rep.pt_eigenvalues[0] == pytest.approx(-0.25, abs=1e-12)
     assert rep.negativity == pytest.approx(0.25, abs=1e-12)
     assert rep.log_negativity == pytest.approx(math.log2(1.5), abs=1e-12)
+
+
+def _det_verdict(rho, entangled, min_pt_eig, band=1e-8):
+    """(disagreements, excluded) between `entangled` and det(rho^T_B) < 0.
+
+    A two-qubit state is entangled iff det(rho^T_B) < 0 (Augusiak,
+    Demianowicz & Horodecki, PRA 77, 030301 (2008)); the determinant comes
+    from an LU factorisation, not an eigensolver. Points with
+    |min PT eigenvalue| <= band, where the sign of det is not resolved, are
+    excluded.
+    """
+    det_negative = np.linalg.det(partial_transpose_batch(rho)).real < 0.0
+    keep = np.abs(min_pt_eig) > band
+    return int(np.sum(det_negative[keep] != entangled[keep])), int(np.sum(~keep))
+
+
+def test_entangled_iff_negative_pt_determinant_random_states():
+    rho = random_density(2000)
+    res = measures_batch(rho)
+    wrong, excluded = _det_verdict(rho, res["entangled"], res["min_pt_eig"])
+    print(f"random states: {excluded} of 2000 excluded")
+    assert wrong == 0 and excluded < 20
+    assert 0 < np.sum(res["entangled"]) < 2000
+
+
+@pytest.mark.parametrize("process, initial, p_max, p_log", [
+    (ProcessKind.MOLLER, "unpolarized", 3.0, False),
+    (ProcessKind.BHABHA, "unpolarized", 3.0, False),
+    (ProcessKind.COMPTON, "werner", 1e4, True),
+])
+def test_entangled_iff_negative_pt_determinant_on_scans(process, initial, p_max, p_log):
+    rng = np.random.default_rng(list(ProcessKind).index(process) + 101)
+    jitter = rng.uniform(-1e-3, 1e-3, size=3)
+    cfg = ScanConfig(process=process, initial=initial, p_min=0.01 * (1 + jitter[0]),
+                     p_max=p_max * (1 + jitter[1]), p_steps=40, p_log=p_log,
+                     theta_min=abs(jitter[2]), theta_max=abs(jitter[2]) + 2 * math.pi,
+                     theta_steps=60)
+    rows = [r for r in run_scan(cfg) if r.status == "ok"]
+    p = np.array([r.p for r in rows])
+    theta = np.array([r.theta for r in rows])
+    amps, _, _ = helicity_amplitudes_batch(process, p, theta)
+    rho, _ = evolve_batch(amps, parse_initial(initial).density.entries)
+    entangled = np.array([r.entangled for r in rows])
+    wrong, excluded = _det_verdict(rho, entangled, np.array([r.min_pt_eig for r in rows]))
+    print(f"{process.value} scan: {excluded} of {len(rows)} excluded")
+    assert wrong == 0 and excluded < 0.05 * len(rows)
+    assert 0 < np.sum(entangled) < len(rows)
 
 
 def test_at_most_one_negative_pt_eigenvalue():
