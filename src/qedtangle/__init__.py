@@ -23,7 +23,8 @@ from .kinematics import (KinematicPoint, ProcessKind, build_kinematics,
 from .linalg import hermitian_eigenvalues
 from .qstate import (DensityMatrix, InitialState, diagonal, evolve, pure,
                      unpolarized, werner_symmetric)
-from .scan import (ScanConfig, ScanRow, cross_section_check, emit_csv,
-                   emit_plot_script, find_threshold, parse_csv, run_scan)
+from .scan import (ScanConfig, ScanResult, ScanRow, cross_section_check,
+                   emit_csv, emit_plot_script, find_threshold, parse_csv,
+                   run_scan)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max", dest="theta_max", type=float)
     sp.add_argument("--theta-steps", dest="theta_steps", type=int)
     sp.add_argument("--out", help="output CSV path")
-    sp.add_argument("--jobs", type=int, help="parallel evaluation chunks")
+    sp.add_argument("--jobs", type=int,
+                    help="worker threads; their number does not change the results")
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--plot-script", dest="plot_script", help="write gnuplot commands here")
     sp.set_defaults(func=_cmd_scan)

@@ -4,8 +4,10 @@ Grid conventions: the p grid includes both endpoints (linear or log
 spacing); the theta grid is cell-centered, theta_j = min + (j + 1/2) * step,
 so a default [0, 2 pi) range never lands on the exact forward/backward rays
 or on duplicate 0 / 2 pi rows. Rows are emitted theta-major: all p values
-for the first theta, then the next theta. Results are deterministic and
-independent of the parallelism degree.
+for the first theta, then the next theta. A scan's result is a ScanResult
+of numpy columns; points are evaluated in fixed chunks of CHUNK_POINTS,
+which a thread pool shares out when jobs > 1, so results are deterministic
+and do not depend on jobs.
 
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+import itertools
 import logging
 import math
+import operator
 
 import numpy as np
 
@@ -117,6 +121,18 @@ class ScanConfig:
         return self.theta_min + (np.arange(self.theta_steps) + 0.5) * step
 
 
+#: Status names; ScanResult.status holds indices into this tuple.
+STATUSES = ("ok", "divergent", "below-threshold", "unfilterable")
+_OK, _DIVERGENT, _BELOW, _UNFILTERABLE = range(len(STATUSES))
+
+#: Points per evaluation chunk and per CSV write. A constant, not an option:
+#: chunk boundaries never depend on ``jobs``, so neither does any result bit.
+CHUNK_POINTS = 8192
+
+_MEASURES = ("min_pt_eig", "negativity", "log_negativity", "entropy")
+_FLAGS = ("entangled", "switching")
+
+
 @dataclass(frozen=True)
 class ScanRow:
     process: str
@@ -130,6 +146,65 @@ class ScanRow:
     entangled: bool | None
     switching: bool | None
     status: str                  # ok | divergent | below-threshold | unfilterable
+
+
+@dataclass(frozen=True, eq=False)
+class ScanResult:
+    """A scan as numpy columns, one entry per grid point, theta-major.
+
+    Measures are NaN and flags False where the point is not ok; ``status``
+    holds indices into STATUSES. ``len``, integer indexing and iteration give
+    ScanRow views, with None in the measure and flag fields of non-ok rows.
+    """
+    process: str
+    initial: str
+    p: np.ndarray
+    theta: np.ndarray
+    min_pt_eig: np.ndarray
+    negativity: np.ndarray
+    log_negativity: np.ndarray
+    entropy: np.ndarray
+    entangled: np.ndarray
+    switching: np.ndarray
+    status: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "ScanResult":
+        """Columns of a sequence of ScanRow sharing one process and initial state."""
+        rows = list(rows)
+        labels = {(r.process, r.initial) for r in rows}
+        if len(labels) > 1:
+            raise ValueError("rows mix processes or initial states")
+        process, initial = labels.pop() if labels else ("", "")
+
+        def column(name, missing, dtype):
+            values = (getattr(r, name) for r in rows)
+            return np.array([missing if v is None else v for v in values], dtype=dtype)
+
+        return cls(process, initial, column("p", math.nan, float),
+                   column("theta", math.nan, float),
+                   *(column(name, math.nan, float) for name in _MEASURES),
+                   *(column(name, False, bool) for name in _FLAGS),
+                   np.array([STATUSES.index(r.status) for r in rows], dtype=np.int8))
+
+    def _row(self, p, theta, code, values) -> ScanRow:
+        if code != _OK:
+            values = (None,) * len(values)
+        return ScanRow(self.process, self.initial, p, theta, *values, STATUSES[code])
+
+    def __len__(self) -> int:
+        return self.p.size
+
+    def __getitem__(self, i) -> ScanRow:
+        i = operator.index(i)
+        return self._row(self.p[i].item(), self.theta[i].item(), int(self.status[i]),
+                         [getattr(self, name)[i].item() for name in _MEASURES + _FLAGS])
+
+    def __iter__(self):
+        columns = [getattr(self, name).tolist()
+                   for name in ("p", "theta", "status") + _MEASURES + _FLAGS]
+        for p, theta, code, *values in zip(*columns):
+            yield self._row(p, theta, code, values)
 
 
 def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.ndarray:
@@ -160,8 +235,12 @@ def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     return res
 
 
-def run_scan(cfg: ScanConfig) -> list[ScanRow]:
-    """Evaluate the full grid; one row per point, theta-major ordering."""
+def run_scan(cfg: ScanConfig) -> ScanResult:
+    """Evaluate the full grid in chunks of CHUNK_POINTS; theta-major columns.
+
+    With ``jobs > 1`` the same chunks are spread over a thread pool, so the
+    result does not depend on ``jobs``.
+    """
     cfg.validate()
     consts = cfg.constants
     init = parse_initial(cfg.initial)
@@ -175,97 +254,90 @@ def run_scan(cfg: ScanConfig) -> list[ScanRow]:
                                   theta_grid[1] - theta_grid[0])
 
     tt, pp = np.meshgrid(theta_grid, p_grid, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
     n = tt.size
+    result = ScanResult(cfg.process.value, init.description, pp.ravel(), tt.ravel(),
+                        *(np.full(n, math.nan) for _ in _MEASURES),
+                        *(np.zeros(n, dtype=bool) for _ in _FLAGS),
+                        np.full(n, _BELOW, dtype=np.int8))
 
     p_thr = threshold_momentum(cfg.process, consts)
-    below = pp < p_thr * (1.0 - 1e-15)
-    valid = ~below
+    live = np.flatnonzero(result.p >= p_thr * (1.0 - 1e-15))
+    chunks = [live[i:i + CHUNK_POINTS] for i in range(0, live.size, CHUNK_POINTS)]
 
-    results = {}
-    if valid.any():
-        pv, tv = pp[valid], tt[valid]
-        if cfg.jobs > 1 and pv.size > cfg.jobs:
-            bounds = np.linspace(0, pv.size, cfg.jobs + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                parts = list(pool.map(
-                    lambda ab: _evaluate(cfg.process, pv[ab[0]:ab[1]], tv[ab[0]:ab[1]],
-                                         rho_in, cfg.tol, consts),
-                    zip(bounds[:-1], bounds[1:])))
-            results = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
-        else:
-            results = _evaluate(cfg.process, pv, tv, rho_in, cfg.tol, consts)
+    def fill(idx: np.ndarray) -> None:
+        res = _evaluate(cfg.process, result.p[idx], result.theta[idx],
+                        rho_in, cfg.tol, consts)
+        code = np.where(res["divergent"], _DIVERGENT,
+                        np.where(res["unfilterable"], _UNFILTERABLE, _OK))
+        ok = code == _OK
+        result.status[idx] = code
+        for name in _MEASURES:
+            getattr(result, name)[idx] = np.where(ok, res[name], math.nan)
+        for name in _FLAGS:
+            getattr(result, name)[idx] = res[name] & ok
 
-    rows: list[ScanRow] = []
-    vi = 0
-    for i in range(n):
-        if below[i]:
-            rows.append(ScanRow(cfg.process.value, init.description,
-                                float(pp[i]), float(tt[i]),
-                                None, None, None, None, None, None,
-                                "below-threshold"))
-            continue
-        if results["divergent"][vi]:
-            status = "divergent"
-        elif results["unfilterable"][vi]:
-            status = "unfilterable"
-        else:
-            status = "ok"
-        if status == "ok":
-            rows.append(ScanRow(
-                cfg.process.value, init.description, float(pp[i]), float(tt[i]),
-                float(results["min_pt_eig"][vi]), float(results["negativity"][vi]),
-                float(results["log_negativity"][vi]), float(results["entropy"][vi]),
-                bool(results["entangled"][vi]), bool(results["switching"][vi]), status))
-        else:
-            rows.append(ScanRow(cfg.process.value, init.description,
-                                float(pp[i]), float(tt[i]),
-                                None, None, None, None, None, None, status))
-        vi += 1
+    if cfg.jobs > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            list(pool.map(fill, chunks))        # re-raises a worker's exception
+    else:
+        for idx in chunks:
+            fill(idx)
 
-    for warning in symmetry_audit(rows, cfg.process):
+    for warning in symmetry_audit(result, cfg.process):
         log.warning("%s", warning)
-    return rows
+    return result
 
 
 # ---------------------------------------------------------------------------
 # symmetry audits
 
-_MEASURES = ("min_pt_eig", "negativity", "log_negativity", "entropy")
+_TWO_PI = 2.0 * math.pi
+
+#: process -> (label, theta image under the symmetry)
+_SYMMETRIES = {
+    ProcessKind.MOLLER: ("theta -> theta+pi", lambda t: t + math.pi),
+    ProcessKind.MUON_PAIR: ("theta -> theta+pi", lambda t: t + math.pi),
+    ProcessKind.ANNIHILATION: ("theta -> theta+pi", lambda t: t + math.pi),
+    ProcessKind.BHABHA: ("theta -> -theta", lambda t: _TWO_PI - t),
+}
 
 
-def _audit_pairs(rows, mapper, label):
-    """Compare measures between rows paired by a theta mapping."""
-    index = {(round(r.theta, 12), round(r.p, 12)): r for r in rows if r.status == "ok"}
-    warnings = []
-    worst = 0.0
-    matched = 0
-    for r in rows:
-        if r.status != "ok":
-            continue
-        partner = index.get((round(mapper(r.theta), 12), round(r.p, 12)))
-        if partner is None:
-            continue
-        matched += 1
-        for name in _MEASURES:
-            a, b = getattr(r, name), getattr(partner, name)
-            worst = max(worst, abs(a - b))
-    if matched and worst > SYMMETRY_AUDIT_TOL:
-        warnings.append(f"symmetry audit {label}: worst deviation {worst:.3e} "
-                        f"exceeds {SYMMETRY_AUDIT_TOL:g} over {matched} pairs")
-    return warnings
+def _audit_key(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(theta mod 2 pi, p) rounded to 12 digits, as one complex number each:
+    numpy orders complex numbers by real part, then imaginary part."""
+    return np.round(np.remainder(theta, _TWO_PI), 12) + 1j * np.round(p, 12)
 
 
-def symmetry_audit(rows: list[ScanRow], process: ProcessKind) -> list[str]:
+def symmetry_audit(rows: ScanResult | list[ScanRow], process: ProcessKind) -> list[str]:
     """theta -> theta + pi invariance for Moller / muon pair / annihilation,
-    theta -> -theta for Bhabha; any violation above 1e-8 is reported."""
-    if not rows:
+    theta -> -theta for Bhabha, with angles compared modulo 2 pi.
+
+    Every ok point is paired with the ok point at its image, when the grid
+    has one. Each audit logs its worst deviation and pair count at INFO;
+    any deviation above 1e-8 is also returned as a warning. ``rows`` is a
+    ScanResult or a sequence of ScanRow.
+    """
+    if process not in _SYMMETRIES:
         return []
-    two_pi = 2.0 * math.pi
-    if process in (ProcessKind.MOLLER, ProcessKind.MUON_PAIR, ProcessKind.ANNIHILATION):
-        return _audit_pairs(rows, lambda t: (t + math.pi) % two_pi, "theta -> theta+pi")
-    if process is ProcessKind.BHABHA:
-        return _audit_pairs(rows, lambda t: (two_pi - t) % two_pi, "theta -> -theta")
+    label, image = _SYMMETRIES[process]
+    res = rows if isinstance(rows, ScanResult) else ScanResult.from_rows(rows)
+    ok = np.flatnonzero(res.status == _OK)
+    key = _audit_key(res.theta[ok], res.p[ok])
+    want = _audit_key(image(res.theta[ok]), res.p[ok])
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # the last of equal keys in grid order is the partner; pos = -1 (image
+    # below every key) reads the largest key, which cannot match
+    pos = np.searchsorted(sorted_key, want, side="right") - 1
+    hit = sorted_key[pos] == want
+    mine, partner = ok[hit], ok[order[pos[hit]]]
+    worst = float(np.max([np.abs(getattr(res, name)[mine] - getattr(res, name)[partner])
+                          for name in _MEASURES], initial=0.0))
+    log.info("symmetry audit %s: worst deviation %.3e over %d pairs",
+             label, worst, mine.size)
+    if mine.size and worst > SYMMETRY_AUDIT_TOL:
+        return [f"symmetry audit {label}: worst deviation {worst:.3e} "
+                f"exceeds {SYMMETRY_AUDIT_TOL:g} over {mine.size} pairs"]
     return []
 
 
@@ -323,24 +395,47 @@ def cross_section_check(process: ProcessKind, kin) -> float:
 # ---------------------------------------------------------------------------
 # output: CSV and plot script
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.17g}"
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+_STATUS_TEXT = np.array(STATUSES, dtype=object)
+_OK_FIELDS = "{:.17g},{:.17g},{:.17g},{:.17g},{},{}".format
+_LINE = "{}{},{},{},{}\n".format
+
+
+def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%.17g' text of each distinct value, and each entry's index into it.
+
+    Values are told apart by bit pattern, so -0.0 keeps its sign."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
+                    dtype=object), index
 
 
 def emit_csv(rows, path) -> None:
-    """Fixed-column CSV, 17 significant digits, '\\n' line endings."""
+    """Fixed-column CSV, 17 significant digits, '\\n' line endings.
+
+    ``rows`` is a ScanResult or a sequence of ScanRow; non-ok rows get empty
+    measure and flag fields. Written CHUNK_POINTS lines at a time.
+    """
+    res = rows if isinstance(rows, ScanResult) else ScanResult.from_rows(rows)
+    p_text, p_index = _distinct_text(res.p)
+    theta_text, theta_index = _distinct_text(res.theta)
+    prefix = f"{res.process},{res.initial},"
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([
-                r.process, r.initial, _fmt(r.p), _fmt(r.theta),
-                _fmt(r.min_pt_eig), _fmt(r.negativity), _fmt(r.log_negativity),
-                _fmt(r.entropy), _fmt(r.entangled), _fmt(r.switching), r.status,
-            ]) + "\n")
+        for start in range(0, len(res), CHUNK_POINTS):
+            part = slice(start, start + CHUNK_POINTS)
+            status = res.status[part]
+            ok = status == _OK
+            fields = np.full(status.size, ",,,,,", dtype=object)
+            fields[ok] = list(map(
+                _OK_FIELDS,
+                *(getattr(res, name)[part][ok].tolist() for name in _MEASURES),
+                *(_BOOL_TEXT[getattr(res, name)[part][ok].astype(np.intp)].tolist()
+                  for name in _FLAGS)))
+            fh.write("".join(map(
+                _LINE, itertools.repeat(prefix, status.size),
+                p_text[p_index[part]].tolist(), theta_text[theta_index[part]].tolist(),
+                fields.tolist(), _STATUS_TEXT[status].tolist())))
 
 
 def parse_csv(path) -> list[ScanRow]:

@@ -181,9 +181,14 @@ def kinematics(process: str, p, theta):
     p, theta = np.broadcast_arrays(np.asarray(p, float), np.asarray(theta, float))
     p, theta = p.ravel(), theta.ravel()
     z = np.zeros_like(p)
-    root_s = np.sqrt(p ** 2 + m1 ** 2) + np.sqrt(p ** 2 + m2 ** 2)
-    s = root_s ** 2
-    q = np.sqrt((s - (m3 + m4) ** 2) * (s - (m3 - m4) ** 2)) / (2.0 * root_s)
+    e1, e2 = np.sqrt(p ** 2 + m1 ** 2), np.sqrt(p ** 2 + m2 ** 2)
+    root_s = e1 + e2
+    # d = sqrt(s) - m3 - m4, with each E - m taken as p^2 / (E + m) so that no
+    # digits cancel at low p; then s - (m3 + m4)^2 = d (d + 2 m3 + 2 m4) and
+    # s - (m3 - m4)^2 = (d + 2 m3)(d + 2 m4)
+    d = p ** 2 / (e1 + m1) + p ** 2 / (e2 + m2) + (m1 + m2 - m3 - m4)
+    q = np.sqrt(d * (d + 2.0 * (m3 + m4)) * (d + 2.0 * m3) * (d + 2.0 * m4)) \
+        / (2.0 * root_s)
     out = np.stack([q * np.sin(theta), z, q * np.cos(theta)], axis=-1)
     in_ = np.stack([z, z, p], axis=-1)
     return (Leg(m1, in_), Leg(m2, -in_), Leg(m3, out), Leg(m4, -out))

@@ -16,11 +16,13 @@ import helicity_oracle as oracle
 from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.kinematics import ProcessKind
 
-#: points where the acceptance criteria lean on the oracle, and forward
-#: Moller points where t is far below p^2 and m^2
+#: points where the acceptance criteria lean on the oracle, forward Moller
+#: points where t is far below p^2 and m^2, and low-p elastic points where
+#: q = p must come out without cancellation
 EXTRA_POINTS = {
-    ProcessKind.MOLLER: [(0.01, 1e-3), (3.0, 1e-5)],
-    ProcessKind.BHABHA: [(0.321, math.pi)],
+    ProcessKind.MOLLER: [(0.01, 1e-3), (3.0, 1e-5), (1e-3, 1.0)],
+    ProcessKind.BHABHA: [(0.321, math.pi), (1e-3, 1.0)],
+    ProcessKind.ELECTRON_MUON: [(1e-3, 1.0), (1e-4, 2.0)],
     ProcessKind.COMPTON: [(1e4, math.pi - 0.01)],
     ProcessKind.ANNIHILATION: [(1e3, 0.01)],
 }

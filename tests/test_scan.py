@@ -1,4 +1,7 @@
+import logging
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ import pytest
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import InvalidConfigError
 from qedtangle.kinematics import ProcessKind
-from qedtangle.scan import (CSV_HEADER, ScanConfig, ScanRow, emit_csv,
-                            emit_plot_script, find_threshold, parse_csv,
-                            parse_initial, run_scan, symmetry_audit)
+from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, ScanConfig, ScanResult,
+                            ScanRow, emit_csv, emit_plot_script, find_threshold,
+                            parse_csv, parse_initial, run_scan, symmetry_audit)
 
 
 def test_config_validation():
@@ -183,6 +186,104 @@ def test_scan_determinism_and_jobs(tmp_path):
     assert a.read_bytes() == c.read_bytes()
 
 
+def _reference_csv(rows, path):
+    """Row-at-a-time writer of the CSV contract, one value at a time."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return f"{value:.17g}"
+
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in rows:
+            fh.write(",".join([
+                r.process, r.initial, fmt(r.p), fmt(r.theta),
+                fmt(r.min_pt_eig), fmt(r.negativity), fmt(r.log_negativity),
+                fmt(r.entropy), fmt(r.entangled), fmt(r.switching), r.status,
+            ]) + "\n")
+
+
+_THR_MU = math.sqrt(DEFAULT.m_mu ** 2 - DEFAULT.m_e ** 2)
+
+#: grids of more than two chunks: muon pair straddling its threshold, and
+#: Moller with a theta row 1e-6 rad from each pole ray (outside the nudge
+#: window, inside the divergence tolerance)
+MULTI_CHUNK_GRIDS = {
+    "muon-pair-threshold": (
+        dict(process=ProcessKind.MUON_PAIR, p_min=0.8 * _THR_MU, p_max=4.0 * _THR_MU,
+             p_steps=2600, theta_steps=8),
+        {"ok", "below-threshold"}),
+    "moller-poles": (
+        dict(process=ProcessKind.MOLLER, p_min=0.01, p_max=3.0, p_steps=2200,
+             theta_min=1e-6 - math.pi / 8, theta_max=1e-6 + 15 * math.pi / 8,
+             theta_steps=8),
+        {"ok", "divergent"}),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(MULTI_CHUNK_GRIDS))
+def test_jobs_give_identical_csv_over_many_chunks(grid, tmp_path):
+    base, statuses = MULTI_CHUNK_GRIDS[grid]
+    result = run_scan(ScanConfig(**base))
+    assert isinstance(result, ScanResult)
+    rows = list(result)
+    assert {r.status for r in rows} == statuses
+    assert sum(r.status != "below-threshold" for r in rows) > 2 * CHUNK_POINTS
+    emit_csv(result, tmp_path / "jobs1.csv")
+    want = (tmp_path / "jobs1.csv").read_bytes()
+    # workers write disjoint parts of shared columns; switch threads often
+    # so that a lost or misplaced write would show in the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for jobs in (2, 3):
+            emit_csv(run_scan(ScanConfig(**base, jobs=jobs)), tmp_path / f"jobs{jobs}.csv")
+            assert (tmp_path / f"jobs{jobs}.csv").read_bytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+    # the columnar writer, the same writer on row views, and a plain row
+    # writer give the same bytes; parsing them back gives the row views
+    emit_csv(rows, tmp_path / "from_rows.csv")
+    _reference_csv(rows, tmp_path / "reference.csv")
+    assert (tmp_path / "from_rows.csv").read_bytes() == want
+    assert (tmp_path / "reference.csv").read_bytes() == want
+    assert parse_csv(tmp_path / "jobs1.csv") == rows
+
+
+def test_scan_result_row_views():
+    cfg = ScanConfig(process=ProcessKind.MUON_PAIR, p_min=0.5 * _THR_MU,
+                     p_max=1.5 * _THR_MU, p_steps=3, theta_steps=2)
+    result = run_scan(cfg)
+    rows = list(result)
+    assert len(result) == len(rows) == 6
+    assert [result[i] for i in range(-6, 6)] == rows + rows
+    with pytest.raises(IndexError):
+        result[6]
+    assert rows[0].status == "below-threshold" and rows[0].entangled is None
+    assert rows[1].status == "ok" and isinstance(rows[1].entangled, bool)
+    assert np.isnan(result.negativity[0]) and not result.entangled[0]
+    again = ScanResult.from_rows(rows)
+    assert list(again) == rows
+
+
+def test_scan_memory_grows_by_columns_only():
+    # tracemalloc peak of run_scan per extra grid point: the columns of the
+    # result, not per-point objects (about 1.9 kB a point with row objects)
+    peaks = []
+    for p_steps in (100, 200):
+        cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.1, p_max=3.0,
+                         p_steps=p_steps, theta_steps=100)
+        tracemalloc.start()
+        try:
+            run_scan(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 10000 <= 256
+
+
 def test_plot_script_references_csv(tmp_path):
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.5, p_max=1.5,
                      p_steps=2, theta_steps=2)
@@ -215,6 +316,53 @@ def test_bhabha_audit_uses_reflection():
                      p_steps=3, theta_steps=8)
     rows = run_scan(cfg)
     assert symmetry_audit(rows, ProcessKind.BHABHA) == []
+
+
+def _audit_messages(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO and r.getMessage().startswith("symmetry audit")]
+
+
+@pytest.mark.parametrize("process", [ProcessKind.MOLLER, ProcessKind.MUON_PAIR,
+                                     ProcessKind.BHABHA])
+@pytest.mark.parametrize("turn", [1, -1])
+def test_symmetry_audit_outside_first_turn(process, turn, caplog):
+    # keys and images are compared modulo 2 pi, so a full turn shifted by
+    # +-2 pi pairs exactly as many points as [0, 2 pi]
+    muonic = process is ProcessKind.MUON_PAIR
+    base = dict(process=process, p_min=120.0 if muonic else 0.4,
+                p_max=500.0 if muonic else 2.0, p_steps=6, theta_steps=16)
+    shift = turn * 2 * math.pi
+    caplog.set_level(logging.INFO, logger="qedtangle.scan")
+    run_scan(ScanConfig(**base))
+    rows = run_scan(ScanConfig(**base, theta_min=shift, theta_max=shift + 2 * math.pi))
+    first, shifted = _audit_messages(caplog)
+    assert first.endswith("over 96 pairs") and shifted.endswith("over 96 pairs")
+    assert symmetry_audit(rows, process) == []
+    bad = list(rows)
+    r = bad[20]
+    bad[20] = ScanRow(r.process, r.initial, r.p, r.theta, r.min_pt_eig,
+                      r.negativity + 1e-3, r.log_negativity, r.entropy,
+                      r.entangled, r.switching, r.status)
+    warnings = symmetry_audit(bad, process)
+    assert len(warnings) == 1 and warnings[0].endswith("over 96 pairs")
+
+
+def test_run_scan_logs_every_audit(caplog):
+    caplog.set_level(logging.INFO, logger="qedtangle.scan")
+    # a clean audit with pairs, then one whose grid has no image points
+    run_scan(ScanConfig(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0,
+                        p_steps=4, theta_steps=8))
+    run_scan(ScanConfig(process=ProcessKind.ANNIHILATION, p_min=0.4, p_max=2.0,
+                        p_steps=4, theta_max=math.pi, theta_steps=8))
+    run_scan(ScanConfig(process=ProcessKind.COMPTON, p_min=0.4, p_max=2.0,
+                        p_steps=4, theta_steps=8))      # no symmetry, no audit
+    logged = _audit_messages(caplog)
+    assert len(logged) == 2
+    assert logged[0].startswith("symmetry audit theta -> theta+pi: worst deviation ")
+    assert logged[0].endswith(" over 32 pairs")
+    assert logged[1] == ("symmetry audit theta -> theta+pi: worst deviation "
+                         "0.000e+00 over 0 pairs")
 
 
 def test_find_threshold_moller():
