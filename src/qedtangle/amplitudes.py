@@ -7,11 +7,11 @@ for diagnostics; their sum is the stored total.
 
 One engine evaluates every process from its `PROCESS_TABLE` entry, in batch
 over (p, theta) arrays; the per-point functions wrap the batch path with
-N = 1. Each leg is a helicity-indexed (..., 2, 4) tensor, and every channel
-is evaluated for all 16 helicity configurations at once by broadcasting the
-legs onto the (out1, out2, in1, in2) helicity axes. Feynman gauge photon
-propagator -i g_munu / q^2, vertices -i e gamma^mu, fermion propagators
-i (qslash + m) / (q^2 - m^2).
+N = 1. Each leg is a real helicity-indexed (..., 2, 4) tensor (photons as
+`dirac` plane vectors); a few small matmuls give a channel's 16 helicity
+configurations at once, transposed onto the (out1, out2, in1, in2) axes.
+Feynman gauge photon propagator -i g_munu / q^2, vertices -i e gamma^mu,
+fermion propagators i (qslash + m) / (q^2 - m^2).
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ import math
 import numpy as np
 
 from .constants import Constants, DEFAULT
-from .dirac import (GAMMA0, IDENTITY4, current_batch, eps_batch,
-                    lorentz_dot_batch, slash_batch, u_batch, v_batch)
+from .dirac import (GAMMA0, IDENTITY4, PLANE_CONJ, current_batch, eps_batch,
+                    lorentz_dot_batch, plane_vector, slash_batch, u_batch,
+                    v_batch)
 from .errors import DivergentKinematicsError
 from .kinematics import (PROCESS_TABLE, KinematicPoint, ProcessKind,
                          build_kinematics, mandelstam_batch, momenta_batch)
@@ -33,12 +34,15 @@ POLE_RTOL = 1e-12
 #: propagator momentum of channel s, t, u as p1 + sign * (momentum of leg)
 _PROPAGATOR = {"s": (1, 1.0), "t": (2, -1.0), "u": (3, -1.0)}
 
+#: diagonal of gamma^0: the Dirac adjoint of a real spinor is u * _GAMMA0_DIAG
+_GAMMA0_DIAG = np.diag(GAMMA0).real
+
 
 @dataclass(frozen=True)
 class AmplitudeMatrix:
-    entries: np.ndarray                 # (4, 4) complex, [out, in]
+    entries: np.ndarray                 # (4, 4) real, [out, in]
     kin: KinematicPoint
-    channels: dict                      # channel name -> (4, 4) complex
+    channels: dict                      # channel name -> (4, 4) real
 
     def spin_summed_msq(self) -> float:
         """Sigma |M|^2 over all 16 helicity configurations."""
@@ -46,23 +50,23 @@ class AmplitudeMatrix:
 
 
 def _legs(specs, theta, moduli, consts, photon_vectors):
-    """Helicity-indexed leg tensors (..., 2, 4), helicity axis ordered L, R.
+    """Helicity-indexed real leg tensors (..., 2, 4), helicity axis ordered L, R.
 
     Incoming legs run along +z and -z, outgoing legs at theta and theta + pi;
-    `moduli` holds each leg's |momentum|. Outgoing photons carry the
-    conjugated polarization vector; a leg listed in `photon_vectors` carries
-    the given (..., 4) vector for both helicities.
+    `moduli` holds each leg's |momentum|. Outgoing photons carry the conjugated
+    polarization vector; a leg listed in `photon_vectors` carries the given
+    (..., 4) in-plane vector, in plane form, for both helicities.
     """
     z = np.zeros_like(theta)
     angles = (z, z + math.pi, theta, theta + math.pi)
     legs = []
     for k, spec in enumerate(specs):
         if k in photon_vectors:
-            vec = np.asarray(photon_vectors[k], dtype=complex)
+            vec = plane_vector(photon_vectors[k])
             legs.append(np.stack([vec, vec], axis=-2))
         elif spec.field == "photon":
             eps = np.stack([eps_batch(angles[k], h) for h in "LR"], axis=-2)
-            legs.append(eps.conj() if k >= 2 else eps)
+            legs.append(eps * PLANE_CONJ if k >= 2 else eps)
         else:
             build = u_batch if spec.field == "u" else v_batch
             legs.append(np.stack([build(spec.mass(consts), moduli[k], angles[k], h)
@@ -70,32 +74,22 @@ def _legs(specs, theta, moduli, consts, photon_vectors):
     return legs
 
 
-def _spread(leg_tensor, k):
-    """View a (..., 2, X) leg tensor on the (out1, out2, in1, in2) helicity axes."""
-    axes = [1, 1, 1, 1]
-    axes[(k + 2) % 4] = 2
-    return leg_tensor.reshape(leg_tensor.shape[:-2] + tuple(axes) + leg_tensor.shape[-1:])
-
-
 def _slash_chain(legs, bar, a, b, leg, prop):
-    """bar eps_a-slash prop eps_b-slash leg on the helicity axes, (..., 2, 2, 2, 2).
+    """(bar eps_a-slash) @ (prop @ (eps_b-slash leg)), (..., [h_a h_bar], [h_b h_leg])."""
+    shape = prop.shape[:-2] + (4, 4)
+    left = (legs[bar] * _GAMMA0_DIAG)[..., None, :, :] @ slash_batch(legs[a])
+    right = legs[leg][..., None, :, :] @ np.swapaxes(slash_batch(legs[b]), -1, -2)
+    right = right.reshape(shape) @ np.swapaxes(prop, -1, -2)
+    return left.reshape(shape) @ np.swapaxes(right, -1, -2)
 
-    One photon-helicity pair at a time, which bounds the (..., 4, 4)
-    intermediates to what a single pair needs.
-    """
-    left = _spread(legs[bar].conj() @ GAMMA0, bar)
-    right = _spread(legs[leg], leg)
-    slashed_a, slashed_b = slash_batch(legs[a]), slash_batch(legs[b])
-    out = np.empty(prop.shape[:-2] + (2, 2, 2, 2), dtype=complex)
-    for ha in range(2):
-        for hb in range(2):
-            mid = slashed_a[..., ha, :, :] @ prop @ slashed_b[..., hb, :, :]
-            index = [slice(None)] * 4
-            index[(a + 2) % 4] = slice(ha, ha + 1)
-            index[(b + 2) % 4] = slice(hb, hb + 1)
-            out[(Ellipsis, *index)] = np.einsum(
-                '...a,...ab,...b->...', left, mid[..., None, None, None, None, :, :], right)
-    return out
+
+def _to_helicity_axes(value, order):
+    """(..., 4, 4) over the helicities of legs `order` -> (..., 4, 4) [out, in];
+    leg k's helicity lands on axis (k + 2) % 4 of (out1, out2, in1, in2)."""
+    lead = value.shape[:-2]
+    source = [order.index((j + 2) % 4) - 4 for j in range(4)]
+    return np.moveaxis(value.reshape(lead + (2,) * 4), source,
+                       range(-4, 0)).reshape(lead + (4, 4))
 
 
 def helicity_amplitudes_batch(process: ProcessKind, p, theta,
@@ -118,10 +112,9 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
     divergent = np.zeros(theta.shape, dtype=bool)
     for name, sign, spec in info["channels"]:
         if len(spec) == 2:              # two currents joined by a photon
-            (bar1, leg1), (bar2, leg2) = spec
-            value = lorentz_dot_batch(
-                current_batch(_spread(legs[bar1], bar1), _spread(legs[leg1], leg1)),
-                current_batch(_spread(legs[bar2], bar2), _spread(legs[leg2], leg2)))
+            order = spec[0] + spec[1]
+            value = lorentz_dot_batch(*(current_batch(legs[bar], legs[leg]).reshape(
+                theta.shape + (4, 4)) for bar, leg in spec))
             m_prop = 0.0
         else:                           # slash chain around a fermion propagator
             if momenta is None:
@@ -129,14 +122,14 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
             m_prop = specs[spec[0]].mass(consts)
             k_leg, k_sign = _PROPAGATOR[name]
             prop = slash_batch(momenta[0] + k_sign * momenta[k_leg]) + m_prop * IDENTITY4
+            order = (spec[1], spec[0], spec[2], spec[3])
             value = _slash_chain(legs, *spec, prop)
         den = invariants[name] - m_prop ** 2
         divergent |= np.abs(den) < POLE_RTOL * s
         # points on a pole give inf/nan here; the divergent mask flags them
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = sign * consts.e2 / den
-            channels[name] = (coef[..., None, None, None, None] * value).reshape(
-                theta.shape + (4, 4))
+            channels[name] = _to_helicity_axes(coef[..., None, None] * value, order)
     mats = list(channels.values())
     return sum(mats[1:], mats[0].copy()), channels, divergent
 

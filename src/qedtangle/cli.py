@@ -193,8 +193,7 @@ def _cmd_audit(args) -> int:
         report(f"Ward {process.value} leg {leg}", ward / scale < 1e-10,
                f"residual {ward / scale:.2e}")
 
-    # 3. symmetry spot checks on small grids
-    from .scan import symmetry_audit
+    # 3. symmetry spot checks on small grids, as audited inside run_scan
     for process in (ProcessKind.MOLLER, ProcessKind.MUON_PAIR,
                     ProcessKind.ANNIHILATION, ProcessKind.BHABHA):
         muonic = process is ProcessKind.MUON_PAIR
@@ -202,7 +201,7 @@ def _cmd_audit(args) -> int:
                          p_min=120.0 if muonic else 0.4,
                          p_max=500.0 if muonic else 2.0,
                          p_steps=6, theta_steps=16)
-        warnings = symmetry_audit(run_scan(cfg), process)
+        warnings = run_scan(cfg).warnings
         report(f"symmetry {process.value}", not warnings,
                warnings[0] if warnings else "all pairs consistent")
 

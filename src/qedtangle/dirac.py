@@ -22,7 +22,14 @@ Conventions (documented so Bell-state phases are reproducible):
 Everything lives in the phi = 0 scattering plane; the builders therefore
 take a bare polar angle, which may be any real number (theta + pi for the
 recoiling particle, theta > pi for the lower half plane). The resulting
-spinors are smooth in theta everywhere, including theta = pi.
+spinors are real and smooth in theta everywhere, including theta = pi.
+A 4-vector's y component is then zero (momenta) or imaginary (photon
+vectors), so it is stored as the real *plane vector* (v^0, v^x, Im v^y, v^z);
+`plane_vector` converts and refuses any other. With PLANE_GAMMA = (g0, g1,
+-i g2, g3), real, and PLANE_METRIC = (+,-,+,-), slash(v) = sum_mu PLANE_METRIC
+PLANE_GAMMA^mu v_mu, a.b = sum_mu PLANE_METRIC a_mu b_mu, and ubar
+PLANE_GAMMA^mu u' is the plane form of ubar gamma^mu u'; all are real.
+Conjugating a plane vector flips slot 2 (PLANE_CONJ).
 """
 from __future__ import annotations
 
@@ -40,19 +47,21 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
-GAMMA0 = np.block([[_I2, _Z2], [_Z2, -_I2]])
-GAMMA1 = np.block([[_Z2, _SX], [-_SX, _Z2]])
-GAMMA2 = np.block([[_Z2, _SY], [-_SY, _Z2]])
-GAMMA3 = np.block([[_Z2, _SZ], [-_SZ, _Z2]])
-GAMMA = np.stack([GAMMA0, GAMMA1, GAMMA2, GAMMA3])       # (4,4,4): [mu, a, b]
+GAMMA = np.stack([np.block([[_I2, _Z2], [_Z2, -_I2]])]     # (4,4,4): [mu, a, b]
+                 + [np.block([[_Z2, s], [-s, _Z2]]) for s in (_SX, _SY, _SZ)])
+GAMMA0, GAMMA1, GAMMA2, GAMMA3 = GAMMA
 GAMMA5 = 1j * GAMMA0 @ GAMMA1 @ GAMMA2 @ GAMMA3
 METRIC = np.array([1.0, -1.0, -1.0, -1.0])
-IDENTITY4 = np.eye(4, dtype=complex)
+IDENTITY4 = np.eye(4)
 
-# gamma^mu with the index lowered: slash(v) = v^mu g_{mu mu} gamma^mu
-GAMMA_LOWER = GAMMA * METRIC[:, None, None]
-# gamma^0 gamma^mu, used to form currents ubar gamma^mu u = u+ (g0 g^mu) u
-G0_GAMMA = np.einsum('ab,mbc->mac', GAMMA0, GAMMA)
+PLANE_GAMMA = np.stack([GAMMA0, GAMMA1, -1j * GAMMA2, GAMMA3]).real
+PLANE_METRIC = np.array([1.0, -1.0, 1.0, -1.0])
+PLANE_CONJ = np.array([1.0, 1.0, -1.0, 1.0])
+
+# slash(v) = v @ _SLASH, reshaped to (..., 4, 4)
+_SLASH = (PLANE_METRIC[:, None, None] * PLANE_GAMMA).reshape(4, 16)
+# ubar PLANE_GAMMA^mu u' = u^T (g0 PLANE_GAMMA^mu) u'; [b, (a, mu)] after the transpose
+_CURRENT = (PLANE_GAMMA[0] @ PLANE_GAMMA).transpose(2, 1, 0).reshape(4, 16)
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,14 @@ class FourVector:
                           self.py - other.py, self.pz - other.pz)
 
 
+def plane_vector(vec) -> np.ndarray:
+    """Plane form (v^0, v^x, Im v^y, v^z) of in-plane (..., 4) vectors, else ValueError."""
+    plane = np.asarray(vec) * np.array([1, 1, -1j, 1])
+    if np.any(plane.imag != 0):
+        raise ValueError("not an in-plane vector: t, x, z must be real and y imaginary")
+    return plane.real.copy()
+
+
 # ---------------------------------------------------------------------------
 # batch builders (phi = 0 scattering plane); theta may be any real array
 
@@ -88,9 +105,9 @@ def chi_batch(theta: np.ndarray, hel: str) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     half = 0.5 * theta
     if hel == "R":
-        return np.stack([np.cos(half), np.sin(half)], axis=-1).astype(complex)
+        return np.stack([np.cos(half), np.sin(half)], axis=-1)
     if hel == "L":
-        return np.stack([-np.sin(half), np.cos(half)], axis=-1).astype(complex)
+        return np.stack([-np.sin(half), np.cos(half)], axis=-1)
     raise ValueError(f"helicity must be 'L' or 'R', got {hel!r}")
 
 
@@ -119,32 +136,29 @@ def v_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> n
 
 
 def eps_batch(theta: np.ndarray, hel: str) -> np.ndarray:
-    """Photon polarization vectors for direction theta in the xz-plane, (N, 4).
+    """Photon polarization vectors for direction theta, plane form (N, 4).
 
     eps(±) = ∓ (e_theta ± i e_phi)/sqrt(2) with e_theta = (cos t, 0, -sin t),
     e_phi = (0, 1, 0); time component zero (radiation gauge along k).
     """
     theta = np.asarray(theta, dtype=float)
-    n = theta.shape
-    ct, st = np.cos(theta), np.sin(theta)
-    lam = 1.0 if hel == "R" else -1.0
-    out = np.zeros(n + (4,), dtype=complex)
-    out[..., 1] = -lam * ct / math.sqrt(2.0)
-    out[..., 2] = -1j / math.sqrt(2.0)
-    out[..., 3] = lam * st / math.sqrt(2.0)
-    return out
+    lam, zero = (1.0 if hel == "R" else -1.0), np.zeros_like(theta)
+    return np.stack([zero, -lam * np.cos(theta), zero - 1.0, lam * np.sin(theta)],
+                    axis=-1) / math.sqrt(2.0)
 
 
 def slash_batch(vec: np.ndarray) -> np.ndarray:
-    """slash(v) = gamma^mu v_mu for a batch of (possibly complex) vectors (N, 4)."""
-    return np.einsum('...m,mab->...ab', np.asarray(vec, dtype=complex), GAMMA_LOWER)
+    """slash(v) = gamma^mu v_mu of plane vectors (..., 4), real (..., 4, 4)."""
+    vec = np.asarray(vec)
+    return (vec @ _SLASH).reshape(vec.shape[:-1] + (4, 4))
 
 
 def current_batch(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Vector current J^mu = (left)bar gamma^mu (right) for batches, (N, 4)."""
-    return np.einsum('...a,mab,...b->...m', left.conj(), G0_GAMMA, right)
+    """Plane currents bar(left_i) gamma^mu right_j of real spinors, (..., i, j, 4)."""
+    mid = (right @ _CURRENT).reshape(right.shape[:-1] + (4, 4))     # [j, a, mu]
+    return np.swapaxes(left[..., None, :, :] @ mid, -3, -2)
 
 
 def lorentz_dot_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minkowski contraction a . b over the last axis for complex batches."""
-    return np.einsum('...m,m,...m->...', a, METRIC, b)
+    """Dots a_i . b_j of plane vectors a (..., i, 4) and b (..., j, 4), (..., i, j)."""
+    return (a * PLANE_METRIC) @ np.swapaxes(b, -1, -2)

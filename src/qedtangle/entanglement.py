@@ -43,20 +43,17 @@ class EntanglementReport:
 
 
 def _entries(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.entries
-    return np.asarray(rho, dtype=complex)
+    return np.asarray(rho.entries if isinstance(rho, DensityMatrix) else rho)
 
 
 def partial_transpose(rho) -> np.ndarray:
-    """Transpose on the second qubit: ((a,b),(c,d)) -> ((a,d),(c,b))."""
+    """Transpose on the second qubit, ((a,b),(c,d)) -> ((a,d),(c,b)), of one
+    state or a (..., 4, 4) stack."""
     m = _entries(rho)
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return m.reshape(m.shape[:-2] + (2,) * 4).swapaxes(-3, -1).reshape(m.shape)
 
 
-def partial_transpose_batch(rho: np.ndarray) -> np.ndarray:
-    n = rho.shape[0]
-    return rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+partial_transpose_batch = partial_transpose
 
 
 def bell_fidelities(rho) -> dict:

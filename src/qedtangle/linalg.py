@@ -16,15 +16,15 @@ def hermitian_eigenvalues_batch(h: np.ndarray) -> np.ndarray:
 
     A single (4,4) matrix gives shape (4,). Only the lower triangle is read.
     """
-    return np.linalg.eigvalsh(np.asarray(h, dtype=complex))
+    return np.linalg.eigvalsh(h)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of one 4x4 complex Hermitian matrix.
+    """Ascending eigenvalues of one 4x4 Hermitian (or real symmetric) matrix.
 
     Raises NonHermitianError when max|H - H^+| exceeds 1e-10.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.shape != (4, 4):
         raise NonHermitianError(f"expected a 4x4 matrix, got shape {h.shape}")
     dev = np.max(np.abs(h - h.conj().T))

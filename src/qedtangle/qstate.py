@@ -26,13 +26,13 @@ FLUX_TOL = 1e-30
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 complex Hermitian, unit-trace, PSD matrix over (LL, LR, RL, RR)."""
+    """4x4 Hermitian, unit-trace, PSD matrix over (LL, LR, RL, RR); float if real."""
 
     entries: np.ndarray
 
     @staticmethod
     def from_matrix(matrix: np.ndarray, validate: bool = True) -> "DensityMatrix":
-        m = np.asarray(matrix, dtype=complex)
+        m = _entries(matrix)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
         if validate:
@@ -59,7 +59,7 @@ class InitialState:
 
 def unpolarized() -> InitialState:
     """Maximally mixed input, weight 1/4 per helicity pair."""
-    return InitialState(DensityMatrix(np.eye(4, dtype=complex) / 4.0), "unpolarized")
+    return InitialState(DensityMatrix(np.eye(4) / 4.0), "unpolarized")
 
 
 def pure(pair: str) -> InitialState:
@@ -67,7 +67,7 @@ def pure(pair: str) -> InitialState:
     pair = pair.upper()
     if pair not in BASIS:
         raise ValueError(f"helicity pair must be one of {BASIS}, got {pair!r}")
-    m = np.zeros((4, 4), dtype=complex)
+    m = np.zeros((4, 4))
     m[BASIS.index(pair), BASIS.index(pair)] = 1.0
     return InitialState(DensityMatrix(m), f"pure({pair})")
 
@@ -81,8 +81,8 @@ def diagonal(weights) -> InitialState:
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-    return InitialState(DensityMatrix(np.diag(w).astype(complex)),
-                        "diag:" + ",".join(f"{x:g}" for x in w))
+    return InitialState(DensityMatrix(np.diag(w)),
+                        "diag:" + ";".join(f"{x:g}" for x in w))
 
 
 def werner_symmetric() -> InitialState:
@@ -90,10 +90,9 @@ def werner_symmetric() -> InitialState:
 
     (|LL><LL| + |psi+><psi+| + |RR><RR|)/3, eigenvalues {1/3, 1/3, 1/3, 0}.
     """
-    psi_plus = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    m = (np.diag([1.0, 0, 0, 0]).astype(complex)
-         + np.outer(psi_plus, psi_plus.conj())
-         + np.diag([0, 0, 0, 1.0]).astype(complex)) / 3.0
+    psi_plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    m = (np.diag([1.0, 0, 0, 0]) + np.outer(psi_plus, psi_plus)
+         + np.diag([0, 0, 0, 1.0])) / 3.0
     return InitialState(DensityMatrix(m), "werner")
 
 
@@ -102,39 +101,35 @@ def from_matrix(matrix: np.ndarray, description: str = "custom-matrix") -> Initi
 
 
 def _entries(m) -> np.ndarray:
-    if hasattr(m, "entries"):
-        return np.asarray(m.entries, dtype=complex)
-    return np.asarray(m, dtype=complex)
+    m = np.asarray(m.entries if hasattr(m, "entries") else m)
+    return m.astype(np.result_type(m, float), copy=False)      # float or complex
 
 
 def evolve(amplitude, init) -> DensityMatrix:
-    """Filtered scattering evolution M rho M+ / Tr(...).
+    """Filtered scattering evolution M rho M+ / Tr(...): `evolve_batch` at N = 1.
 
     `amplitude` may be an AmplitudeMatrix or a bare 4x4 array; `init` an
     InitialState or DensityMatrix. Raises UnfilterableStateError when the
     trace is below FLUX_TOL * |M|_F^2 (no flux into the filtered momenta).
     """
-    m = _entries(amplitude)
-    rho_in = _entries(init.density if isinstance(init, InitialState) else init)
-    out = m @ rho_in @ m.conj().T
-    norm = np.trace(out).real
-    if norm <= FLUX_TOL * float(np.sum(np.abs(m) ** 2)):
+    rho_in = init.density if isinstance(init, InitialState) else init
+    out, flux_ok = evolve_batch(_entries(amplitude)[None], _entries(rho_in))
+    if not flux_ok[0]:
         raise UnfilterableStateError(
-            f"no outgoing flux: Tr(M rho M+) = {norm:.3e}")
-    out = out / norm
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out)
+            f"no outgoing flux: Tr(M rho M+) = {np.trace(out[0]).real:.3e}")
+    return DensityMatrix(out[0])
 
 
 def evolve_batch(amps: np.ndarray, rho_in: np.ndarray):
     """Batch evolution, (N,4,4) amplitudes -> (N,4,4) states + flux-ok mask.
 
-    Rows with no outgoing flux are left unnormalized and flagged False.
+    Real amplitudes and a real rho_in give real states; a complex operand
+    gives complex ones. Rows with no outgoing flux are left unnormalized
+    and flagged False.
     """
-    out = np.einsum('nab,bc,ndc->nad', amps, rho_in, amps.conj())
+    out = amps @ rho_in @ np.swapaxes(amps.conj(), 1, 2)
     norm = np.einsum('naa->n', out).real
     flux_ok = norm > FLUX_TOL * np.sum(np.abs(amps) ** 2, axis=(1, 2))
-    safe = np.where(flux_ok, norm, 1.0)
-    out /= safe[:, None, None]
-    out = 0.5 * (out + out.conj().transpose(0, 2, 1))
+    out /= np.where(flux_ok, norm, 1.0)[:, None, None]
+    out = 0.5 * (out + np.swapaxes(out.conj(), 1, 2))
     return out, flux_ok

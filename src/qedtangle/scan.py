@@ -45,7 +45,7 @@ SYMMETRY_AUDIT_TOL = 1e-8
 
 
 def parse_initial(spec: str) -> InitialState:
-    """Initial-state spec: unpolarized|ll|lr|rl|rr|werner|diag:w1,w2,w3,w4."""
+    """Initial-state spec: unpolarized|ll|lr|rl|rr|werner|diag:w1,w2,w3,w4 (or w1;w2;w3;w4)."""
     s = spec.strip().lower()
     if s == "unpolarized":
         return unpolarized()
@@ -55,7 +55,7 @@ def parse_initial(spec: str) -> InitialState:
         return werner_symmetric()
     if s.startswith("diag:"):
         try:
-            weights = [float(x) for x in s[5:].split(",")]
+            weights = [float(x) for x in s[5:].replace(";", ",").split(",")]
         except ValueError as exc:
             raise InvalidConfigError(f"bad diagonal weights in {spec!r}") from exc
         try:
@@ -167,6 +167,7 @@ class ScanResult:
     entangled: np.ndarray
     switching: np.ndarray
     status: np.ndarray
+    warnings: list = field(default_factory=list)      # run_scan's symmetry audit
 
     @classmethod
     def from_rows(cls, rows) -> "ScanResult":
@@ -228,7 +229,7 @@ def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     amps = np.where(divergent[..., None, None], 0.0, amps)
     rho, flux_ok = evolve_batch(amps, rho_in)
     bad = divergent | ~flux_ok
-    safe = np.where(bad[..., None, None], np.eye(4, dtype=complex) / 4.0, rho)
+    safe = np.where(bad[..., None, None], np.eye(4) / 4.0, rho)
     res = measures_batch(safe, tol, consts)
     res["divergent"] = divergent
     res["unfilterable"] = ~flux_ok & ~divergent
@@ -283,7 +284,8 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         for idx in chunks:
             fill(idx)
 
-    for warning in symmetry_audit(result, cfg.process):
+    result.warnings.extend(symmetry_audit(result, cfg.process))
+    for warning in result.warnings:
         log.warning("%s", warning)
     return result
 

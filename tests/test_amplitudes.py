@@ -157,12 +157,17 @@ def test_crossing_electron_muon_vs_muon_pair():
 def test_annihilation_unpolarized_density_from_closed_traces():
     # with all fermion spins summed, the unpolarized output density matrix is
     # expressible through closed spin-sum traces alone: an oracle completely
-    # independent of the spinor construction
-    from qedtangle.dirac import GAMMA0, IDENTITY4, eps_batch, slash_batch
+    # independent of the spinor construction; its gamma algebra is complex,
+    # built here from dirac.GAMMA, not the package's real plane-vector slash
+    from qedtangle.dirac import GAMMA, GAMMA0, IDENTITY4, METRIC, eps_batch
     from qedtangle.qstate import evolve_batch
 
     def slash(vec):
-        return slash_batch(vec[None])[0]
+        return np.einsum('m,m,mab->ab', np.asarray(vec, dtype=complex), METRIC, GAMMA)
+
+    def eps_out(theta, hel):
+        """Outgoing (conjugated) polarization vector, y component made imaginary."""
+        return (eps_batch(np.array([theta]), hel)[0] * np.array([1, 1, 1j, 1])).conj()
 
     m = DEFAULT.m_e
     for p, th in [(0.6, 0.9), (0.45, 1.07), (1000.0, math.pi / 2)]:
@@ -174,8 +179,8 @@ def test_annihilation_unpolarized_density_from_closed_traces():
         p2 = np.array([e2, 0, 0, -p])
         q1 = np.array([e3, q * st, 0, q * ct])
         q2 = np.array([e4, -q * st, 0, -q * ct])
-        eps1 = {h: eps_batch(np.array([th]), h)[0].conj() for h in "LR"}
-        eps2 = {h: eps_batch(np.array([th + math.pi]), h)[0].conj() for h in "LR"}
+        eps1 = {h: eps_out(th, h) for h in "LR"}
+        eps2 = {h: eps_out(th + math.pi, h) for h in "LR"}
         prop_t = slash(p1 - q1) + m * IDENTITY4
         prop_u = slash(p1 - q2) + m * IDENTITY4
 

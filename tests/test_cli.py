@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -91,6 +92,14 @@ def test_audit_command(capsys):
     assert rc == 0, out
     assert "ALL PASS" in out
     assert "PASS  measure sanity det(rho^T_B)" in out
+
+
+def test_audit_command_audits_each_grid_once(caplog):
+    caplog.set_level(logging.INFO, logger="qedtangle.scan")
+    assert main(["audit", "--samples", "1", "--seed", "3"]) == 0
+    audits = [r for r in caplog.records if r.levelno == logging.INFO
+              and r.getMessage().startswith("symmetry audit")]
+    assert len(audits) == 4         # one per symmetry spot check
 
 
 def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,10 @@
 Directions are drawn from theta in [-2 pi, 4 pi], which covers the recoil
 legs at theta + pi and the lower half plane; the helicity spinors are smooth
 in theta, so every property must hold there as well.
+
+The package works with real plane vectors (v^0, v^x, Im v^y, v^z); the
+checks here turn them back into complex 4-vectors and compare with complex
+gamma-matrix algebra built from `dirac.GAMMA` and the (+,-,-,-) metric.
 """
 import math
 
@@ -10,11 +14,27 @@ import numpy as np
 import pytest
 
 from qedtangle.dirac import (GAMMA, GAMMA0, GAMMA5, IDENTITY4, METRIC,
-                             FourVector, current_batch, eps_batch,
-                             lorentz_dot_batch, slash_batch, u_batch, v_batch)
+                             PLANE_CONJ, FourVector, current_batch, eps_batch,
+                             lorentz_dot_batch, plane_vector, slash_batch,
+                             u_batch, v_batch)
 
 RNG = np.random.default_rng(42)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def complex_vector(plane):
+    """The complex 4-vector (v^0, v^x, i v^y, v^z) that a plane vector stands for."""
+    return plane * np.array([1, 1, 1j, 1])
+
+
+def minkowski(a, b):
+    """Complex a . b with the (+,-,-,-) metric, no conjugation."""
+    return np.einsum('...m,m,...m->...', a, METRIC, b)
+
+
+def complex_slash(vec):
+    """gamma^mu v_mu from the complex gamma matrices, (..., 4, 4)."""
+    return np.einsum('...m,m,mab->...ab', vec, METRIC, GAMMA)
 
 
 def random_onshell(mass, n=10, pmax=20.0):
@@ -155,16 +175,38 @@ def test_small_components_keep_their_digits_at_low_p(p):
 def test_minkowski_dot_and_mass_shell():
     v = FourVector(5.0, 1.0, 2.0, 3.0)
     assert v.dot(v) == pytest.approx(25 - 1 - 4 - 9)
+    # the plane vector (5, 1, 2, 3) stands for (5, 1, 2i, 3)
     arr = np.array([[5.0, 1.0, 2.0, 3.0]])
-    assert lorentz_dot_batch(arr, arr)[0] == pytest.approx(25 - 1 - 4 - 9)
+    assert lorentz_dot_batch(arr, arr)[0, 0] == pytest.approx(25 - 1 + 4 - 9)
+    # every row of a against every row of b
+    a, b = RNG.normal(size=(6, 3, 4)), RNG.normal(size=(6, 2, 4))
+    want = minkowski(complex_vector(a)[:, :, None], complex_vector(b)[:, None])
+    assert np.max(np.abs(want.imag)) == 0.0
+    assert np.allclose(lorentz_dot_batch(a, b), want.real, rtol=1e-14, atol=1e-14)
     m = 105.6583755
     p, theta, e, k = random_onshell(m, pmax=500.0)
-    assert np.allclose(lorentz_dot_batch(k, k), m ** 2, rtol=1e-9)
+    assert np.allclose(lorentz_dot_batch(k[:, None], k[:, None])[:, 0, 0], m ** 2, rtol=1e-9)
+
+
+def test_plane_vector_conversion():
+    vec = complex_vector(RNG.normal(size=(5, 4)))
+    assert np.array_equal(complex_vector(plane_vector(vec)), vec)
+    assert plane_vector(vec).dtype == float
+    k = RNG.normal(size=(3, 4))
+    k[:, 2] = 0.0
+    assert np.array_equal(plane_vector(k), k)       # real in-plane momenta
+    for slot, value in ((2, 0.5), (0, 0.5j), (1, 0.5j), (3, 0.5j)):
+        bad = vec.copy()
+        bad[1, slot] += value
+        with pytest.raises(ValueError):
+            plane_vector(bad)
+    with pytest.raises(ValueError):
+        plane_vector(np.array([1.0, 0.0, 0.3, 0.0]))    # a real y part
 
 
 def test_photon_polarization_plus_z():
-    eps_r = eps_batch(np.zeros(1), "R")[0]
-    eps_l = eps_batch(np.zeros(1), "L")[0]
+    eps_r = complex_vector(eps_batch(np.zeros(1), "R")[0])
+    eps_l = complex_vector(eps_batch(np.zeros(1), "L")[0])
     want_r = -np.array([0, 1, 1j, 0]) / math.sqrt(2)
     want_l = np.array([0, 1, -1j, 0]) / math.sqrt(2)
     assert np.allclose(eps_r, want_r)
@@ -176,12 +218,18 @@ def test_photon_polarization_invariants():
     w = RNG.uniform(0.1, 10.0, 8)
     k = np.stack([w, w * np.sin(theta), np.zeros(8), w * np.cos(theta)], axis=-1)
     for hel in "LR":
-        eps = eps_batch(theta, hel)
-        # transversality and normalization
-        assert np.all(np.abs(lorentz_dot_batch(eps, k)) < 1e-12 * w)
-        assert np.allclose(lorentz_dot_batch(eps, eps.conj()), -1.0, atol=1e-12)
+        plane = eps_batch(theta, hel)
+        eps = complex_vector(plane)
+        # transversality and normalization, explicitly and in the plane form
+        assert np.all(np.abs(minkowski(eps, k)) < 1e-12 * w)
+        assert np.allclose(minkowski(eps, eps.conj()), -1.0, atol=1e-12)
+        assert np.array_equal(complex_vector(plane * PLANE_CONJ), eps.conj())
+        dots = lorentz_dot_batch(plane[:, None], np.stack([k, plane * PLANE_CONJ], axis=1))
+        assert np.all(np.abs(dots[:, 0, 0]) < 1e-12 * w)
+        assert np.allclose(dots[:, 0, 1], -1.0, atol=1e-12)
     # conjugation flips helicity up to phase
-    eps_r, eps_l = eps_batch(theta, "R"), eps_batch(theta, "L")
+    eps_r = complex_vector(eps_batch(theta, "R"))
+    eps_l = complex_vector(eps_batch(theta, "L"))
     overlap = np.abs(np.sum(eps_r * eps_l, axis=1)) / (
         np.linalg.norm(eps_r, axis=1) * np.linalg.norm(eps_l, axis=1))
     assert np.allclose(overlap, 1.0, atol=1e-12)
@@ -202,18 +250,37 @@ def test_photon_polarization_rotation_oracle():
 def test_slash_identities():
     p = np.array([[3.0, 0.4, -1.0, 2.0]])
     k = np.array([[1.5, 0.2, 0.9, -0.3]])
-    mass2 = lorentz_dot_batch(p, p)[0]
+    mass2 = lorentz_dot_batch(p[:, None], p[:, None])[0, 0, 0]
     assert np.allclose(slash_batch(p)[0] @ slash_batch(p)[0], mass2 * IDENTITY4, atol=1e-12)
     assert np.allclose(slash_batch(np.zeros((1, 4))), np.zeros((4, 4)))
     assert np.allclose(slash_batch(p + k), slash_batch(p) + slash_batch(k), atol=1e-13)
 
 
+def test_slash_matches_complex_gamma_algebra():
+    plane = RNG.normal(size=(2, 5, 4))
+    vec = complex_vector(plane)
+    got = slash_batch(plane)
+    assert got.dtype == float and got.shape == (2, 5, 4, 4)
+    assert np.allclose(got, complex_slash(vec), rtol=0, atol=1e-14)
+    # slash(v)^2 = v^2 1, with v^2 from the complex vector
+    square = np.einsum('...ab,...bc->...ac', complex_slash(vec), complex_slash(vec))
+    assert np.allclose(square, minkowski(vec, vec)[..., None, None] * IDENTITY4, atol=1e-12)
+    assert np.allclose(got @ got, square, atol=1e-12)
+
+
 def test_current_matches_bilinear():
+    # every (bar, leg) helicity pair of u and v spinors, against the complex
+    # bilinear ubar gamma^mu u' with the imaginary y component restored
     m = 0.51099895
     p1, theta1, _, _ = random_onshell(m, n=4)
     p2, theta2, _, _ = random_onshell(m, n=4)
-    u1 = u_batch(m, p1, theta1, "R")
-    u2 = u_batch(m, p2, theta2, "L")
-    j = current_batch(u1, u2)
-    for mu in range(4):
-        assert np.allclose(j[:, mu], sandwich(u1, GAMMA[mu], u2), atol=1e-12)
+    for build in (u_batch, v_batch):
+        left = np.stack([build(m, p1, theta1, h) for h in "LR"], axis=1)
+        right = np.stack([u_batch(m, p2, theta2, h) for h in "LR"], axis=1)
+        j = current_batch(left, right)
+        assert j.dtype == float and j.shape == (4, 2, 2, 4)
+        for i in range(2):
+            for k in range(2):
+                want = np.stack([sandwich(left[:, i], GAMMA[mu], right[:, k])
+                                 for mu in range(4)], axis=-1)
+                assert np.allclose(complex_vector(j[:, i, k]), want, atol=1e-12)

@@ -44,11 +44,13 @@ named_states = (
         lambda spec: parse_initial(spec).density.entries)
     | st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
     .filter(lambda w: sum(w) > 1e-3)
-    .map(lambda w: np.diag(np.array(w) / sum(w)).astype(complex)))
+    .map(lambda w: np.diag(np.array(w) / sum(w))))
 
-initial_states = named_states | st.lists(
-    st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
+#: random mixed states with complex coherences
+complex_states = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32).filter(
     lambda x: sum(v * v for v in x) > 1e-3).map(_mixed)
+
+initial_states = named_states | complex_states
 
 
 def _state(process, p, theta, rho_in):
@@ -68,6 +70,22 @@ def test_outgoing_state_is_a_density_matrix(point, rho_in):
     assert np.linalg.eigvalsh(rho)[0, 0] >= -1e-10
     pt_eigs = np.linalg.eigvalsh(partial_transpose_batch(rho))
     assert np.sum(pt_eigs < -1e-10) <= 1
+
+
+@PROPERTY
+@given(points(), complex_states)
+def test_real_amplitudes_evolve_complex_coherences(point, rho_in):
+    # real amplitudes meet a complex input state: the evolution upcasts and
+    # equals the all-complex evaluation
+    process, p, theta = point
+    amps, _, _ = helicity_amplitudes_batch(process, np.array([p]), np.array([theta]))
+    assert amps.dtype == float
+    rho, flux_ok = evolve_batch(amps, rho_in)
+    want, want_ok = evolve_batch(amps.astype(complex), rho_in)
+    assert rho.dtype == complex and np.array_equal(flux_ok, want_ok)
+    assume(flux_ok[0])
+    assert np.max(np.abs(rho - want)) <= 1e-15
+    assert np.array_equal(rho[0], rho[0].conj().T)
 
 
 @PROPERTY

@@ -365,6 +365,29 @@ def test_run_scan_logs_every_audit(caplog):
                          "0.000e+00 over 0 pairs")
 
 
+def test_run_scan_keeps_its_audit_warnings(monkeypatch):
+    cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0,
+                     p_steps=4, theta_steps=8)
+    assert run_scan(cfg).warnings == []
+    monkeypatch.setattr("qedtangle.scan.symmetry_audit", lambda res, process: ["broken"])
+    assert run_scan(cfg).warnings == ["broken"]
+
+
+def test_diagonal_initial_state_round_trips_through_csv(tmp_path):
+    # the weights are written with ';', so the initial field holds no comma
+    cfg = ScanConfig(process=ProcessKind.MOLLER, initial="diag:0.5,0.5,0,0",
+                     p_min=0.4, p_max=2.0, p_steps=2, theta_steps=3)
+    path = tmp_path / "diag.csv"
+    emit_csv(run_scan(cfg), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 7 and all(len(line.split(",")) == 11 for line in lines)
+    rows = parse_csv(path)
+    assert [r.initial for r in rows] == ["diag:0.5;0.5;0;0"] * 6
+    assert parse_initial(rows[0].initial).description == rows[0].initial
+    assert np.array_equal(parse_initial(rows[0].initial).density.entries,
+                          parse_initial(cfg.initial).density.entries)
+
+
 def test_find_threshold_moller():
     want = math.sqrt(math.sqrt(5.0) + 2.0) * DEFAULT.m_e
     got = find_threshold(ProcessKind.MOLLER, "unpolarized", math.pi / 2, (0.5, 2.0))
