@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .amplitudes import (AmplitudeMatrix, amplitude, amplitude_at,
                          helicity_amplitudes_batch)
 from .constants import Constants, DEFAULT
-from .dirac import FourVector
 from .entanglement import (EntanglementReport, analyze, bell_fidelities,
                            bell_fidelities_phase_opt, partial_transpose)
 from .errors import (BelowThresholdError, DivergentKinematicsError,
@@ -19,7 +18,7 @@ from .errors import (BelowThresholdError, DivergentKinematicsError,
                      NonHermitianError, QedTangleError,
                      UnfilterableStateError)
 from .kinematics import (KinematicPoint, ProcessKind, build_kinematics,
-                         mandelstam, threshold_momentum)
+                         threshold_momentum)
 from .linalg import hermitian_eigenvalues
 from .qstate import (DensityMatrix, InitialState, diagonal, evolve, pure,
                      unpolarized, werner_symmetric)

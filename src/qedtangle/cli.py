@@ -27,7 +27,7 @@ from .kinematics import ProcessKind, build_kinematics, mandelstam_batch, momenta
 from .qstate import evolve
 from .scan import (ScanConfig, cross_section_check, emit_csv, emit_plot_script,
                    find_threshold, parse_initial, parse_process, run_scan)
-from .xsection import dsigma_domega_oracle, msq_summed
+from .xsection import dsigma_domega_oracle, msq_oracle
 
 log = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ def _cmd_audit(args) -> int:
             theta = float(rng.uniform(0.1, math.pi - 0.1))
             kin = build_kinematics(process, p, theta)
             amp = amplitude(kin)
-            want = msq_summed(process, kin.s, kin.t, kin.u, kin.constants)
+            want = msq_oracle(kin)
             worst = max(worst, abs(amp.spin_summed_msq() - want) / abs(want))
         report(f"oracle {process.value}", worst < 1e-8, f"worst rel err {worst:.2e}")
 

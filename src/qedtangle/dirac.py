@@ -23,6 +23,11 @@ Everything lives in the phi = 0 scattering plane; the builders therefore
 take a bare polar angle, which may be any real number (theta + pi for the
 recoiling particle, theta > pi for the lower half plane). The resulting
 spinors are real and smooth in theta everywhere, including theta = pi.
+`u_batch` and `v_batch` are sqrt(E+m) * large + |p|/sqrt(E+m) * small, with
+the weights from `spinor_weights` (momentum only) and the parts from
+`spinor_parts` (angle only, linear in cos and sin of theta/2); photon
+vectors are linear in cos and sin of theta (`polarizations`). The amplitude
+engine uses the same split to contract spinors once per angle.
 A 4-vector's y component is then zero (momenta) or imaginary (photon
 vectors), so it is stored as the real *plane vector* (v^0, v^x, Im v^y, v^z);
 `plane_vector` converts and refuses any other. With PLANE_GAMMA = (g0, g1,
@@ -33,7 +38,6 @@ Conjugating a plane vector flips slot 2 (PLANE_CONJ).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -64,31 +68,6 @@ _SLASH = (PLANE_METRIC[:, None, None] * PLANE_GAMMA).reshape(4, 16)
 _CURRENT = (PLANE_GAMMA[0] @ PLANE_GAMMA).transpose(2, 1, 0).reshape(4, 16)
 
 
-@dataclass(frozen=True)
-class FourVector:
-    """Real Minkowski 4-vector (E, px, py, pz) in MeV, metric (+,-,-,-)."""
-
-    e: float
-    px: float
-    py: float
-    pz: float
-
-    def dot(self, other: "FourVector") -> float:
-        return (self.e * other.e - self.px * other.px
-                - self.py * other.py - self.pz * other.pz)
-
-    def mass2(self) -> float:
-        return self.dot(self)
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.e + other.e, self.px + other.px,
-                          self.py + other.py, self.pz + other.pz)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.e - other.e, self.px - other.px,
-                          self.py - other.py, self.pz - other.pz)
-
-
 def plane_vector(vec) -> np.ndarray:
     """Plane form (v^0, v^x, Im v^y, v^z) of in-plane (..., 4) vectors, else ValueError."""
     plane = np.asarray(vec) * np.array([1, 1, -1j, 1])
@@ -100,51 +79,92 @@ def plane_vector(vec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batch builders (phi = 0 scattering plane); theta may be any real array
 
-def chi_batch(theta: np.ndarray, hel: str) -> np.ndarray:
-    """Two-spinor chi_±(theta, phi=0), shape (N, 2)."""
-    theta = np.asarray(theta, dtype=float)
-    half = 0.5 * theta
-    if hel == "R":
-        return np.stack([np.cos(half), np.sin(half)], axis=-1)
-    if hel == "L":
-        return np.stack([-np.sin(half), np.cos(half)], axis=-1)
-    raise ValueError(f"helicity must be 'L' or 'R', got {hel!r}")
+def _helicity(hel: str) -> int:
+    """Index of helicity 'L' or 'R' on a helicity axis ordered L, R."""
+    if hel not in ("L", "R"):
+        raise ValueError(f"helicity must be 'L' or 'R', got {hel!r}")
+    return "LR".index(hel)
 
 
-def _weights(mass: float, momentum: np.ndarray):
+def _parts_at(field: str, c: float, s: float) -> np.ndarray:
+    """spinor_parts at one half angle with cosine c and sine s."""
+    chi_l, chi_r = [-s, c], [c, s]
+    zero = [0.0, 0.0]
+    if field == "u":        # ( chi_h, 0 ) and ( 0, ±chi_h ), + for R
+        return np.array([[chi_l + zero, chi_r + zero],
+                         [zero + [s, -c], zero + chi_r]])
+    if field == "v":        # ( 0, chi_-h ) and ( ∓chi_-h, 0 ), - for R
+        return np.array([[zero + chi_r, zero + chi_l],
+                         [chi_r + zero, [s, -c] + zero]])
+    raise ValueError(f"spinor field must be 'u' or 'v', got {field!r}")
+
+
+#: the parts at half angle (c, s) are c * A + s * B, with A, B the parts at 0 and pi
+_PARTS_AB = {field: (_parts_at(field, 1.0, 0.0), _parts_at(field, 0.0, 1.0))
+             for field in "uv"}
+
+
+def spinor_parts(field: str, c, s) -> np.ndarray:
+    """Large and small parts of u or v spinors, (..., 2 [large, small], 2 [L, R], 4).
+
+    c and s are cos(theta/2) and sin(theta/2) of the direction theta. A spinor
+    of momentum |p| and energy E is sqrt(E + m) * large + |p|/sqrt(E + m) * small;
+    both parts are linear in (c, s), so the spinor at theta + pi is the one at
+    (-s, c).
+    """
+    a, b = _PARTS_AB[field]
+    return (np.asarray(c, dtype=float)[..., None, None, None] * a
+            + np.asarray(s, dtype=float)[..., None, None, None] * b)
+
+
+def spinor_weights(mass: float, momentum) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(E + m), sqrt(E - m)), the latter as |p| / sqrt(E + m)."""
     momentum = np.asarray(momentum, dtype=float)
     wp = np.sqrt(np.sqrt(momentum ** 2 + mass ** 2) + mass)
-    return wp[..., None], (momentum / wp)[..., None]
+    return wp, momentum / wp
+
+
+def _spinor_batch(field, mass, momentum, theta, hel):
+    half = 0.5 * np.asarray(theta, dtype=float)
+    large, small = np.moveaxis(
+        spinor_parts(field, np.cos(half), np.sin(half))[..., _helicity(hel), :], -2, 0)
+    wp, wm = spinor_weights(mass, momentum)
+    return wp[..., None] * large + wm[..., None] * small
 
 
 def u_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
     """u spinors for on-shell particles of momentum |p|, direction theta, (N, 4)."""
-    wp, wm = _weights(mass, momentum)
-    chi = chi_batch(theta, hel)
-    sign = 1.0 if hel == "R" else -1.0
-    return np.concatenate([wp * chi, sign * wm * chi], axis=-1)
+    return _spinor_batch("u", mass, momentum, theta, hel)
 
 
 def v_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
     """v spinors labelled by physical antiparticle helicity, (N, 4)."""
-    wp, wm = _weights(mass, momentum)
-    flipped = "L" if hel == "R" else "R"
-    chi = chi_batch(theta, flipped)
-    sign = -1.0 if hel == "R" else 1.0
-    return np.concatenate([sign * wm * chi, wp * chi], axis=-1)
+    return _spinor_batch("v", mass, momentum, theta, hel)
 
 
-def eps_batch(theta: np.ndarray, hel: str) -> np.ndarray:
-    """Photon polarization vectors for direction theta, plane form (N, 4).
+#: polarization vectors at direction theta are P0 + cos(theta) Pc + sin(theta) Ps
+_POLARIZATION_PARTS = np.array([
+    [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, 0.0]],
+    [[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0]]]) / math.sqrt(2.0)
+
+
+def polarizations(c, s) -> np.ndarray:
+    """Photon polarization vectors, plane form (..., 2 [L, R], 4), for the
+    direction theta with c = cos(theta) and s = sin(theta).
 
     eps(±) = ∓ (e_theta ± i e_phi)/sqrt(2) with e_theta = (cos t, 0, -sin t),
     e_phi = (0, 1, 0); time component zero (radiation gauge along k).
     """
+    p0, pc, ps = _POLARIZATION_PARTS
+    return (p0 + np.asarray(c, dtype=float)[..., None, None] * pc
+            + np.asarray(s, dtype=float)[..., None, None] * ps)
+
+
+def eps_batch(theta: np.ndarray, hel: str) -> np.ndarray:
+    """Photon polarization vectors for direction theta, plane form (N, 4)."""
     theta = np.asarray(theta, dtype=float)
-    lam, zero = (1.0 if hel == "R" else -1.0), np.zeros_like(theta)
-    return np.stack([zero, -lam * np.cos(theta), zero - 1.0, lam * np.sin(theta)],
-                    axis=-1) / math.sqrt(2.0)
+    return polarizations(np.cos(theta), np.sin(theta))[..., _helicity(hel), :]
 
 
 def slash_batch(vec: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .constants import Constants, DEFAULT
-from .dirac import FourVector
 from .errors import BelowThresholdError, InvalidKinematicsError
 
 
@@ -102,10 +101,6 @@ class KinematicPoint:
     process: ProcessKind
     p: float                    # incoming COM 3-momentum magnitude [MeV]
     theta: float                # scattering angle of outgoing particle 1 [rad]
-    p1: FourVector
-    p2: FourVector
-    q1: FourVector
-    q2: FourVector
     s: float
     t: float
     u: float
@@ -155,27 +150,12 @@ def build_kinematics(process: ProcessKind, p: float, theta: float,
         raise BelowThresholdError(
             f"{process.value}: p = {p} MeV below threshold {p_thr:.6f} MeV")
 
-    s, t, u, e1, e2, e3, e4, q = (float(x) for x in mandelstam_batch(
+    s, t, u, e1, _, _, _, q = (float(x) for x in mandelstam_batch(
         process, np.asarray(p), np.asarray(theta), consts))
     if not math.isfinite(q):    # p rounds onto the threshold: the pair forms at rest
-        q, e3, e4 = 0.0, m3, m4
+        q = 0.0
         t, u = (e1 - m3) ** 2 - p ** 2, (e1 - m4) ** 2 - p ** 2
-
-    st, ct = math.sin(theta), math.cos(theta)
-    p1 = FourVector(e1, 0.0, 0.0, p)
-    p2 = FourVector(e2, 0.0, 0.0, -p)
-    q1 = FourVector(e3, q * st, 0.0, q * ct)
-    q2 = FourVector(e4, -q * st, 0.0, -q * ct)
-    return KinematicPoint(process, p, theta, p1, p2, q1, q2, s, t, u, q,
-                          (m1, m2, m3, m4), consts)
-
-
-def mandelstam(kin: KinematicPoint) -> tuple[float, float, float]:
-    """(s, t, u) recomputed from the stored momenta."""
-    s = (kin.p1 + kin.p2).mass2()
-    t = (kin.p1 - kin.q1).mass2()
-    u = (kin.p1 - kin.q2).mass2()
-    return s, t, u
+    return KinematicPoint(process, p, theta, s, t, u, q, (m1, m2, m3, m4), consts)
 
 
 def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray,

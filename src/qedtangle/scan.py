@@ -5,9 +5,10 @@ spacing); the theta grid is cell-centered, theta_j = min + (j + 1/2) * step,
 so a default [0, 2 pi) range never lands on the exact forward/backward rays
 or on duplicate 0 / 2 pi rows. Rows are emitted theta-major: all p values
 for the first theta, then the next theta. A scan's result is a ScanResult
-of numpy columns; points are evaluated in fixed chunks of CHUNK_POINTS,
-which a thread pool shares out when jobs > 1, so results are deterministic
-and do not depend on jobs.
+of numpy columns; points are evaluated in fixed chunks of at most
+CHUNK_POINTS, each a block of whole theta rows against the live p values
+(a longer row is split along p), which a thread pool shares out when
+jobs > 1, so results are deterministic and do not depend on jobs.
 
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import itertools
 import logging
 import math
 import operator
@@ -224,23 +224,36 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
 
 def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
               rho_in: np.ndarray, tol: float, consts: Constants) -> dict:
-    """Measures and status flags for flat (p, theta) arrays."""
+    """Measures and status flags, flattened, for p and theta broadcast together."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta, consts)
-    amps = np.where(divergent[..., None, None], 0.0, amps)
+    amps, divergent = amps.reshape(-1, 4, 4), divergent.ravel()
+    amps = np.where(divergent[:, None, None], 0.0, amps)
     rho, flux_ok = evolve_batch(amps, rho_in)
     bad = divergent | ~flux_ok
-    safe = np.where(bad[..., None, None], np.eye(4) / 4.0, rho)
+    safe = np.where(bad[:, None, None], np.eye(4) / 4.0, rho)
     res = measures_batch(safe, tol, consts)
     res["divergent"] = divergent
     res["unfilterable"] = ~flux_ok & ~divergent
     return res
 
 
+def _chunks(n_theta: int, live: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """(theta rows, live p columns) blocks of at most CHUNK_POINTS points:
+    whole rows when a row fits, else single rows split along p."""
+    if live.size == 0:
+        return []
+    step = max(1, CHUNK_POINTS // live.size)
+    return [(slice(r, r + step), live[j:j + CHUNK_POINTS])
+            for r in range(0, n_theta, step) for j in range(0, live.size, CHUNK_POINTS)]
+
+
 def run_scan(cfg: ScanConfig) -> ScanResult:
     """Evaluate the full grid in chunks of CHUNK_POINTS; theta-major columns.
 
-    With ``jobs > 1`` the same chunks are spread over a thread pool, so the
-    result does not depend on ``jobs``.
+    A chunk is a block of whole theta rows against the live p values (a row
+    longer than CHUNK_POINTS is split along p), so the amplitude engine
+    contracts spinors once per angle. With ``jobs > 1`` the same chunks are
+    spread over a thread pool, so the result does not depend on ``jobs``.
     """
     cfg.validate()
     consts = cfg.constants
@@ -262,12 +275,16 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
                         np.full(n, _BELOW, dtype=np.int8))
 
     p_thr = threshold_momentum(cfg.process, consts)
-    live = np.flatnonzero(result.p >= p_thr * (1.0 - 1e-15))
-    chunks = [live[i:i + CHUNK_POINTS] for i in range(0, live.size, CHUNK_POINTS)]
+    live = np.flatnonzero(p_grid >= p_thr * (1.0 - 1e-15))
+    row_index = np.arange(theta_grid.size)
 
-    def fill(idx: np.ndarray) -> None:
-        res = _evaluate(cfg.process, result.p[idx], result.theta[idx],
-                        rho_in, cfg.tol, consts)
+    def fill(chunk: tuple[slice, np.ndarray]) -> None:
+        block, cols = chunk
+        theta = theta_grid[block]
+        # p as a broadcast view: one entry per grid point, stored once
+        res = _evaluate(cfg.process, np.broadcast_to(p_grid[cols], (theta.size, cols.size)),
+                        theta[:, None], rho_in, cfg.tol, consts)
+        idx = (row_index[block, None] * p_grid.size + cols).ravel()
         code = np.where(res["divergent"], _DIVERGENT,
                         np.where(res["unfilterable"], _UNFILTERABLE, _OK))
         ok = code == _OK
@@ -277,12 +294,13 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         for name in _FLAGS:
             getattr(result, name)[idx] = res[name] & ok
 
+    chunks = _chunks(theta_grid.size, live)
     if cfg.jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             list(pool.map(fill, chunks))        # re-raises a worker's exception
     else:
-        for idx in chunks:
-            fill(idx)
+        for chunk in chunks:
+            fill(chunk)
 
     result.warnings.extend(symmetry_audit(result, cfg.process))
     for warning in result.warnings:
@@ -398,9 +416,10 @@ def cross_section_check(process: ProcessKind, kin) -> float:
 # output: CSV and plot script
 
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
-_STATUS_TEXT = np.array(STATUSES, dtype=object)
-_OK_FIELDS = "{:.17g},{:.17g},{:.17g},{:.17g},{},{}".format
-_LINE = "{}{},{},{},{}\n".format
+#: one line template per status code: prefix, p, theta and the flags are %s
+#: arguments, the measures %.17g ones; non-ok lines take the first three only
+_TEMPLATES = np.array(["%s%s,%s,%.17g,%.17g,%.17g,%.17g,%s,%s,ok\n"]
+                      + [f"%s%s,%s,,,,,,,{name}\n" for name in STATUSES[1:]], dtype=object)
 
 
 def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,17 +446,17 @@ def emit_csv(rows, path) -> None:
         for start in range(0, len(res), CHUNK_POINTS):
             part = slice(start, start + CHUNK_POINTS)
             status = res.status[part]
-            ok = status == _OK
-            fields = np.full(status.size, ",,,,,", dtype=object)
-            fields[ok] = list(map(
-                _OK_FIELDS,
-                *(getattr(res, name)[part][ok].tolist() for name in _MEASURES),
-                *(_BOOL_TEXT[getattr(res, name)[part][ok].astype(np.intp)].tolist()
-                  for name in _FLAGS)))
-            fh.write("".join(map(
-                _LINE, itertools.repeat(prefix, status.size),
-                p_text[p_index[part]].tolist(), theta_text[theta_index[part]].tolist(),
-                fields.tolist(), _STATUS_TEXT[status].tolist())))
+            # one row of template arguments per line; a non-ok line uses the first three
+            args = np.empty((status.size, 9), dtype=object)
+            args[:, 0] = prefix
+            args[:, 1] = p_text[p_index[part]]
+            args[:, 2] = theta_text[theta_index[part]]
+            args[:, 3:7] = np.stack([getattr(res, name)[part] for name in _MEASURES], axis=1)
+            for j, name in enumerate(_FLAGS, 7):
+                args[:, j] = _BOOL_TEXT[getattr(res, name)[part].astype(np.intp)]
+            used = np.ones(args.shape, dtype=bool)
+            used[:, 3:] = (status == _OK)[:, None]
+            fh.write("".join(_TEMPLATES[status].tolist()) % tuple(args[used].tolist()))
 
 
 def parse_csv(path) -> list[ScanRow]:

@@ -48,13 +48,12 @@ def electron_muon_msq_summed(s, t, u, m_e, m_mu, e2: float):
     return 8 * e2 ** 2 * ((s - msum) ** 2 + (u - msum) ** 2 + 2 * t * msum) / t ** 2
 
 
-def compton_msq_summed(s, u, m, e2: float):
+def compton_msq_summed(ka, kb, m, e2: float):
     """e- gamma -> e- gamma, Klein-Nishina in invariant form.
 
-    kappa = p.k = (s - m^2)/2, kappa' = p.k' = (m^2 - u)/2.
+    ka = kappa = p.k = (s - m^2)/2, kb = kappa' = p.k' = (m^2 - u)/2; pass
+    them in a cancellation-free form (`msq_oracle`) to keep digits at low p.
     """
-    ka = (s - m ** 2) / 2
-    kb = (m ** 2 - u) / 2
     inv_diff = 1 / ka - 1 / kb
     return 8 * e2 ** 2 * (kb / ka + ka / kb + 2 * m ** 2 * inv_diff
                           + m ** 4 * inv_diff ** 2)
@@ -82,7 +81,7 @@ def msq_summed(process: ProcessKind, s, t, u, consts: Constants = DEFAULT):
     if process is ProcessKind.ELECTRON_MUON:
         return electron_muon_msq_summed(s, t, u, m, mm, e2)
     if process is ProcessKind.COMPTON:
-        return compton_msq_summed(s, u, m, e2)
+        return compton_msq_summed((s - m ** 2) / 2, (m ** 2 - u) / 2, m, e2)
     if process is ProcessKind.ANNIHILATION:
         return annihilation_msq_summed(s, t, u, m, e2)
     raise ValueError(f"unknown process {process}")
@@ -93,10 +92,24 @@ def dsigma_domega_from_msq(msq_avg, s, p_in, q_out):
     return msq_avg / (64.0 * math.pi ** 2 * s) * (q_out / p_in)
 
 
+def msq_oracle(kin: KinematicPoint):
+    """Closed-form Sigma_{16} |M|^2 at a kinematic point.
+
+    Compton takes kappa = p sqrt(s) and kappa' = p (m^2/(E1 + p)
+    + 2 p cos^2(theta/2)) instead of (s - m^2)/2 and (m^2 - u)/2, which
+    cancel at low p.
+    """
+    if kin.process is ProcessKind.COMPTON:
+        m, p = kin.constants.m_e, kin.p
+        ka = p * math.sqrt(kin.s)
+        kb = p * (m ** 2 / (math.hypot(p, m) + p) + 2.0 * p * math.cos(0.5 * kin.theta) ** 2)
+        return compton_msq_summed(ka, kb, m, kin.constants.e2)
+    return msq_summed(kin.process, kin.s, kin.t, kin.u, kin.constants)
+
+
 def dsigma_domega_oracle(kin: KinematicPoint):
     """Closed-form dsigma/dOmega at a kinematic point (validation reference)."""
-    total = msq_summed(kin.process, kin.s, kin.t, kin.u, kin.constants)
-    return dsigma_domega_from_msq(total / 4.0, kin.s, kin.p, kin.q_out)
+    return dsigma_domega_from_msq(msq_oracle(kin) / 4.0, kin.s, kin.p, kin.q_out)
 
 
 def moller_nonrelativistic_dsigma(p, theta, consts: Constants = DEFAULT):

@@ -249,3 +249,24 @@ def test_batch_matches_per_point():
             for name, mat in channels.items():
                 assert np.array_equal(mat[i], single.channels[name])
         assert not divergent.any()
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_grid_equals_flat_point_list(proc):
+    # a theta column against a p row is the same computation as the flat list
+    # of its points, bit for bit, angles outside [0, 2 pi) included
+    lo = 110.0 if proc is ProcessKind.MUON_PAIR else 1e-3
+    p = np.geomspace(lo, 1e4, 29)
+    theta = np.linspace(-2 * math.pi + 0.01, 4 * math.pi - 0.01, 17)
+    grid = helicity_amplitudes_batch(proc, np.broadcast_to(p, (theta.size, p.size)),
+                                     theta[:, None])
+    tt, pp = np.meshgrid(theta, p, indexing="ij")
+    flat = helicity_amplitudes_batch(proc, pp.ravel(), tt.ravel())
+    assert grid[0].shape == (theta.size, p.size, 4, 4)
+    assert np.array_equal(grid[0].reshape(-1, 4, 4), flat[0])
+    for name, mat in grid[1].items():
+        assert np.array_equal(mat.reshape(-1, 4, 4), flat[1][name])
+    assert np.array_equal(grid[2].ravel(), flat[2])
+    # a plain p row broadcasts like the stored-once view
+    row = helicity_amplitudes_batch(proc, p, theta[:, None])
+    assert np.array_equal(row[0], grid[0])

@@ -86,6 +86,14 @@ def test_xsec_command(capsys):
     assert "relative difference" in capsys.readouterr().out
 
 
+def test_xsec_command_compton_at_low_p(capsys):
+    # the closed form takes kappa and kappa' without cancellation, so the
+    # check holds where (s - m^2)/2 and (m^2 - u)/2 lose their digits
+    rc = main(["xsec", "--process", "compton", "--p", "1e-5", "--theta", "1.0"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+
+
 def test_audit_command(capsys):
     rc = main(["audit", "--samples", "3", "--seed", "11"])
     out = capsys.readouterr().out

@@ -5,22 +5,33 @@ import pytest
 
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import BelowThresholdError, InvalidKinematicsError
-from qedtangle.kinematics import (ProcessKind, build_kinematics, mandelstam,
-                                  mandelstam_batch, process_masses,
-                                  threshold_momentum)
+from qedtangle.kinematics import (ProcessKind, build_kinematics,
+                                  mandelstam_batch, momenta_batch,
+                                  process_masses, threshold_momentum)
 
 RNG = np.random.default_rng(7)
+
+
+def _momenta(proc, p, theta):
+    p, theta = np.asarray(p, dtype=float), np.asarray(theta, dtype=float)
+    return momenta_batch(p, theta, *mandelstam_batch(proc, p, theta)[3:])
+
+
+def _minkowski_square(k):
+    return k[..., 0] ** 2 - k[..., 1] ** 2 - k[..., 2] ** 2 - k[..., 3] ** 2
 
 
 def test_com_momentum_balance_and_energy_conservation():
     for proc in ProcessKind:
         p = 200.0 if proc is ProcessKind.MUON_PAIR else 2.5
-        kin = build_kinematics(proc, p, 0.9)
-        total_in = kin.p1 + kin.p2
-        total_out = kin.q1 + kin.q2
-        assert abs(total_in.px) < 1e-12 and abs(total_in.pz) < 1e-12
-        assert abs(total_out.px) < 1e-9 and abs(total_out.pz) < 1e-9
-        assert total_in.e == pytest.approx(total_out.e, rel=1e-9)
+        p1, p2, q1, q2 = _momenta(proc, [p], [0.9])
+        total_in, total_out = p1 + p2, q1 + q2
+        assert np.all(np.abs(total_in[:, 1:]) < 1e-12)
+        assert np.all(np.abs(total_out[:, 1:]) < 1e-9)
+        assert total_in[0, 0] == pytest.approx(total_out[0, 0], rel=1e-9)
+        masses = process_masses(proc)
+        for k, m in zip((p1, p2, q1, q2), masses):
+            assert _minkowski_square(k)[0] == pytest.approx(m ** 2, abs=1e-9 * p ** 2)
 
 
 def test_mandelstam_sum_rule():
@@ -30,9 +41,12 @@ def test_mandelstam_sum_rule():
                 else RNG.uniform(0.05, 40.0)
             theta = RNG.uniform(0.0, 2 * math.pi)
             kin = build_kinematics(proc, p, theta)
-            s, t, u = mandelstam(kin)
             mass_sum = sum(m ** 2 for m in kin.masses)
-            assert s + t + u == pytest.approx(mass_sum, rel=1e-6, abs=1e-9)
+            assert kin.s + kin.t + kin.u == pytest.approx(mass_sum, rel=1e-6, abs=1e-9)
+            # the same invariants as Minkowski squares of the momenta
+            p1, p2, q1, q2 = _momenta(proc, [p], [theta])
+            for got, k in ((kin.s, p1 + p2), (kin.t, p1 - q1), (kin.u, p1 - q2)):
+                assert _minkowski_square(k)[0] == pytest.approx(got, rel=1e-6, abs=1e-9)
 
 
 def test_muon_pair_threshold():
@@ -47,8 +61,9 @@ def test_muon_pair_threshold():
 
 def test_compton_energies():
     kin = build_kinematics(ProcessKind.COMPTON, 2.0, 1.0)
-    assert kin.p2.e == pytest.approx(2.0)                     # photon energy = |p|
-    assert kin.p1.e == pytest.approx(math.sqrt(4.0 + DEFAULT.m_e ** 2))
+    p1, p2, _, _ = _momenta(ProcessKind.COMPTON, [2.0], [1.0])
+    assert p2[0, 0] == pytest.approx(2.0)                     # photon energy = |p|
+    assert p1[0, 0] == pytest.approx(math.sqrt(4.0 + DEFAULT.m_e ** 2))
     assert kin.q_out == pytest.approx(2.0)                    # elastic in COM
 
 

@@ -9,7 +9,8 @@ import pytest
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import InvalidConfigError
 from qedtangle.kinematics import ProcessKind
-from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, ScanConfig, ScanResult,
+from qedtangle import scan
+from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, STATUSES, ScanConfig, ScanResult,
                             ScanRow, emit_csv, emit_plot_script, find_threshold,
                             parse_csv, parse_initial, run_scan, symmetry_audit)
 
@@ -250,6 +251,49 @@ def test_jobs_give_identical_csv_over_many_chunks(grid, tmp_path):
     assert (tmp_path / "from_rows.csv").read_bytes() == want
     assert (tmp_path / "reference.csv").read_bytes() == want
     assert parse_csv(tmp_path / "jobs1.csv") == rows
+
+
+def test_csv_writer_matches_reference_for_every_status(tmp_path):
+    # one chunk that holds all four statuses, with awkward values on the ok
+    # lines and a '%' in the labels, which must never be read as a format
+    rows = []
+    for i, status in enumerate(STATUSES * 3):
+        if status == "ok":
+            values = (-0.0 if i < 4 else -i * 1e-17, 1 / 3, 5e-324, 1e300 / (i + 1),
+                      i % 2 == 0, i % 3 == 0)
+        else:
+            values = (None,) * 6
+        rows.append(ScanRow("moller%s", "pure(%d)", 0.1 * (i + 1), -0.0 if i == 1 else i * 2.1,
+                            *values, status))
+    assert {r.status for r in rows} == set(STATUSES)
+    emit_csv(rows, tmp_path / "rows.csv")
+    _reference_csv(rows, tmp_path / "reference.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert parse_csv(tmp_path / "rows.csv") == rows
+
+
+#: a live p row longer than one chunk: each theta row is split along p
+LONG_ROW = dict(process=ProcessKind.MOLLER, p_min=0.01, p_max=3.0, p_steps=20000,
+                theta_steps=3)
+
+
+def test_long_p_rows_split_into_bounded_chunks(monkeypatch, tmp_path):
+    sizes = []
+
+    def recorder(process, p, theta, *args, **kwargs):
+        sizes.append(np.broadcast_shapes(np.shape(p), np.shape(theta)))
+        return amplitudes_batch(process, p, theta, *args, **kwargs)
+
+    amplitudes_batch = scan.helicity_amplitudes_batch
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", recorder)
+    result = run_scan(ScanConfig(**LONG_ROW))
+    assert max(math.prod(shape) for shape in sizes) <= CHUNK_POINTS
+    assert sum(math.prod(shape) for shape in sizes) == len(result) == 60000
+    assert all(shape[0] == 1 for shape in sizes)         # one theta row per chunk
+    monkeypatch.undo()
+    emit_csv(result, tmp_path / "jobs1.csv")
+    emit_csv(run_scan(ScanConfig(**LONG_ROW, jobs=2)), tmp_path / "jobs2.csv")
+    assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
 
 
 def test_scan_result_row_views():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.kinematics import ProcessKind, build_kinematics
 from qedtangle.scan import cross_section_check
@@ -27,7 +28,7 @@ def test_massless_limits_of_closed_forms():
     want = 8 * E2 ** 2 * (u / t + t / u)
     assert xsection.annihilation_msq_summed(s, t, u, 0.0, E2) == pytest.approx(want, rel=1e-12)
     want = 8 * E2 ** 2 * (-u / s - s / u)
-    assert xsection.compton_msq_summed(s, u, 0.0, E2) == pytest.approx(want, rel=1e-12)
+    assert xsection.compton_msq_summed(s / 2, -u / 2, 0.0, E2) == pytest.approx(want, rel=1e-12)
 
 
 def test_crossing_identity():
@@ -97,3 +98,21 @@ def test_moller_region_boundary_peak():
     # no entanglement for cos(2 theta) >= -1/3 at any momentum
     assert not xsection.moller_entangled_region(0.2, 0.3)
     assert not xsection.moller_entangled_region(1e-4, math.pi / 6)
+
+
+@pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3])
+def test_compton_engine_matches_kappa_form_at_low_p(p):
+    # kappa = p sqrt(s) and kappa' = p (m^2/(E1 + p) + 2 p cos^2(theta/2))
+    # carry no cancellation, unlike (s - m^2)/2 and (m^2 - u)/2
+    theta = np.linspace(-2 * math.pi, 4 * math.pi, 241)
+    total, _, _ = helicity_amplitudes_batch(ProcessKind.COMPTON, p, theta)
+    e1 = math.hypot(p, ME)
+    ka = p * (e1 + p)
+    kb = p * (ME ** 2 / (e1 + p) + 2 * p * np.cos(0.5 * theta) ** 2)
+    want = xsection.compton_msq_summed(ka, kb, ME, E2)
+    got = np.sum(total ** 2, axis=(1, 2))
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+    # the point oracle takes the same kappa form
+    for i in range(0, theta.size, 40):
+        kin = build_kinematics(ProcessKind.COMPTON, p, float(theta[i]))
+        assert abs(xsection.msq_oracle(kin) / got[i] - 1.0) <= 1e-10
