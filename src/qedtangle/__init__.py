@@ -8,9 +8,8 @@ the (COM momentum, scattering angle) plane.
 
 __version__ = "0.1.0"
 
-from .amplitudes import (AmplitudeMatrix, amplitude, amplitude_at,
-                         helicity_amplitudes_batch)
-from .constants import Constants, DEFAULT
+from .amplitudes import AmplitudeMatrix, amplitude, helicity_amplitudes_batch
+from .constants import DEFAULT
 from .entanglement import (EntanglementReport, analyze, bell_fidelities,
                            bell_fidelities_phase_opt, partial_transpose)
 from .errors import (BelowThresholdError, DivergentKinematicsError,

@@ -38,13 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Constants, DEFAULT
+from .constants import DEFAULT
 from .dirac import (GAMMA0, IDENTITY4, PLANE_CONJ, current_batch,
                     lorentz_dot_batch, plane_vector, polarizations, slash_batch,
                     spinor_parts, spinor_weights)
 from .errors import DivergentKinematicsError
 from .kinematics import (PROCESS_TABLE, KinematicPoint, ProcessKind,
-                         build_kinematics, mandelstam_batch, process_masses)
+                         mandelstam_batch, process_masses)
 
 #: relative denominator threshold below which a point counts as divergent
 POLE_RTOL = 1e-12
@@ -209,8 +209,7 @@ def _slash_chain(legs, spec, prop):
                               (a, bar, b, leg)))
 
 
-def helicity_amplitudes_batch(process: ProcessKind, p, theta,
-                              consts: Constants = DEFAULT, photon_vectors=None):
+def helicity_amplitudes_batch(process: ProcessKind, p, theta, photon_vectors=None):
     """(total (..., 4, 4), channels, divergent mask (...)) over p and theta.
 
     p and theta broadcast against each other; the outputs have their
@@ -220,12 +219,12 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
     """
     info = PROCESS_TABLE[process]
     specs = info["in"] + info["out"]
-    masses = process_masses(process, consts)
+    masses = process_masses(process)
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast_shapes(p.shape, theta.shape)
     p, theta = _once(p), _once(theta)
-    s, t, u, e1, e2, _, _, q = mandelstam_batch(process, p, theta, consts)
+    s, t, u, e1, e2, _, _, q = mandelstam_batch(process, p, theta)
     invariants = {"s": s, "t": t, "u": u}
     angles = _Angles(theta)
     vectors = photon_vectors or {}
@@ -248,7 +247,7 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta,
         value = (weights[..., None, :] @ tensors)[..., 0, :]
         # points on a pole give inf/nan here; the divergent mask flags them
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = sign * consts.e2 / den
+            coef = sign * DEFAULT.e2 / den
             channels[name] = (coef[..., None] * value).reshape(shape + (4, 4))
     first, *rest = channels.values()
     return (sum(rest, first) if rest else first.copy()), channels, divergent
@@ -261,14 +260,8 @@ def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
     < 1e-12 s).
     """
     total, channels, divergent = helicity_amplitudes_batch(
-        kin.process, np.array([kin.p]), np.array([kin.theta]), kin.constants)
+        kin.process, np.array([kin.p]), np.array([kin.theta]))
     if bool(divergent[0]):
         raise DivergentKinematicsError(
             f"{kin.process.value}: propagator pole at p={kin.p}, theta={kin.theta}")
     return AmplitudeMatrix(total[0], kin, {k: v[0] for k, v in channels.items()})
-
-
-def amplitude_at(process: ProcessKind, p: float, theta: float,
-                 consts: Constants = DEFAULT) -> AmplitudeMatrix:
-    """Convenience: build kinematics and evaluate in one call."""
-    return amplitude(build_kinematics(process, p, theta, consts))

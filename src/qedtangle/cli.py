@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
@@ -21,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .amplitudes import amplitude, helicity_amplitudes_batch
-from .entanglement import analyze, measures_batch
+from .entanglement import analyze, measures_batch, partial_transpose
 from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
 from .kinematics import ProcessKind, build_kinematics, mandelstam_batch, momenta_batch
+from .linalg import hermitian_eigenvalues_batch
 from .qstate import evolve
 from .scan import (ScanConfig, cross_section_check, emit_csv, emit_plot_script,
                    find_threshold, parse_initial, parse_process, run_scan)
@@ -48,40 +50,37 @@ def _read_config_file(path: str) -> dict:
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
+#: ScanConfig's fields and defaults; a scan flag or config key per field
+_SCAN_FIELDS = dataclasses.fields(ScanConfig)
+_SCAN_DEFAULTS = {f.name: f.default for f in _SCAN_FIELDS}
+
+
+def _from_text(name: str, raw: str):
+    """A config-file value, cast to the type of the field's default (str if none)."""
+    default = _SCAN_DEFAULTS[name]
+    if isinstance(default, bool):
+        if raw.lower() not in _BOOL:
+            raise InvalidConfigError(f"bad boolean for {name}: {raw!r}")
+        return _BOOL[raw.lower()]
+    cast = type(default) if isinstance(default, (int, float)) else str
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise InvalidConfigError(f"bad value for {name}: {raw!r}") from exc
+
 
 def _build_scan_config(args) -> ScanConfig:
+    """ScanConfig from flags, then the --config file, then ScanConfig's defaults."""
     file_vals = _read_config_file(args.config) if args.config else {}
-
-    def pick(name, flag_value, cast):
-        if flag_value is not None:
-            return flag_value
-        if name in file_vals:
-            raw = file_vals[name]
-            if cast is bool:
-                if raw.lower() not in _BOOL:
-                    raise InvalidConfigError(f"bad boolean for {name}: {raw!r}")
-                return _BOOL[raw.lower()]
-            return cast(raw)
-        return None
-
-    process = pick("process", args.process, str)
-    if process is None:
+    kwargs = {}
+    for f in _SCAN_FIELDS:
+        if getattr(args, f.name) is not None:
+            kwargs[f.name] = getattr(args, f.name)
+        elif f.name in file_vals:
+            kwargs[f.name] = _from_text(f.name, file_vals[f.name])
+    if "process" not in kwargs:
         raise InvalidConfigError("--process is required (flag or config file)")
-    kwargs = dict(process=parse_process(process))
-    for name, flag, cast, default in [
-            ("initial", args.initial, str, "unpolarized"),
-            ("p_min", args.p_min, float, 0.01),
-            ("p_max", args.p_max, float, 3.0),
-            ("p_steps", args.p_steps, int, 100),
-            ("p_log", args.p_log or None, bool, False),
-            ("theta_min", args.theta_min, float, 0.0),
-            ("theta_max", args.theta_max, float, 2.0 * math.pi),
-            ("theta_steps", args.theta_steps, int, 100),
-            ("tol", args.tol, float, 1e-10),
-            ("out", args.out, str, None),
-            ("jobs", args.jobs, int, 1)]:
-        value = pick(name, flag, cast)
-        kwargs[name] = default if value is None else value
+    kwargs["process"] = parse_process(kwargs["process"])
     try:
         return ScanConfig(**kwargs).validate()
     except (TypeError, ValueError) as exc:
@@ -113,8 +112,7 @@ def _cmd_threshold(args) -> int:
         lo, hi = (float(x) for x in args.p_bracket.split(","))
     except ValueError as exc:
         raise InvalidConfigError(f"--p-bracket expects 'lo,hi', got {args.p_bracket!r}") from exc
-    p_star = find_threshold(process, args.initial or "unpolarized",
-                            args.theta, (lo, hi), tol=args.tol or 1e-10)
+    p_star = find_threshold(process, args.initial, args.theta, (lo, hi), tol=args.tol)
     print(f"{p_star:.9g}")
     return 0
 
@@ -123,8 +121,8 @@ def _cmd_point(args) -> int:
     process = _require_process(args)
     kin = build_kinematics(process, args.p, args.theta)
     amp = amplitude(kin)
-    state = evolve(amp, parse_initial(args.initial or "unpolarized"))
-    report = analyze(state, tol=args.tol or 1e-10)
+    state = evolve(amp, parse_initial(args.initial))
+    report = analyze(state, tol=args.tol)
     print(f"process          : {process.value}")
     print(f"p, theta         : {kin.p:.9g} MeV, {kin.theta:.9g} rad")
     print(f"s, t, u          : {kin.s:.9g}, {kin.t:.9g}, {kin.u:.9g} MeV^2")
@@ -211,9 +209,7 @@ def _cmd_audit(args) -> int:
     rho = g @ g.conj().transpose(0, 2, 1)
     rho /= np.einsum('naa->n', rho).real[:, None, None]
     res = measures_batch(rho)
-    from .entanglement import partial_transpose_batch
-    from .linalg import hermitian_eigenvalues_batch
-    pt = partial_transpose_batch(rho)
+    pt = partial_transpose(rho)
     eigs = hermitian_eigenvalues_batch(pt)
     at_most_one = int(np.max(np.sum(eigs < -1e-10, axis=1)))
     ent_ok = bool(np.all(res["entropy"] > -1e-12)
@@ -234,11 +230,15 @@ def _cmd_audit(args) -> int:
     return 0 if failures == 0 else 3
 
 
-def _add_common(sp) -> None:
+def _add_common(sp, defaults: bool = True) -> None:
+    """--process, --initial and --tol; their defaults are ScanConfig's, or None
+    (`defaults=False`) where a config file may still supply them."""
     sp.add_argument("--process", help="moller|muon-pair|annihilation|bhabha|"
                                       "electron-muon|compton")
     sp.add_argument("--initial", help="unpolarized|ll|lr|rl|rr|werner|diag:w1,w2,w3,w4")
-    sp.add_argument("--tol", type=float, help="PPT tolerance (default 1e-10)")
+    sp.add_argument("--tol", type=float, help=f"PPT tolerance (default {_SCAN_DEFAULTS['tol']:g})")
+    if defaults:
+        sp.set_defaults(initial=_SCAN_DEFAULTS["initial"], tol=_SCAN_DEFAULTS["tol"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scan", help="sweep a (p, theta) grid and write CSV")
-    _add_common(sp)
+    _add_common(sp, defaults=False)
     sp.add_argument("--p-min", dest="p_min", type=float)
     sp.add_argument("--p-max", dest="p_max", type=float)
     sp.add_argument("--p-steps", dest="p_steps", type=int)
-    sp.add_argument("--p-log", dest="p_log", action="store_true", default=False)
+    sp.add_argument("--p-log", dest="p_log", action="store_true", default=None)
     sp.add_argument("--theta-min", dest="theta_min", type=float)
     sp.add_argument("--theta-max", dest="theta_max", type=float)
     sp.add_argument("--theta-steps", dest="theta_steps", type=int)

@@ -1,7 +1,10 @@
 """Physical constants. Natural units (hbar = c = 1), momenta and masses in MeV.
 
-Values follow CODATA; they are configurable so that threshold formulas like
-sqrt(m_e * m_mu)/2 can be re-derived with whatever masses a run used.
+The CODATA values below are fixed: every verdict of the package is for
+tree-level QED with the physical electron mass, muon mass and alpha. The
+masses enter the process table (`kinematics.ParticleSpec`), from which the
+production thresholds follow; the coupling enters the amplitudes, the
+closed forms and the switching cut alpha^3. `DEFAULT` is the one instance.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .constants import Constants, DEFAULT
+from .constants import DEFAULT
 from .linalg import hermitian_eigenvalues, hermitian_eigenvalues_batch
 from .qstate import DensityMatrix
 
@@ -53,9 +53,6 @@ def partial_transpose(rho) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (2,) * 4).swapaxes(-3, -1).reshape(m.shape)
 
 
-partial_transpose_batch = partial_transpose
-
-
 def bell_fidelities(rho) -> dict:
     """Raw fidelities <B|rho|B> for the four Bell states."""
     m = _entries(rho)
@@ -75,8 +72,7 @@ def bell_fidelities_phase_opt(rho) -> dict:
     return {"phi+": phi, "phi-": phi, "psi+": psi, "psi-": psi}
 
 
-def _measures(pt_eigs: np.ndarray, nu: np.ndarray, tol: float,
-              consts: Constants) -> dict:
+def _measures(pt_eigs: np.ndarray, nu: np.ndarray, tol: float) -> dict:
     """Measures from ascending spectra (N,4) of rho^T_B (pt_eigs) and rho (nu)."""
     negativity = np.sum((np.abs(pt_eigs) - pt_eigs) / 2.0, axis=1)
     nu = np.clip(nu, 0.0, None)
@@ -89,11 +85,11 @@ def _measures(pt_eigs: np.ndarray, nu: np.ndarray, tol: float,
         "log_negativity": np.log2(2.0 * negativity + 1.0),
         "entropy": -np.sum(terms, axis=1),
         "entangled": min_eig < -tol,
-        "switching": np.abs(min_eig) <= consts.alpha3,
+        "switching": np.abs(min_eig) <= DEFAULT.alpha3,
     }
 
 
-def analyze(rho, tol: float = PPT_TOL, consts: Constants = DEFAULT) -> EntanglementReport:
+def analyze(rho, tol: float = PPT_TOL) -> EntanglementReport:
     """Full entanglement and mixedness report for one state.
 
     `entangled` is min(PT eigenvalues) < -tol; `switching_potential` flags
@@ -102,7 +98,7 @@ def analyze(rho, tol: float = PPT_TOL, consts: Constants = DEFAULT) -> Entanglem
     """
     m = _entries(rho)
     pt_eigs = hermitian_eigenvalues(partial_transpose(m))
-    res = _measures(pt_eigs[None], hermitian_eigenvalues(m)[None], tol, consts)
+    res = _measures(pt_eigs[None], hermitian_eigenvalues(m)[None], tol)
 
     raw = bell_fidelities(m)
     raw_label = max(raw, key=raw.get)
@@ -126,12 +122,11 @@ def analyze(rho, tol: float = PPT_TOL, consts: Constants = DEFAULT) -> Entanglem
     )
 
 
-def measures_batch(rho: np.ndarray, tol: float = PPT_TOL,
-                   consts: Constants = DEFAULT) -> dict:
+def measures_batch(rho: np.ndarray, tol: float = PPT_TOL) -> dict:
     """Vectorized scan measures for a batch (N,4,4) of states.
 
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
     entangled, switching.
     """
-    return _measures(hermitian_eigenvalues_batch(partial_transpose_batch(rho)),
-                     hermitian_eigenvalues_batch(rho), tol, consts)
+    return _measures(hermitian_eigenvalues_batch(partial_transpose(rho)),
+                     hermitian_eigenvalues_batch(rho), tol)

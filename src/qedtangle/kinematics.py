@@ -7,13 +7,13 @@ at polar angle theta, outgoing particle 2 opposite. theta is taken modulo
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import math
 
 import numpy as np
 
-from .constants import Constants, DEFAULT
+from .constants import DEFAULT
 from .errors import BelowThresholdError, InvalidKinematicsError
 
 
@@ -28,25 +28,18 @@ class ProcessKind(Enum):
 
 @dataclass(frozen=True)
 class ParticleSpec:
-    """External leg descriptor: field statistics and mass lookup key."""
+    """External leg descriptor: field statistics and mass."""
 
     name: str
     field: str                  # "u" (fermion) | "v" (antifermion) | "photon"
-    mass_key: str               # "e" | "mu" | "photon"
-
-    def mass(self, consts: Constants) -> float:
-        if self.mass_key == "e":
-            return consts.m_e
-        if self.mass_key == "mu":
-            return consts.m_mu
-        return 0.0
+    mass: float                 # [MeV]
 
 
-_E = ParticleSpec("e-", "u", "e")
-_EP = ParticleSpec("e+", "v", "e")
-_MU = ParticleSpec("mu-", "u", "mu")
-_MUP = ParticleSpec("mu+", "v", "mu")
-_PH = ParticleSpec("gamma", "photon", "photon")
+_E = ParticleSpec("e-", "u", DEFAULT.m_e)
+_EP = ParticleSpec("e+", "v", DEFAULT.m_e)
+_MU = ParticleSpec("mu-", "u", DEFAULT.m_mu)
+_MUP = ParticleSpec("mu+", "v", DEFAULT.m_mu)
+_PH = ParticleSpec("gamma", "photon", 0.0)
 
 #: incoming pair, outgoing pair, tree-level channels, and polar angles of
 #: poles of the photon-propagator channels (only channels whose denominator
@@ -81,19 +74,24 @@ PROCESS_TABLE: dict[ProcessKind, dict] = {
 }
 
 
-def process_masses(process: ProcessKind, consts: Constants = DEFAULT) -> tuple[float, float, float, float]:
+def process_masses(process: ProcessKind) -> tuple[float, float, float, float]:
     info = PROCESS_TABLE[process]
-    return tuple(spec.mass(consts) for spec in info["in"] + info["out"])  # type: ignore[return-value]
+    return tuple(spec.mass for spec in info["in"] + info["out"])  # type: ignore[return-value]
 
 
-def threshold_momentum(process: ProcessKind, consts: Constants = DEFAULT) -> float:
+def threshold_momentum(process: ProcessKind) -> float:
     """Smallest incoming COM momentum with enough energy for the outgoing pair.
 
-    Only the muon pair has a non-zero threshold, p = sqrt(m_mu^2 - m_e^2).
+    Zero unless m3 + m4 > m1 + m2; then the p at sqrt(s) = m3 + m4,
+    sqrt(lambda(s, m1^2, m2^2)) / (2 sqrt s): sqrt(m_mu^2 - m_e^2) for the
+    muon pair. Whether a given p is below threshold is decided by
+    `_com_energies` alone (q is NaN there), not by comparing with this value.
     """
-    if process is ProcessKind.MUON_PAIR:
-        return math.sqrt(consts.m_mu ** 2 - consts.m_e ** 2)
-    return 0.0
+    m1, m2, m3, m4 = process_masses(process)
+    rs = m3 + m4
+    if rs <= m1 + m2:
+        return 0.0
+    return math.sqrt((rs * rs - (m1 + m2) ** 2) * (rs * rs - (m1 - m2) ** 2)) / (2.0 * rs)
 
 
 @dataclass(frozen=True)
@@ -106,18 +104,19 @@ class KinematicPoint:
     u: float
     q_out: float
     masses: tuple[float, float, float, float]
-    constants: Constants = field(default=DEFAULT, repr=False)
 
 
-def _com_energies(process: ProcessKind, p: np.ndarray, consts: Constants):
+def _com_energies(process: ProcessKind, p: np.ndarray):
     """Batch energies (E1, E2, E3, E4) and outgoing momentum q for |p| = p.
 
     q = sqrt(lambda(s, m3^2, m4^2)) / (2 sqrt s) with lambda factored as
     gap (sqrt s + m3 + m4) (gap + 2 m3) (gap + 2 m4), where
     gap = sqrt s - m3 - m4 = p^2/(E1 + m1) + p^2/(E2 + m2) + (m1 + m2 - m3 - m4)
-    has no cancellation at low p. q is NaN below threshold.
+    has no cancellation at low p. q is NaN where gap < 0: this is the one
+    below-threshold rule, shared by `build_kinematics`, the scan's live mask
+    and the amplitude engine.
     """
-    m1, m2, m3, m4 = process_masses(process, consts)
+    m1, m2, m3, m4 = process_masses(process)
     p = np.asarray(p, dtype=float)
     e1 = np.sqrt(p ** 2 + m1 ** 2)
     e2 = np.sqrt(p ** 2 + m2 ** 2)
@@ -131,12 +130,12 @@ def _com_energies(process: ProcessKind, p: np.ndarray, consts: Constants):
     return e1, e2, e3, e4, q
 
 
-def build_kinematics(process: ProcessKind, p: float, theta: float,
-                     consts: Constants = DEFAULT) -> KinematicPoint:
+def build_kinematics(process: ProcessKind, p: float, theta: float) -> KinematicPoint:
     """COM kinematics for scattering (p, theta).
 
     Raises BelowThresholdError if the COM energy cannot produce the outgoing
-    pair, InvalidKinematicsError for non-finite or non-positive inputs.
+    pair (`_com_energies` gives a NaN q), InvalidKinematicsError for
+    non-finite or non-positive inputs.
     """
     if not (math.isfinite(p) and math.isfinite(theta)):
         raise InvalidKinematicsError(f"non-finite inputs p={p}, theta={theta}")
@@ -144,22 +143,15 @@ def build_kinematics(process: ProcessKind, p: float, theta: float,
         raise InvalidKinematicsError(f"incoming momentum must be positive, got {p}")
     theta = theta % (2.0 * math.pi)
 
-    m1, m2, m3, m4 = process_masses(process, consts)
-    p_thr = threshold_momentum(process, consts)
-    if p < p_thr and not math.isclose(p, p_thr, rel_tol=1e-15):
-        raise BelowThresholdError(
-            f"{process.value}: p = {p} MeV below threshold {p_thr:.6f} MeV")
-
-    s, t, u, e1, _, _, _, q = (float(x) for x in mandelstam_batch(
-        process, np.asarray(p), np.asarray(theta), consts))
-    if not math.isfinite(q):    # p rounds onto the threshold: the pair forms at rest
-        q = 0.0
-        t, u = (e1 - m3) ** 2 - p ** 2, (e1 - m4) ** 2 - p ** 2
-    return KinematicPoint(process, p, theta, s, t, u, q, (m1, m2, m3, m4), consts)
+    s, t, u, _, _, _, _, q = (float(x) for x in mandelstam_batch(
+        process, np.asarray(p), np.asarray(theta)))
+    if math.isnan(q):
+        raise BelowThresholdError(f"{process.value}: p = {p!r} MeV below threshold "
+                                  f"{threshold_momentum(process)!r} MeV")
+    return KinematicPoint(process, p, theta, s, t, u, q, process_masses(process))
 
 
-def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-                     consts: Constants = DEFAULT):
+def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray):
     """Vectorized (s, t, u) plus energies and q_out over (p, theta) arrays.
 
     t and u are written as (E1 - E3)^2 - (p - q)^2 - 4 p q sin^2(theta/2) and
@@ -168,7 +160,7 @@ def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     """
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    e1, e2, e3, e4, q = _com_energies(process, p, consts)
+    e1, e2, e3, e4, q = _com_energies(process, p)
     s = (e1 + e2) ** 2
     t = (e1 - e3) ** 2 - (p - q) ** 2 - 4.0 * p * q * np.sin(0.5 * theta) ** 2
     u = (e1 - e4) ** 2 - (p - q) ** 2 - 4.0 * p * q * np.cos(0.5 * theta) ** 2

@@ -31,20 +31,19 @@ class DensityMatrix:
     entries: np.ndarray
 
     @staticmethod
-    def from_matrix(matrix: np.ndarray, validate: bool = True) -> "DensityMatrix":
+    def from_matrix(matrix: np.ndarray) -> "DensityMatrix":
         m = _entries(matrix)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
-        if validate:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev > HERMITICITY_TOL:
-                raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
-            tr = np.trace(m).real
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace must be 1, got {tr!r}")
-            lo = hermitian_eigenvalues(0.5 * (m + m.conj().T))[0]
-            if lo < -PSD_TOL:
-                raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+        dev = np.max(np.abs(m - m.conj().T))
+        if dev > HERMITICITY_TOL:
+            raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {tr!r}")
+        lo = hermitian_eigenvalues(0.5 * (m + m.conj().T))[0]
+        if lo < -PSD_TOL:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
         return DensityMatrix(m)
 
     def purity(self) -> float:

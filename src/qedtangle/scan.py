@@ -13,8 +13,9 @@ jobs > 1, so results are deterministic and do not depend on jobs.
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
 propagator denominators still vanish are reported with status "divergent"
-and empty measures. Pure initial states can hit zero-flux points, reported
-as status "unfilterable".
+and empty measures. Momenta at which `kinematics._com_energies` gives no
+outgoing momentum (a NaN q) are reported as "below-threshold"; pure initial
+states can hit zero-flux points, reported as status "unfilterable".
 """
 from __future__ import annotations
 
@@ -27,10 +28,9 @@ import operator
 import numpy as np
 
 from .amplitudes import helicity_amplitudes_batch
-from .constants import Constants, DEFAULT
 from .entanglement import PPT_TOL, measures_batch
-from .errors import InvalidConfigError, QedTangleError
-from .kinematics import PROCESS_TABLE, ProcessKind, threshold_momentum
+from .errors import BelowThresholdError, InvalidConfigError, QedTangleError
+from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
 from .qstate import (InitialState, diagonal, evolve_batch, pure, unpolarized,
                      werner_symmetric)
 from .xsection import dsigma_domega_from_msq
@@ -87,7 +87,6 @@ class ScanConfig:
     tol: float = PPT_TOL
     out: str | None = None
     jobs: int = 1
-    constants: Constants = field(default=DEFAULT, repr=False)
 
     def validate(self) -> "ScanConfig":
         if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)
@@ -223,15 +222,15 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
 
 
 def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-              rho_in: np.ndarray, tol: float, consts: Constants) -> dict:
+              rho_in: np.ndarray, tol: float) -> dict:
     """Measures and status flags, flattened, for p and theta broadcast together."""
-    amps, _, divergent = helicity_amplitudes_batch(process, p, theta, consts)
+    amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
     amps, divergent = amps.reshape(-1, 4, 4), divergent.ravel()
     amps = np.where(divergent[:, None, None], 0.0, amps)
     rho, flux_ok = evolve_batch(amps, rho_in)
     bad = divergent | ~flux_ok
     safe = np.where(bad[:, None, None], np.eye(4) / 4.0, rho)
-    res = measures_batch(safe, tol, consts)
+    res = measures_batch(safe, tol)
     res["divergent"] = divergent
     res["unfilterable"] = ~flux_ok & ~divergent
     return res
@@ -256,7 +255,6 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     spread over a thread pool, so the result does not depend on ``jobs``.
     """
     cfg.validate()
-    consts = cfg.constants
     init = parse_initial(cfg.initial)
     rho_in = init.density.entries
     p_grid = cfg.p_grid()
@@ -274,8 +272,8 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
                         *(np.zeros(n, dtype=bool) for _ in _FLAGS),
                         np.full(n, _BELOW, dtype=np.int8))
 
-    p_thr = threshold_momentum(cfg.process, consts)
-    live = np.flatnonzero(p_grid >= p_thr * (1.0 - 1e-15))
+    # below threshold, as build_kinematics and the engine decide it: q is NaN
+    live = np.flatnonzero(~np.isnan(_com_energies(cfg.process, p_grid)[-1]))
     row_index = np.arange(theta_grid.size)
 
     def fill(chunk: tuple[slice, np.ndarray]) -> None:
@@ -283,7 +281,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         theta = theta_grid[block]
         # p as a broadcast view: one entry per grid point, stored once
         res = _evaluate(cfg.process, np.broadcast_to(p_grid[cols], (theta.size, cols.size)),
-                        theta[:, None], rho_in, cfg.tol, consts)
+                        theta[:, None], rho_in, cfg.tol)
         idx = (row_index[block, None] * p_grid.size + cols).ravel()
         code = np.where(res["divergent"], _DIVERGENT,
                         np.where(res["unfilterable"], _UNFILTERABLE, _OK))
@@ -365,8 +363,7 @@ def symmetry_audit(rows: ScanResult | list[ScanRow], process: ProcessKind) -> li
 # threshold bisection
 
 def find_threshold(process: ProcessKind, initial: str, theta: float,
-                   p_bracket: tuple[float, float], tol: float = PPT_TOL,
-                   consts: Constants = DEFAULT) -> float:
+                   p_bracket: tuple[float, float], tol: float = PPT_TOL) -> float:
     """Bisect the p where the minimum PT eigenvalue changes sign.
 
     Raises InvalidConfigError when the bracket does not straddle a sign
@@ -376,13 +373,15 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
 
     def min_eig(p: float) -> float:
         amps, _, div = helicity_amplitudes_batch(
-            process, np.array([p]), np.array([theta]), consts)
+            process, np.array([p]), np.array([theta]))
         if bool(div[0]):
             raise QedTangleError(f"bracket point p={p} sits on a propagator pole")
+        if np.isnan(amps).any():        # the engine's below-threshold points
+            raise BelowThresholdError(f"{process.value}: bracket point p={p} below threshold")
         rho, ok = evolve_batch(amps, rho_in)
         if not bool(ok[0]):
             raise QedTangleError(f"no outgoing flux at bracket point p={p}")
-        return float(measures_batch(rho, tol, consts)["min_pt_eig"][0])
+        return float(measures_batch(rho, tol)["min_pt_eig"][0])
 
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
     if not 0 < lo < hi:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .constants import Constants, DEFAULT
+from .constants import DEFAULT
 from .kinematics import KinematicPoint, ProcessKind
 
 
@@ -48,13 +48,15 @@ def electron_muon_msq_summed(s, t, u, m_e, m_mu, e2: float):
     return 8 * e2 ** 2 * ((s - msum) ** 2 + (u - msum) ** 2 + 2 * t * msum) / t ** 2
 
 
-def compton_msq_summed(ka, kb, m, e2: float):
+def compton_msq_summed(ka, kb, kb_minus_ka, m, e2: float):
     """e- gamma -> e- gamma, Klein-Nishina in invariant form.
 
-    ka = kappa = p.k = (s - m^2)/2, kb = kappa' = p.k' = (m^2 - u)/2; pass
-    them in a cancellation-free form (`msq_oracle`) to keep digits at low p.
+    ka = kappa = p.k = (s - m^2)/2, kb = kappa' = p.k' = (m^2 - u)/2 and
+    kb_minus_ka = kappa' - kappa = t/2; 1/kappa - 1/kappa' is formed as
+    (kappa' - kappa)/(kappa kappa'). Pass all three in a cancellation-free
+    form (`msq_oracle`) to keep digits near the Thomson limit.
     """
-    inv_diff = 1 / ka - 1 / kb
+    inv_diff = kb_minus_ka / (ka * kb)
     return 8 * e2 ** 2 * (kb / ka + ka / kb + 2 * m ** 2 * inv_diff
                           + m ** 4 * inv_diff ** 2)
 
@@ -68,10 +70,10 @@ def annihilation_msq_summed(s, t, u, m, e2: float):
                           - m ** 4 * inv_sum ** 2)
 
 
-def msq_summed(process: ProcessKind, s, t, u, consts: Constants = DEFAULT):
+def msq_summed(process: ProcessKind, s, t, u):
     """Dispatch Sigma_{16} |M|^2 for any process from invariants alone."""
-    e2 = consts.e2
-    m, mm = consts.m_e, consts.m_mu
+    e2 = DEFAULT.e2
+    m, mm = DEFAULT.m_e, DEFAULT.m_mu
     if process is ProcessKind.MOLLER:
         return moller_msq_summed(s, t, u, m, e2)
     if process is ProcessKind.BHABHA:
@@ -81,7 +83,7 @@ def msq_summed(process: ProcessKind, s, t, u, consts: Constants = DEFAULT):
     if process is ProcessKind.ELECTRON_MUON:
         return electron_muon_msq_summed(s, t, u, m, mm, e2)
     if process is ProcessKind.COMPTON:
-        return compton_msq_summed((s - m ** 2) / 2, (m ** 2 - u) / 2, m, e2)
+        return compton_msq_summed((s - m ** 2) / 2, (m ** 2 - u) / 2, t / 2, m, e2)
     if process is ProcessKind.ANNIHILATION:
         return annihilation_msq_summed(s, t, u, m, e2)
     raise ValueError(f"unknown process {process}")
@@ -95,16 +97,16 @@ def dsigma_domega_from_msq(msq_avg, s, p_in, q_out):
 def msq_oracle(kin: KinematicPoint):
     """Closed-form Sigma_{16} |M|^2 at a kinematic point.
 
-    Compton takes kappa = p sqrt(s) and kappa' = p (m^2/(E1 + p)
-    + 2 p cos^2(theta/2)) instead of (s - m^2)/2 and (m^2 - u)/2, which
-    cancel at low p.
+    Compton takes kappa = p sqrt(s), kappa' = p (m^2/(E1 + p)
+    + 2 p cos^2(theta/2)) and kappa' - kappa = -2 p^2 sin^2(theta/2) instead
+    of (s - m^2)/2, (m^2 - u)/2 and their difference, which cancel at low p.
     """
     if kin.process is ProcessKind.COMPTON:
-        m, p = kin.constants.m_e, kin.p
+        m, p, half = DEFAULT.m_e, kin.p, 0.5 * kin.theta
         ka = p * math.sqrt(kin.s)
-        kb = p * (m ** 2 / (math.hypot(p, m) + p) + 2.0 * p * math.cos(0.5 * kin.theta) ** 2)
-        return compton_msq_summed(ka, kb, m, kin.constants.e2)
-    return msq_summed(kin.process, kin.s, kin.t, kin.u, kin.constants)
+        kb = p * (m ** 2 / (math.hypot(p, m) + p) + 2.0 * p * math.cos(half) ** 2)
+        return compton_msq_summed(ka, kb, -2.0 * p ** 2 * math.sin(half) ** 2, m, DEFAULT.e2)
+    return msq_summed(kin.process, kin.s, kin.t, kin.u)
 
 
 def dsigma_domega_oracle(kin: KinematicPoint):
@@ -112,13 +114,13 @@ def dsigma_domega_oracle(kin: KinematicPoint):
     return dsigma_domega_from_msq(msq_oracle(kin) / 4.0, kin.s, kin.p, kin.q_out)
 
 
-def moller_nonrelativistic_dsigma(p, theta, consts: Constants = DEFAULT):
+def moller_nonrelativistic_dsigma(p, theta):
     """Soft-limit Moller cross section m^2 alpha^2 (1 + 3 cos^2)/(4 p^4 sin^4)."""
-    return (consts.m_e ** 2 * consts.alpha ** 2 * (1 + 3 * np.cos(theta) ** 2)
+    return (DEFAULT.m_e ** 2 * DEFAULT.alpha ** 2 * (1 + 3 * np.cos(theta) ** 2)
             / (4 * p ** 4 * np.sin(theta) ** 4))
 
 
-def moller_entangled_region(p, theta, consts: Constants = DEFAULT):
+def moller_entangled_region(p, theta):
     """Analytic tree-level entanglement condition for unpolarized Moller.
 
     True where cos(2 theta) < -1/3 and p is below the closed-form boundary
@@ -133,5 +135,5 @@ def moller_entangled_region(p, theta, consts: Constants = DEFAULT):
     with np.errstate(invalid="ignore"):
         inner = (np.sqrt(np.where(radicand >= 0, radicand, np.nan))
                  * np.abs(np.sin(theta)) - 6 * c2 - 2)
-        bound = 2 * consts.m_e * np.sqrt(inner / (28 * c2 + np.cos(4 * theta) + 35))
+        bound = 2 * DEFAULT.m_e * np.sqrt(inner / (28 * c2 + np.cos(4 * theta) + 35))
     return angular & (p < np.where(np.isfinite(bound), bound, -np.inf))

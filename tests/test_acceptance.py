@@ -46,7 +46,7 @@ import helicity_oracle as oracle
 import qedtangle as qt
 from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.entanglement import (bell_fidelities, bell_fidelities_phase_opt,
-                                    measures_batch, partial_transpose_batch)
+                                    measures_batch, partial_transpose)
 from qedtangle.kinematics import ProcessKind
 from qedtangle.linalg import hermitian_eigenvalues_batch
 from qedtangle.qstate import evolve_batch
@@ -353,7 +353,7 @@ def test_criterion_11_oracle_equivalence():
             theta = float(rng.uniform(0.05, math.pi - 0.05))
             kin = qt.build_kinematics(proc, p, theta)
             amp = qt.amplitude(kin)
-            want = msq_summed(proc, kin.s, kin.t, kin.u, kin.constants)
+            want = msq_summed(proc, kin.s, kin.t, kin.u)
             worst = max(worst, abs(amp.spin_summed_msq() - want) / abs(want))
         clauses.append((proc.value, worst < 1e-8, f"worst rel err {worst:.2e}"))
     _report(11, clauses)
@@ -365,7 +365,7 @@ def test_criterion_12_measure_sanity():
     g = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
     rho = g @ g.conj().transpose(0, 2, 1)
     rho /= np.einsum('nii->n', rho).real[:, None, None]
-    pt_eigs = hermitian_eigenvalues_batch(partial_transpose_batch(rho))
+    pt_eigs = hermitian_eigenvalues_batch(partial_transpose(rho))
     max_neg_count = int(np.max(np.sum(pt_eigs < -1e-10, axis=1)))
     res = measures_batch(rho)
     en_identity = bool(np.allclose(res["log_negativity"],

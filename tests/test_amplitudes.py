@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qedtangle.amplitudes import amplitude, amplitude_at, helicity_amplitudes_batch
+from qedtangle.amplitudes import amplitude, helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import DivergentKinematicsError
 from qedtangle.kinematics import (ProcessKind, build_kinematics, mandelstam_batch,
@@ -29,7 +29,7 @@ def test_spin_summed_matches_trace_oracle(proc):
     for _ in range(10):
         kin = sample_point(proc)
         amp = amplitude(kin)
-        want = xsection.msq_summed(proc, kin.s, kin.t, kin.u, kin.constants)
+        want = xsection.msq_summed(proc, kin.s, kin.t, kin.u)
         assert amp.spin_summed_msq() == pytest.approx(want, rel=1e-8)
 
 
@@ -53,17 +53,17 @@ def test_channel_counts():
 
 def test_divergent_poles_raise():
     with pytest.raises(DivergentKinematicsError):
-        amplitude_at(ProcessKind.MOLLER, 1.0, 0.0)
+        amplitude(build_kinematics(ProcessKind.MOLLER, 1.0, 0.0))
     with pytest.raises(DivergentKinematicsError):
-        amplitude_at(ProcessKind.MOLLER, 1.0, math.pi)
+        amplitude(build_kinematics(ProcessKind.MOLLER, 1.0, math.pi))
     with pytest.raises(DivergentKinematicsError):
-        amplitude_at(ProcessKind.BHABHA, 1.0, 0.0)
+        amplitude(build_kinematics(ProcessKind.BHABHA, 1.0, 0.0))
     with pytest.raises(DivergentKinematicsError):
-        amplitude_at(ProcessKind.ELECTRON_MUON, 1.0, 0.0)
+        amplitude(build_kinematics(ProcessKind.ELECTRON_MUON, 1.0, 0.0))
 
 
 def _measures(proc, p, theta, rho=None):
-    amp = amplitude_at(proc, p, theta)
+    amp = amplitude(build_kinematics(proc, p, theta))
     state = evolve(amp, unpolarized() if rho is None else rho)
     rep = analyze(state)
     return np.array([rep.negativity, rep.entropy, rep.purity,
@@ -103,8 +103,8 @@ def test_moller_exchange_antisymmetry():
     # the outgoing helicity labels) reproduces the same matrix up to a global
     # phase, as required for identical fermions
     p, theta = 1.7, 0.8
-    m_a = amplitude_at(ProcessKind.MOLLER, p, theta).entries
-    m_b = amplitude_at(ProcessKind.MOLLER, p, theta + math.pi).entries
+    m_a = amplitude(build_kinematics(ProcessKind.MOLLER, p, theta)).entries
+    m_b = amplitude(build_kinematics(ProcessKind.MOLLER, p, theta + math.pi)).entries
     swap = [0, 2, 1, 3]          # LL, RL, LR, RR: exchange the two labels
     m_b_swapped = m_b[swap, :]
     ratios = m_b_swapped[np.abs(m_a) > 1e-10 * np.max(np.abs(m_a))] / \
@@ -154,11 +154,50 @@ def test_crossing_electron_muon_vs_muon_pair():
     assert amp.spin_summed_msq() == pytest.approx(crossed, rel=1e-8)
 
 
+def _spin_projector(gamma, k, mass, hel):
+    """(kslash + mass)(1 + g5 sslash)/2 for a leg of 4-momentum k and helicity
+    sign hel: u(h) ubar(h) with mass = m, v(h) vbar(h) with mass = -m and h
+    the antiparticle's physical helicity (Bouchiat & Michel, Nucl. Phys. 5,
+    416 (1958)); s = hel (|k|/m, E khat/m) is the spin 4-vector."""
+    def slash(vec):
+        return np.einsum('m,m,mab->ab', np.asarray(vec, dtype=complex),
+                         np.array([1.0, -1.0, -1.0, -1.0]), gamma)
+
+    m = abs(mass)
+    g5 = 1j * gamma[0] @ gamma[1] @ gamma[2] @ gamma[3]
+    k = np.asarray(k, dtype=float)
+    kmag = np.linalg.norm(k[1:])
+    spin = hel * np.concatenate([[kmag / m], k[0] * k[1:] / (kmag * m)])
+    return 0.5 * (slash(k) + mass * np.eye(4)) @ (np.eye(4) + g5 @ slash(spin))
+
+
+def test_spin_projectors_match_the_oracle_spinors():
+    # pins the sign of g5 sslash for u and v against the independent spinors
+    # of tests/helicity_oracle.py (Weyl representation)
+    import helicity_oracle as oracle
+    m = DEFAULT.m_e
+    for p, direction in [(0.6, 1.0), (0.45, -1.0), (2.0, -1.0)]:
+        leg = oracle.Leg(m, np.array([[0.0, 0.0, direction * p]]))
+        k = leg.four()[0].real
+        for hel, sign in (("L", -1.0), ("R", 1.0)):
+            for spinor, mass in ((oracle.u_spinor, m), (oracle.v_spinor, -m)):
+                psi = spinor(leg, hel)[0]
+                outer = np.outer(psi, psi.conj() @ oracle.GAMMA[0])
+                want = _spin_projector(oracle.GAMMA, k, mass, sign)
+                assert np.max(np.abs(outer - want)) < 1e-12 * max(1.0, k[0])
+
+
 def test_annihilation_unpolarized_density_from_closed_traces():
     # with all fermion spins summed, the unpolarized output density matrix is
     # expressible through closed spin-sum traces alone: an oracle completely
     # independent of the spinor construction; its gamma algebra is complex,
-    # built here from dirac.GAMMA, not the package's real plane-vector slash
+    # built here from dirac.GAMMA, not the package's real plane-vector slash.
+    # At the low-p points the four pure helicity inputs are checked too, with
+    # spin projectors in place of the spin sums: unlike the unpolarized input
+    # they see the conjugation of the outgoing photon vectors (eps(h) =
+    # -eps*(-h) only relabels both photon helicities, which parity hides when
+    # the input is unpolarized). s ~ p/m loses digits at 1 GeV, so the pure
+    # inputs stay at low p.
     from qedtangle.dirac import GAMMA, GAMMA0, IDENTITY4, METRIC, eps_batch
     from qedtangle.qstate import evolve_batch
 
@@ -170,6 +209,7 @@ def test_annihilation_unpolarized_density_from_closed_traces():
         return (eps_batch(np.array([theta]), hel)[0] * np.array([1, 1, 1j, 1])).conj()
 
     m = DEFAULT.m_e
+    pairs = [(a, b) for a in "LR" for b in "LR"]
     for p, th in [(0.6, 0.9), (0.45, 1.07), (1000.0, math.pi / 2)]:
         s, t, u, e1, e2, e3, e4, q = mandelstam_batch(
             ProcessKind.ANNIHILATION, np.array([p]), np.array([th]))
@@ -188,21 +228,28 @@ def test_annihilation_unpolarized_density_from_closed_traces():
             return (slash(eps2[l2]) @ prop_t @ slash(eps1[l1]) / (t - m ** 2)
                     + slash(eps1[l1]) @ prop_u @ slash(eps2[l2]) / (u - m ** 2))
 
-        pairs = [(a, b) for a in "LR" for b in "LR"]
-        rho_tr = np.zeros((4, 4), complex)
-        pslash1 = slash(p1) + m * IDENTITY4
-        pslash2 = slash(p2) - m * IDENTITY4
-        for i, (l1, l2) in enumerate(pairs):
-            g1 = gamma(l1, l2)
-            for j, (l1p, l2p) in enumerate(pairs):
-                g2bar = GAMMA0 @ gamma(l1p, l2p).conj().T @ GAMMA0
-                rho_tr[i, j] = np.trace(pslash2 @ g1 @ pslash1 @ g2bar)
-        rho_tr /= np.trace(rho_tr).real
+        def traced(electron, positron):
+            """Output state for the electron u ubar and positron v vbar given."""
+            rho = np.zeros((4, 4), complex)
+            for i, (l1, l2) in enumerate(pairs):
+                g1 = gamma(l1, l2)
+                for j, (l1p, l2p) in enumerate(pairs):
+                    g2bar = GAMMA0 @ gamma(l1p, l2p).conj().T @ GAMMA0
+                    rho[i, j] = np.trace(positron @ g1 @ electron @ g2bar)
+            return rho / np.trace(rho).real
 
+        inputs = [(np.eye(4) / 4, slash(p1) + m * IDENTITY4, slash(p2) - m * IDENTITY4)]
+        if p < 1.0:
+            for k, (h1, h2) in enumerate(pairs):
+                hel1, hel2 = (1.0 if h == "R" else -1.0 for h in (h1, h2))
+                inputs.append((np.diag(np.eye(4)[k]),
+                               _spin_projector(GAMMA, p1, m, hel1),
+                               _spin_projector(GAMMA, p2, -m, hel2)))
         amps, _, _ = helicity_amplitudes_batch(
             ProcessKind.ANNIHILATION, np.array([p]), np.array([th]))
-        rho_pkg, _ = evolve_batch(amps, np.eye(4, dtype=complex) / 4)
-        assert np.max(np.abs(rho_tr - rho_pkg[0])) < 1e-12
+        for rho_in, electron, positron in inputs:
+            rho_pkg, _ = evolve_batch(amps, rho_in.astype(complex))
+            assert np.max(np.abs(traced(electron, positron) - rho_pkg[0])) < 1e-12
 
 
 def test_electron_muon_backscattering_band_width():
@@ -244,7 +291,7 @@ def test_batch_matches_per_point():
         th = rng.uniform(0.05, 2 * math.pi - 0.05, 7)
         total, channels, divergent = helicity_amplitudes_batch(proc, p, th)
         for i in range(p.size):
-            single = amplitude_at(proc, float(p[i]), float(th[i]))
+            single = amplitude(build_kinematics(proc, float(p[i]), float(th[i])))
             assert np.array_equal(total[i], single.entries)
             for name, mat in channels.items():
                 assert np.array_equal(mat[i], single.channels[name])

@@ -32,6 +32,23 @@ def test_scan_with_config_file_and_override(tmp_path):
     assert rows[0].initial == "pure(LL)"
 
 
+def test_scan_defaults_are_scan_config_defaults(tmp_path):
+    from qedtangle.kinematics import ProcessKind
+    from qedtangle.scan import ScanConfig, emit_csv, run_scan
+    out, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main(["scan", "--process", "moller", "--out", str(out)]) == 0
+    emit_csv(run_scan(ScanConfig(process=ProcessKind.MOLLER)), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_scan_config_file_bad_value_exit_code(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("process = moller\np_steps = many\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    cfg.write_text("process = moller\np_log = maybe\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
 def test_invalid_process_exit_code():
     assert main(["scan", "--process", "pingpong", "--out", "x.csv"]) == 2
 
@@ -78,6 +95,20 @@ def test_point_command(capsys):
 def test_point_below_threshold_exit_code():
     assert main(["point", "--process", "muon-pair", "--p", "50.0",
                  "--theta", "1.0"]) == 2
+
+
+def test_muon_pair_just_below_threshold(tmp_path, capsys):
+    # 1e-16 relative below the threshold 105.65713981256592 MeV
+    p = "105.65713981256582"
+    assert main(["point", "--process", "muon-pair", "--p", p, "--theta", "1.0"]) == 2
+    assert "below threshold" in capsys.readouterr().err
+    out = tmp_path / "thr.csv"
+    assert main(["scan", "--process", "muon-pair", "--p-min", p, "--p-max", "106",
+                 "--p-steps", "3", "--theta-steps", "2", "--out", str(out)]) == 0
+    assert [r.status for r in parse_csv(out)] == ["below-threshold", "ok", "ok"] * 2
+    assert main(["threshold", "--process", "muon-pair", "--theta", "1.0",
+                 "--p-bracket", f"{p},200"]) == 2
+    assert "below threshold" in capsys.readouterr().err
 
 
 def test_xsec_command(capsys):

@@ -7,8 +7,7 @@ from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.entanglement import (BELL_STATES, analyze, bell_fidelities,
                                     bell_fidelities_phase_opt,
-                                    measures_batch, partial_transpose,
-                                    partial_transpose_batch)
+                                    measures_batch, partial_transpose)
 from qedtangle.errors import NonHermitianError
 from qedtangle.kinematics import ProcessKind
 from qedtangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_batch
@@ -147,7 +146,7 @@ def _det_verdict(rho, entangled, min_pt_eig, band=1e-8):
     |min PT eigenvalue| <= band, where the sign of det is not resolved, are
     excluded.
     """
-    det_negative = np.linalg.det(partial_transpose_batch(rho)).real < 0.0
+    det_negative = np.linalg.det(partial_transpose(rho)).real < 0.0
     keep = np.abs(min_pt_eig) > band
     return int(np.sum(det_negative[keep] != entangled[keep])), int(np.sum(~keep))
 
@@ -187,7 +186,7 @@ def test_entangled_iff_negative_pt_determinant_on_scans(process, initial, p_max,
 
 def test_at_most_one_negative_pt_eigenvalue():
     rho = random_density(2000)
-    eigs = hermitian_eigenvalues_batch(partial_transpose_batch(rho))
+    eigs = hermitian_eigenvalues_batch(partial_transpose(rho))
     assert int(np.max(np.sum(eigs < -1e-10, axis=1))) <= 1
 
 

@@ -59,6 +59,34 @@ def test_muon_pair_threshold():
         build_kinematics(ProcessKind.MUON_PAIR, 0.9 * thr, 1.0)
 
 
+#: 1e-16 relative below the muon-pair threshold 105.65713981256592 MeV
+JUST_BELOW_MUON_THRESHOLD = 105.65713981256582
+
+
+def test_one_below_threshold_rule():
+    # build_kinematics raises exactly where mandelstam_batch gives a NaN q,
+    # and the engine gives finite amplitudes exactly where it does not; at
+    # the threshold and one ulp below it the pair forms at rest
+    from qedtangle.amplitudes import helicity_amplitudes_batch
+    thr = threshold_momentum(ProcessKind.MUON_PAIR)
+    ps = [JUST_BELOW_MUON_THRESHOLD, math.nextafter(thr, 0.0), thr]
+    for _ in range(12):
+        ps.append(math.nextafter(ps[-1], math.inf))
+        ps.insert(0, math.nextafter(ps[0], 0.0))
+    q = mandelstam_batch(ProcessKind.MUON_PAIR, np.array(ps), 1.0)[-1]
+    amps = helicity_amplitudes_batch(ProcessKind.MUON_PAIR, np.array(ps), 1.0)[0]
+    assert np.isnan(q).any() and not np.isnan(q).all()
+    assert np.array_equal(np.isfinite(amps).all(axis=(1, 2)), ~np.isnan(q))
+    for p, below in zip(ps, np.isnan(q)):
+        if below:
+            with pytest.raises(BelowThresholdError, match="below threshold"):
+                build_kinematics(ProcessKind.MUON_PAIR, p, 1.0)
+        else:
+            assert build_kinematics(ProcessKind.MUON_PAIR, p, 1.0).q_out >= 0.0
+    assert np.isnan(q[ps.index(JUST_BELOW_MUON_THRESHOLD)])
+    assert q[ps.index(thr)] == 0.0 and q[ps.index(math.nextafter(thr, 0.0))] == 0.0
+
+
 def test_compton_energies():
     kin = build_kinematics(ProcessKind.COMPTON, 2.0, 1.0)
     p1, p2, _, _ = _momenta(ProcessKind.COMPTON, [2.0], [1.0])

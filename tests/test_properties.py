@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from qedtangle.amplitudes import helicity_amplitudes_batch
-from qedtangle.entanglement import analyze, measures_batch, partial_transpose_batch
+from qedtangle.entanglement import analyze, measures_batch, partial_transpose
 from qedtangle.kinematics import ProcessKind, threshold_momentum
 from qedtangle.qstate import evolve_batch
 from qedtangle.scan import SYMMETRY_AUDIT_TOL, parse_initial
@@ -68,7 +68,7 @@ def test_outgoing_state_is_a_density_matrix(point, rho_in):
     rho = _state(*point, rho_in)
     assert abs(np.trace(rho[0]).real - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0, 0] >= -1e-10
-    pt_eigs = np.linalg.eigvalsh(partial_transpose_batch(rho))
+    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho))
     assert np.sum(pt_eigs < -1e-10) <= 1
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import InvalidConfigError
-from qedtangle.kinematics import ProcessKind
+from qedtangle.kinematics import ProcessKind, mandelstam_batch, threshold_momentum
 from qedtangle import scan
 from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, STATUSES, ScanConfig, ScanResult,
                             ScanRow, emit_csv, emit_plot_script, find_threshold,
@@ -109,6 +109,20 @@ def test_below_threshold_rows():
     for r in rows:
         if r.status == "below-threshold":
             assert r.p < thr and r.min_pt_eig is None
+
+
+def test_below_threshold_status_follows_the_kinematics_rule():
+    # p_min is 1e-16 relative below the threshold: those rows are
+    # below-threshold, not unfilterable, and every row's status agrees with
+    # the NaN q of mandelstam_batch, down to the last ulp
+    thr = threshold_momentum(ProcessKind.MUON_PAIR)
+    cfg = ScanConfig(process=ProcessKind.MUON_PAIR, p_min=105.65713981256582,
+                     p_max=thr, p_steps=8, theta_steps=2)
+    rows = run_scan(cfg)
+    q = mandelstam_batch(ProcessKind.MUON_PAIR, rows.p, rows.theta)[-1]
+    assert [r.status for r in rows][:1] == ["below-threshold"]
+    assert {r.status for r in rows} == {"ok", "below-threshold"}
+    assert np.array_equal(rows.status == STATUSES.index("below-threshold"), np.isnan(q))
 
 
 def test_csv_round_trip(tmp_path):

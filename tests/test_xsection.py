@@ -28,7 +28,7 @@ def test_massless_limits_of_closed_forms():
     want = 8 * E2 ** 2 * (u / t + t / u)
     assert xsection.annihilation_msq_summed(s, t, u, 0.0, E2) == pytest.approx(want, rel=1e-12)
     want = 8 * E2 ** 2 * (-u / s - s / u)
-    assert xsection.compton_msq_summed(s / 2, -u / 2, 0.0, E2) == pytest.approx(want, rel=1e-12)
+    assert xsection.compton_msq_summed(s / 2, -u / 2, t / 2, 0.0, E2) == pytest.approx(want, rel=1e-12)
 
 
 def test_crossing_identity():
@@ -102,17 +102,39 @@ def test_moller_region_boundary_peak():
 
 @pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3])
 def test_compton_engine_matches_kappa_form_at_low_p(p):
-    # kappa = p sqrt(s) and kappa' = p (m^2/(E1 + p) + 2 p cos^2(theta/2))
-    # carry no cancellation, unlike (s - m^2)/2 and (m^2 - u)/2
+    # kappa = p sqrt(s), kappa' = p (m^2/(E1 + p) + 2 p cos^2(theta/2)) and
+    # kappa' - kappa = -2 p^2 sin^2(theta/2) carry no cancellation, unlike
+    # (s - m^2)/2, (m^2 - u)/2 and their difference
     theta = np.linspace(-2 * math.pi, 4 * math.pi, 241)
     total, _, _ = helicity_amplitudes_batch(ProcessKind.COMPTON, p, theta)
     e1 = math.hypot(p, ME)
     ka = p * (e1 + p)
     kb = p * (ME ** 2 / (e1 + p) + 2 * p * np.cos(0.5 * theta) ** 2)
-    want = xsection.compton_msq_summed(ka, kb, ME, E2)
+    want = xsection.compton_msq_summed(ka, kb, -2 * p ** 2 * np.sin(0.5 * theta) ** 2, ME, E2)
     got = np.sum(total ** 2, axis=(1, 2))
     assert np.max(np.abs(got - want) / want) <= 1e-10
     # the point oracle takes the same kappa form
     for i in range(0, theta.size, 40):
         kin = build_kinematics(ProcessKind.COMPTON, p, float(theta[i]))
         assert abs(xsection.msq_oracle(kin) / got[i] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3])
+def test_compton_closed_form_against_mpmath_near_thomson_limit(p):
+    # Klein-Nishina at 50 digits, with kappa = p (E + p) and kappa' =
+    # p (E + p cos theta) at the point's own p and theta: the closed form
+    # must keep 1/kappa - 1/kappa' free of cancellation as kappa' -> kappa
+    import mpmath
+    mpmath.mp.dps = 50
+    e2, m, mp_p = mpmath.mpf(E2), mpmath.mpf(ME), mpmath.mpf(p)
+    energy = mpmath.sqrt(mp_p ** 2 + m ** 2)
+    worst = 0.0
+    for theta in np.linspace(-2 * math.pi, 4 * math.pi, 197):
+        kin = build_kinematics(ProcessKind.COMPTON, p, float(theta))
+        ka = mp_p * (energy + mp_p)
+        kb = mp_p * (energy + mp_p * mpmath.cos(mpmath.mpf(kin.theta)))
+        inv_diff = 1 / ka - 1 / kb
+        want = 8 * e2 ** 2 * (kb / ka + ka / kb + 2 * m ** 2 * inv_diff
+                              + m ** 4 * inv_diff ** 2)
+        worst = max(worst, abs(float((xsection.msq_oracle(kin) - want) / want)))
+    assert worst <= 1e-14
