@@ -44,6 +44,9 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _SCAN_DEFAULTS:
+                raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                                         f"(valid: {', '.join(_SCAN_DEFAULTS)})")
             values[key] = val
     return values
 
@@ -112,7 +115,7 @@ def _cmd_threshold(args) -> int:
         lo, hi = (float(x) for x in args.p_bracket.split(","))
     except ValueError as exc:
         raise InvalidConfigError(f"--p-bracket expects 'lo,hi', got {args.p_bracket!r}") from exc
-    p_star = find_threshold(process, args.initial, args.theta, (lo, hi), tol=args.tol)
+    p_star = find_threshold(process, args.initial, args.theta, (lo, hi))
     print(f"{p_star:.9g}")
     return 0
 
@@ -122,7 +125,7 @@ def _cmd_point(args) -> int:
     kin = build_kinematics(process, args.p, args.theta)
     amp = amplitude(kin)
     state = evolve(amp, parse_initial(args.initial))
-    report = analyze(state, tol=args.tol)
+    report = analyze(state)
     print(f"process          : {process.value}")
     print(f"p, theta         : {kin.p:.9g} MeV, {kin.theta:.9g} rad")
     print(f"s, t, u          : {kin.s:.9g}, {kin.t:.9g}, {kin.u:.9g} MeV^2")
@@ -230,15 +233,17 @@ def _cmd_audit(args) -> int:
     return 0 if failures == 0 else 3
 
 
-def _add_common(sp, defaults: bool = True) -> None:
-    """--process, --initial and --tol; their defaults are ScanConfig's, or None
-    (`defaults=False`) where a config file may still supply them."""
+def _add_process(sp) -> None:
     sp.add_argument("--process", help="moller|muon-pair|annihilation|bhabha|"
                                       "electron-muon|compton")
-    sp.add_argument("--initial", help="unpolarized|ll|lr|rl|rr|werner|diag:w1,w2,w3,w4")
-    sp.add_argument("--tol", type=float, help=f"PPT tolerance (default {_SCAN_DEFAULTS['tol']:g})")
-    if defaults:
-        sp.set_defaults(initial=_SCAN_DEFAULTS["initial"], tol=_SCAN_DEFAULTS["tol"])
+
+
+def _add_common(sp, initial: str | None = _SCAN_DEFAULTS["initial"]) -> None:
+    """--process and --initial; the default initial state is ScanConfig's, or
+    None where a config file may still supply it."""
+    _add_process(sp)
+    sp.add_argument("--initial", default=initial,
+                    help="unpolarized|ll|lr|rl|rr|werner|diag:w1,w2,w3,w4")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scan", help="sweep a (p, theta) grid and write CSV")
-    _add_common(sp, defaults=False)
+    _add_common(sp, initial=None)
     sp.add_argument("--p-min", dest="p_min", type=float)
     sp.add_argument("--p-max", dest="p_max", type=float)
     sp.add_argument("--p-steps", dest="p_steps", type=int)
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_point)
 
     sp = sub.add_parser("xsec", help="cross-section check at one point")
-    _add_common(sp)
+    _add_process(sp)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--theta", type=float, required=True)
     sp.set_defaults(func=_cmd_xsec)

@@ -6,6 +6,10 @@ qubits); von Neumann entropy S = -sum nu ln nu in natural log (max ln 4).
 Bell-state fidelities are reported both raw and maximized over local
 diagonal phase rotations diag(1, e^{ia}) (x) diag(1, e^{ib}), since helicity
 phase conventions move weight between phi+/phi- and psi+/psi- freely.
+
+The verdict is the Peres-Horodecki test, necessary and sufficient for two
+qubits: a state is entangled iff min(PT eigenvalues) < -PPT_TOL, a fixed
+numerical zero, decided in `_measures` alone.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ def bell_fidelities_phase_opt(rho) -> dict:
     return {"phi+": phi, "phi-": phi, "psi+": psi, "psi-": psi}
 
 
-def _measures(pt_eigs: np.ndarray, nu: np.ndarray, tol: float) -> dict:
+def _measures(pt_eigs: np.ndarray, nu: np.ndarray) -> dict:
     """Measures from ascending spectra (N,4) of rho^T_B (pt_eigs) and rho (nu)."""
     negativity = np.sum((np.abs(pt_eigs) - pt_eigs) / 2.0, axis=1)
     nu = np.clip(nu, 0.0, None)
@@ -84,21 +88,21 @@ def _measures(pt_eigs: np.ndarray, nu: np.ndarray, tol: float) -> dict:
         "negativity": negativity,
         "log_negativity": np.log2(2.0 * negativity + 1.0),
         "entropy": -np.sum(terms, axis=1),
-        "entangled": min_eig < -tol,
+        "entangled": min_eig < -PPT_TOL,
         "switching": np.abs(min_eig) <= DEFAULT.alpha3,
     }
 
 
-def analyze(rho, tol: float = PPT_TOL) -> EntanglementReport:
+def analyze(rho) -> EntanglementReport:
     """Full entanglement and mixedness report for one state.
 
-    `entangled` is min(PT eigenvalues) < -tol; `switching_potential` flags
+    `entangled` is min(PT eigenvalues) < -PPT_TOL; `switching_potential` flags
     |min PT eigenvalue| <= alpha^3, where loop corrections could flip the
     tree-level verdict.
     """
     m = _entries(rho)
     pt_eigs = hermitian_eigenvalues(partial_transpose(m))
-    res = _measures(pt_eigs[None], hermitian_eigenvalues(m)[None], tol)
+    res = _measures(pt_eigs[None], hermitian_eigenvalues(m)[None])
 
     raw = bell_fidelities(m)
     raw_label = max(raw, key=raw.get)
@@ -122,11 +126,11 @@ def analyze(rho, tol: float = PPT_TOL) -> EntanglementReport:
     )
 
 
-def measures_batch(rho: np.ndarray, tol: float = PPT_TOL) -> dict:
+def measures_batch(rho: np.ndarray) -> dict:
     """Vectorized scan measures for a batch (N,4,4) of states.
 
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
     entangled, switching.
     """
     return _measures(hermitian_eigenvalues_batch(partial_transpose(rho)),
-                     hermitian_eigenvalues_batch(rho), tol)
+                     hermitian_eigenvalues_batch(rho))

@@ -103,7 +103,6 @@ class KinematicPoint:
     t: float
     u: float
     q_out: float
-    masses: tuple[float, float, float, float]
 
 
 def _com_energies(process: ProcessKind, p: np.ndarray):
@@ -148,7 +147,7 @@ def build_kinematics(process: ProcessKind, p: float, theta: float) -> KinematicP
     if math.isnan(q):
         raise BelowThresholdError(f"{process.value}: p = {p!r} MeV below threshold "
                                   f"{threshold_momentum(process)!r} MeV")
-    return KinematicPoint(process, p, theta, s, t, u, q, process_masses(process))
+    return KinematicPoint(process, p, theta, s, t, u, q)
 
 
 def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray):

@@ -46,9 +46,6 @@ class DensityMatrix:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
         return DensityMatrix(m)
 
-    def purity(self) -> float:
-        return float(np.einsum('ij,ji->', self.entries, self.entries).real)
-
 
 @dataclass(frozen=True)
 class InitialState:

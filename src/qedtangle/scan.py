@@ -28,8 +28,9 @@ import operator
 import numpy as np
 
 from .amplitudes import helicity_amplitudes_batch
-from .entanglement import PPT_TOL, measures_batch
-from .errors import BelowThresholdError, InvalidConfigError, QedTangleError
+from .entanglement import measures_batch
+from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
+                     UnfilterableStateError)
 from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
 from .qstate import (InitialState, diagonal, evolve_batch, pure, unpolarized,
                      werner_symmetric)
@@ -84,7 +85,6 @@ class ScanConfig:
     theta_min: float = 0.0
     theta_max: float = 2.0 * math.pi
     theta_steps: int = 100
-    tol: float = PPT_TOL
     out: str | None = None
     jobs: int = 1
 
@@ -100,8 +100,6 @@ class ScanConfig:
             raise InvalidConfigError("p_min must be below p_max")
         if self.theta_steps > 1 and not self.theta_min < self.theta_max:
             raise InvalidConfigError("theta_min must be below theta_max")
-        if self.tol <= 0:
-            raise InvalidConfigError("tol must be positive")
         if self.jobs < 1:
             raise InvalidConfigError("jobs must be at least 1")
         return self
@@ -168,25 +166,6 @@ class ScanResult:
     status: np.ndarray
     warnings: list = field(default_factory=list)      # run_scan's symmetry audit
 
-    @classmethod
-    def from_rows(cls, rows) -> "ScanResult":
-        """Columns of a sequence of ScanRow sharing one process and initial state."""
-        rows = list(rows)
-        labels = {(r.process, r.initial) for r in rows}
-        if len(labels) > 1:
-            raise ValueError("rows mix processes or initial states")
-        process, initial = labels.pop() if labels else ("", "")
-
-        def column(name, missing, dtype):
-            values = (getattr(r, name) for r in rows)
-            return np.array([missing if v is None else v for v in values], dtype=dtype)
-
-        return cls(process, initial, column("p", math.nan, float),
-                   column("theta", math.nan, float),
-                   *(column(name, math.nan, float) for name in _MEASURES),
-                   *(column(name, False, bool) for name in _FLAGS),
-                   np.array([STATUSES.index(r.status) for r in rows], dtype=np.int8))
-
     def _row(self, p, theta, code, values) -> ScanRow:
         if code != _OK:
             values = (None,) * len(values)
@@ -222,7 +201,7 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
 
 
 def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-              rho_in: np.ndarray, tol: float) -> dict:
+              rho_in: np.ndarray) -> dict:
     """Measures and status flags, flattened, for p and theta broadcast together."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
     amps, divergent = amps.reshape(-1, 4, 4), divergent.ravel()
@@ -230,7 +209,7 @@ def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     rho, flux_ok = evolve_batch(amps, rho_in)
     bad = divergent | ~flux_ok
     safe = np.where(bad[:, None, None], np.eye(4) / 4.0, rho)
-    res = measures_batch(safe, tol)
+    res = measures_batch(safe)
     res["divergent"] = divergent
     res["unfilterable"] = ~flux_ok & ~divergent
     return res
@@ -281,7 +260,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         theta = theta_grid[block]
         # p as a broadcast view: one entry per grid point, stored once
         res = _evaluate(cfg.process, np.broadcast_to(p_grid[cols], (theta.size, cols.size)),
-                        theta[:, None], rho_in, cfg.tol)
+                        theta[:, None], rho_in)
         idx = (row_index[block, None] * p_grid.size + cols).ravel()
         code = np.where(res["divergent"], _DIVERGENT,
                         np.where(res["unfilterable"], _UNFILTERABLE, _OK))
@@ -326,19 +305,17 @@ def _audit_key(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.round(np.remainder(theta, _TWO_PI), 12) + 1j * np.round(p, 12)
 
 
-def symmetry_audit(rows: ScanResult | list[ScanRow], process: ProcessKind) -> list[str]:
+def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
     """theta -> theta + pi invariance for Moller / muon pair / annihilation,
     theta -> -theta for Bhabha, with angles compared modulo 2 pi.
 
     Every ok point is paired with the ok point at its image, when the grid
     has one. Each audit logs its worst deviation and pair count at INFO;
-    any deviation above 1e-8 is also returned as a warning. ``rows`` is a
-    ScanResult or a sequence of ScanRow.
+    any deviation above 1e-8 is also returned as a warning.
     """
     if process not in _SYMMETRIES:
         return []
     label, image = _SYMMETRIES[process]
-    res = rows if isinstance(rows, ScanResult) else ScanResult.from_rows(rows)
     ok = np.flatnonzero(res.status == _OK)
     key = _audit_key(res.theta[ok], res.p[ok])
     want = _audit_key(image(res.theta[ok]), res.p[ok])
@@ -363,11 +340,14 @@ def symmetry_audit(rows: ScanResult | list[ScanRow], process: ProcessKind) -> li
 # threshold bisection
 
 def find_threshold(process: ProcessKind, initial: str, theta: float,
-                   p_bracket: tuple[float, float], tol: float = PPT_TOL) -> float:
+                   p_bracket: tuple[float, float]) -> float:
     """Bisect the p where the minimum PT eigenvalue changes sign.
 
     Raises InvalidConfigError when the bracket does not straddle a sign
-    change. Converges to relative width 1e-6.
+    change, and at a bracket point the errors of the point path:
+    DivergentKinematicsError on a propagator pole, BelowThresholdError below
+    threshold, UnfilterableStateError with no outgoing flux. Converges to
+    relative width 1e-6.
     """
     rho_in = parse_initial(initial).density.entries
 
@@ -375,13 +355,13 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
         amps, _, div = helicity_amplitudes_batch(
             process, np.array([p]), np.array([theta]))
         if bool(div[0]):
-            raise QedTangleError(f"bracket point p={p} sits on a propagator pole")
+            raise DivergentKinematicsError(f"bracket point p={p} sits on a propagator pole")
         if np.isnan(amps).any():        # the engine's below-threshold points
             raise BelowThresholdError(f"{process.value}: bracket point p={p} below threshold")
         rho, ok = evolve_batch(amps, rho_in)
         if not bool(ok[0]):
-            raise QedTangleError(f"no outgoing flux at bracket point p={p}")
-        return float(measures_batch(rho, tol)["min_pt_eig"][0])
+            raise UnfilterableStateError(f"no outgoing flux at bracket point p={p}")
+        return float(measures_batch(rho)["min_pt_eig"][0])
 
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
     if not 0 < lo < hi:
@@ -430,13 +410,12 @@ def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     dtype=object), index
 
 
-def emit_csv(rows, path) -> None:
+def emit_csv(res: ScanResult, path) -> None:
     """Fixed-column CSV, 17 significant digits, '\\n' line endings.
 
-    ``rows`` is a ScanResult or a sequence of ScanRow; non-ok rows get empty
-    measure and flag fields. Written CHUNK_POINTS lines at a time.
+    Non-ok rows get empty measure and flag fields. Written CHUNK_POINTS
+    lines at a time.
     """
-    res = rows if isinstance(rows, ScanResult) else ScanResult.from_rows(rows)
     p_text, p_index = _distinct_text(res.p)
     theta_text, theta_index = _distinct_text(res.theta)
     prefix = f"{res.process},{res.initial},"
@@ -477,19 +456,17 @@ def parse_csv(path) -> list[ScanRow]:
     return rows
 
 
-def emit_plot_script(rows, path, csv_path) -> None:
+def emit_plot_script(res: ScanResult, path, csv_path) -> None:
     """Gnuplot commands rendering the scan as a (theta, p) map from the CSV."""
-    process = rows[0].process if rows else "scan"
-    initial = rows[0].initial if rows else ""
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([
-            f"# gnuplot script for {process} ({initial}) scan",
+            f"# gnuplot script for {res.process} ({res.initial}) scan",
             f"csv = '{csv_path}'",
             "set datafile separator ','",
             "set xlabel 'theta [rad]'",
             "set ylabel 'p [MeV]'",
             "set cblabel 'log-negativity'",
-            f"set title '{process} ({initial}): logarithmic negativity'",
+            f"set title '{res.process} ({res.initial}): logarithmic negativity'",
             "set palette defined (0 'white', 0.5 'orange', 1 'red')",
             "plot csv skip 1 using 4:3:7 with points pt 5 ps 0.6 palette notitle",
             "pause -1 'press enter to close'",

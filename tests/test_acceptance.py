@@ -45,7 +45,7 @@ import pytest
 import helicity_oracle as oracle
 import qedtangle as qt
 from qedtangle.amplitudes import helicity_amplitudes_batch
-from qedtangle.entanglement import (bell_fidelities, bell_fidelities_phase_opt,
+from qedtangle.entanglement import (PPT_TOL, bell_fidelities, bell_fidelities_phase_opt,
                                     measures_batch, partial_transpose)
 from qedtangle.kinematics import ProcessKind
 from qedtangle.linalg import hermitian_eigenvalues_batch
@@ -86,7 +86,7 @@ def _report_at(process, p, theta, rho_in):
 def test_criterion_01_moller_analytic_region():
     start = time.time()
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.01, p_max=3.0,
-                     p_steps=300, theta_steps=300, tol=1e-10)
+                     p_steps=300, theta_steps=300)
     rows = run_scan(cfg)
     ok_rows = [r for r in rows if r.status == "ok"]
     p = np.array([r.p for r in ok_rows])
@@ -184,13 +184,13 @@ def test_criterion_05_annihilation_wing_domains():
     inner, outer = (sep_p.min(), sep_p.max()) if sep_p.size else (float("nan"),) * 2
     p_step = float(np.diff(cfg.p_grid())[0])
     theta_step = (cfg.theta_max - cfg.theta_min) / cfg.theta_steps
-    p_in = _oracle_wing_onset(cfg.p_min, cfg.p_max, cfg.tol)
+    p_in = _oracle_wing_onset(cfg.p_min, cfg.p_max, PPT_TOL)
     # separability changes along the last p row, between neighbouring theta cells
     last = sorted((r.theta, r.status == "ok" and not r.entangled)
                   for r in rows if r.p == cfg.p_max)
     scan_edges = np.array([0.5 * (a[0] + b[0]) for a, b in zip(last, last[1:])
                            if a[1] != b[1]])
-    want_edges = _oracle_wing_edges(cfg.p_max, cfg.tol)
+    want_edges = _oracle_wing_edges(cfg.p_max, PPT_TOL)
     edges_ok = (scan_edges.size > 0 and scan_edges.shape == want_edges.shape
                 and bool(np.all(np.abs(scan_edges - want_edges) <= theta_step)))
     f_low = bell_fidelities_phase_opt(

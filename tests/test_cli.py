@@ -49,6 +49,33 @@ def test_scan_config_file_bad_value_exit_code(tmp_path):
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_scan_config_file_unknown_key_exit_code(tmp_path, capsys):
+    # a misspelt key must not silently fall back to the default
+    cfg = tmp_path / "scan.cfg"
+    out = tmp_path / "x.csv"
+    for line in ("p_step = 3", "tol = 1e-10"):
+        cfg.write_text(f"process = moller\ntheta_steps = 2\n{line}\n")
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+        key = line.split()[0]
+        assert f"{cfg}:3: unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--process", "moller", "--out", "x.csv", "--tol", "1"],
+    ["threshold", "--process", "moller", "--theta", "1.5", "--p-bracket", "0.5,2.0",
+     "--tol", "1"],
+    ["point", "--process", "moller", "--p", "1.0", "--theta", "1.5", "--tol", "1"],
+    ["xsec", "--process", "moller", "--p", "1.0", "--theta", "1.5", "--tol", "1"],
+    ["xsec", "--process", "moller", "--p", "1.0", "--theta", "1.5", "--initial", "rr"],
+])
+def test_removed_flags_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_invalid_process_exit_code():
     assert main(["scan", "--process", "pingpong", "--out", "x.csv"]) == 2
 
@@ -75,6 +102,16 @@ def test_threshold_bad_bracket_exit_code(capsys):
     rc = main(["threshold", "--process", "moller", "--theta", str(math.pi / 2),
                "--p-bracket", "2.0,3.0"])
     assert rc == 2
+
+
+def test_threshold_bracket_point_errors_exit_code(capsys):
+    # a pole bracket (Moller at theta = 0) and a zero-flux bracket
+    assert main(["threshold", "--process", "moller", "--theta", "0",
+                 "--p-bracket", "0.5,2.0"]) == 2
+    assert "propagator pole" in capsys.readouterr().err
+    assert main(["threshold", "--process", "annihilation", "--initial", "lr",
+                 "--theta", str(math.pi), "--p-bracket", "0.01,1.0"]) == 2
+    assert "no outgoing flux" in capsys.readouterr().err
 
 
 def test_missing_process_exit_code():

@@ -41,7 +41,7 @@ def test_mandelstam_sum_rule():
                 else RNG.uniform(0.05, 40.0)
             theta = RNG.uniform(0.0, 2 * math.pi)
             kin = build_kinematics(proc, p, theta)
-            mass_sum = sum(m ** 2 for m in kin.masses)
+            mass_sum = sum(m ** 2 for m in process_masses(kin.process))
             assert kin.s + kin.t + kin.u == pytest.approx(mass_sum, rel=1e-6, abs=1e-9)
             # the same invariants as Minkowski squares of the momenta
             p1, p2, q1, q2 = _momenta(proc, [p], [theta])

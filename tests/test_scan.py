@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from qedtangle.constants import DEFAULT
-from qedtangle.errors import InvalidConfigError
+from qedtangle.errors import (DivergentKinematicsError, InvalidConfigError,
+                              UnfilterableStateError)
 from qedtangle.kinematics import ProcessKind, mandelstam_batch, threshold_momentum
 from qedtangle import scan
 from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, STATUSES, ScanConfig, ScanResult,
-                            ScanRow, emit_csv, emit_plot_script, find_threshold,
+                            emit_csv, emit_plot_script, find_threshold,
                             parse_csv, parse_initial, run_scan, symmetry_audit)
 
 
@@ -24,8 +25,6 @@ def test_config_validation():
         ScanConfig(process=ProcessKind.MOLLER, p_steps=0).validate()
     with pytest.raises(InvalidConfigError):
         ScanConfig(process=ProcessKind.MOLLER, jobs=0).validate()
-    with pytest.raises(InvalidConfigError):
-        ScanConfig(process=ProcessKind.MOLLER, tol=0.0).validate()
 
 
 def test_parse_initial():
@@ -168,23 +167,18 @@ def test_csv_round_trip_with_status_rows(tmp_path):
         assert a.negativity == b.negativity
 
 
-def test_custom_tolerance_changes_flags():
-    # a huge PPT tolerance declares everything separable
-    cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.2, p_max=0.6,
-                     p_steps=2, theta_min=math.pi / 2, theta_max=math.pi / 2,
-                     theta_steps=1, tol=1.0)
-    rows = run_scan(cfg)
-    assert all(not r.entangled for r in rows if r.status == "ok")
-    cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.2, p_max=0.6,
-                     p_steps=2, theta_min=math.pi / 2, theta_max=math.pi / 2,
-                     theta_steps=1)
-    rows = run_scan(cfg)
-    assert any(r.entangled for r in rows if r.status == "ok")
+def _columns(process, initial, p, theta, measures, flags, status) -> ScanResult:
+    """A ScanResult built directly from per-point values."""
+    measures = np.array(measures, dtype=float).reshape(-1, 4)
+    flags = np.array(flags, dtype=bool).reshape(-1, 2)
+    return ScanResult(process, initial, np.array(p, dtype=float),
+                      np.array(theta, dtype=float), *measures.T.copy(), *flags.T.copy(),
+                      np.array([STATUSES.index(s) for s in status], dtype=np.int8))
 
 
 def test_csv_header_only_for_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path)
+    emit_csv(_columns("moller", "unpolarized", [], [], [], [], []), path)
     assert path.read_text() == CSV_HEADER + "\n"
     assert parse_csv(path) == []
 
@@ -258,11 +252,9 @@ def test_jobs_give_identical_csv_over_many_chunks(grid, tmp_path):
             assert (tmp_path / f"jobs{jobs}.csv").read_bytes() == want
     finally:
         sys.setswitchinterval(interval)
-    # the columnar writer, the same writer on row views, and a plain row
-    # writer give the same bytes; parsing them back gives the row views
-    emit_csv(rows, tmp_path / "from_rows.csv")
+    # the columnar writer and a plain writer of the row views give the same
+    # bytes; parsing them back gives the row views
     _reference_csv(rows, tmp_path / "reference.csv")
-    assert (tmp_path / "from_rows.csv").read_bytes() == want
     assert (tmp_path / "reference.csv").read_bytes() == want
     assert parse_csv(tmp_path / "jobs1.csv") == rows
 
@@ -270,17 +262,20 @@ def test_jobs_give_identical_csv_over_many_chunks(grid, tmp_path):
 def test_csv_writer_matches_reference_for_every_status(tmp_path):
     # one chunk that holds all four statuses, with awkward values on the ok
     # lines and a '%' in the labels, which must never be read as a format
-    rows = []
-    for i, status in enumerate(STATUSES * 3):
-        if status == "ok":
-            values = (-0.0 if i < 4 else -i * 1e-17, 1 / 3, 5e-324, 1e300 / (i + 1),
-                      i % 2 == 0, i % 3 == 0)
-        else:
-            values = (None,) * 6
-        rows.append(ScanRow("moller%s", "pure(%d)", 0.1 * (i + 1), -0.0 if i == 1 else i * 2.1,
-                            *values, status))
+    status = STATUSES * 3
+    ok = [s == "ok" for s in status]
+    result = _columns(
+        "moller%s", "pure(%d)", [0.1 * (i + 1) for i in range(len(status))],
+        [-0.0 if i == 1 else i * 2.1 for i in range(len(status))],
+        [(-0.0 if i < 4 else -i * 1e-17, 1 / 3, 5e-324, 1e300 / (i + 1)) if good
+         else (math.nan,) * 4 for i, good in enumerate(ok)],
+        [(i % 2 == 0, i % 3 == 0) if good else (False, False) for i, good in enumerate(ok)],
+        status)
+    rows = list(result)
     assert {r.status for r in rows} == set(STATUSES)
-    emit_csv(rows, tmp_path / "rows.csv")
+    assert rows[0].min_pt_eig == 0.0 and math.copysign(1.0, rows[0].min_pt_eig) < 0
+    assert rows[0].entropy > 0 and rows[4].log_negativity == 5e-324
+    emit_csv(result, tmp_path / "rows.csv")
     _reference_csv(rows, tmp_path / "reference.csv")
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert parse_csv(tmp_path / "rows.csv") == rows
@@ -322,8 +317,6 @@ def test_scan_result_row_views():
     assert rows[0].status == "below-threshold" and rows[0].entangled is None
     assert rows[1].status == "ok" and isinstance(rows[1].entangled, bool)
     assert np.isnan(result.negativity[0]) and not result.entangled[0]
-    again = ScanResult.from_rows(rows)
-    assert list(again) == rows
 
 
 def test_scan_memory_grows_by_columns_only():
@@ -358,15 +351,12 @@ def test_plot_script_references_csv(tmp_path):
 def test_symmetry_audit_clean_and_violated():
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0,
                      p_steps=4, theta_steps=8)
-    rows = run_scan(cfg)
-    assert symmetry_audit(rows, ProcessKind.MOLLER) == []
-    # corrupt one row: the audit must flag the broken pair
-    bad = list(rows)
-    r = bad[3]
-    bad[3] = ScanRow(r.process, r.initial, r.p, r.theta, r.min_pt_eig,
-                     (r.negativity or 0.0) + 1e-3, r.log_negativity,
-                     r.entropy, r.entangled, r.switching, r.status)
-    assert symmetry_audit(bad, ProcessKind.MOLLER)
+    result = run_scan(cfg)
+    assert symmetry_audit(result, ProcessKind.MOLLER) == []
+    # corrupt one point: the audit must flag the broken pair
+    assert result[3].status == "ok"
+    result.negativity[3] += 1e-3
+    assert symmetry_audit(result, ProcessKind.MOLLER)
 
 
 def test_bhabha_audit_uses_reflection():
@@ -393,16 +383,13 @@ def test_symmetry_audit_outside_first_turn(process, turn, caplog):
     shift = turn * 2 * math.pi
     caplog.set_level(logging.INFO, logger="qedtangle.scan")
     run_scan(ScanConfig(**base))
-    rows = run_scan(ScanConfig(**base, theta_min=shift, theta_max=shift + 2 * math.pi))
+    result = run_scan(ScanConfig(**base, theta_min=shift, theta_max=shift + 2 * math.pi))
     first, shifted = _audit_messages(caplog)
     assert first.endswith("over 96 pairs") and shifted.endswith("over 96 pairs")
-    assert symmetry_audit(rows, process) == []
-    bad = list(rows)
-    r = bad[20]
-    bad[20] = ScanRow(r.process, r.initial, r.p, r.theta, r.min_pt_eig,
-                      r.negativity + 1e-3, r.log_negativity, r.entropy,
-                      r.entangled, r.switching, r.status)
-    warnings = symmetry_audit(bad, process)
+    assert symmetry_audit(result, process) == []
+    assert result[20].status == "ok"
+    result.negativity[20] += 1e-3
+    warnings = symmetry_audit(result, process)
     assert len(warnings) == 1 and warnings[0].endswith("over 96 pairs")
 
 
@@ -455,6 +442,15 @@ def test_find_threshold_moller():
 def test_find_threshold_requires_sign_change():
     with pytest.raises(InvalidConfigError):
         find_threshold(ProcessKind.MOLLER, "unpolarized", math.pi / 2, (2.0, 3.0))
+
+
+def test_find_threshold_bracket_errors_match_point_path():
+    # theta = 0 is a Moller t-channel pole; a pure lr pair annihilating
+    # head-on (theta = pi) has no outgoing flux
+    with pytest.raises(DivergentKinematicsError):
+        find_threshold(ProcessKind.MOLLER, "unpolarized", 0.0, (0.5, 2.0))
+    with pytest.raises(UnfilterableStateError):
+        find_threshold(ProcessKind.ANNIHILATION, "lr", math.pi, (0.01, 1.0))
 
 
 def test_find_threshold_electron_muon():
