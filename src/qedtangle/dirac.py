@@ -142,8 +142,9 @@ def v_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> n
     return _spinor_batch("v", mass, momentum, theta, hel)
 
 
-#: polarization vectors at direction theta are P0 + cos(theta) Pc + sin(theta) Ps
-_POLARIZATION_PARTS = np.array([
+#: polarization vectors at direction theta are P0 + cos(theta) Pc + sin(theta) Ps,
+#: (3 [P0, Pc, Ps], 2 [L, R], 4)
+POLARIZATION_PARTS = np.array([
     [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, 0.0]],
     [[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
     [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0]]]) / math.sqrt(2.0)
@@ -156,7 +157,7 @@ def polarizations(c, s) -> np.ndarray:
     eps(±) = ∓ (e_theta ± i e_phi)/sqrt(2) with e_theta = (cos t, 0, -sin t),
     e_phi = (0, 1, 0); time component zero (radiation gauge along k).
     """
-    p0, pc, ps = _POLARIZATION_PARTS
+    p0, pc, ps = POLARIZATION_PARTS
     return (p0 + np.asarray(c, dtype=float)[..., None, None] * pc
             + np.asarray(s, dtype=float)[..., None, None] * ps)
 

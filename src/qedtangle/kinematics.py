@@ -117,15 +117,20 @@ def _com_energies(process: ProcessKind, p: np.ndarray):
     """
     m1, m2, m3, m4 = process_masses(process)
     p = np.asarray(p, dtype=float)
-    e1 = np.sqrt(p ** 2 + m1 ** 2)
-    e2 = np.sqrt(p ** 2 + m2 ** 2)
+    # a pair of equal masses shares one evaluation of its energy terms
+    p2 = p ** 2
+    e1 = np.sqrt(p2 + m1 ** 2)
+    e2 = e1 if m2 == m1 else np.sqrt(p2 + m2 ** 2)
     rs = e1 + e2
-    gap = p ** 2 / (e1 + m1) + p ** 2 / (e2 + m2) + (m1 + m2 - m3 - m4)
+    k1 = p2 / (e1 + m1)
+    k2 = k1 if m2 == m1 else p2 / (e2 + m2)
+    gap = k1 + k2 + (m1 + m2 - m3 - m4)
     lam = gap * (rs + m3 + m4) * (gap + 2.0 * m3) * (gap + 2.0 * m4)
     with np.errstate(invalid="ignore"):
         q = np.sqrt(lam) / (2.0 * rs)
-    e3 = np.sqrt(q ** 2 + m3 ** 2)
-    e4 = np.sqrt(q ** 2 + m4 ** 2)
+    q2 = q ** 2
+    e3 = np.sqrt(q2 + m3 ** 2)
+    e4 = e3 if m4 == m3 else np.sqrt(q2 + m4 ** 2)
     return e1, e2, e3, e4, q
 
 
@@ -161,8 +166,10 @@ def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray):
     theta = np.asarray(theta, dtype=float)
     e1, e2, e3, e4, q = _com_energies(process, p)
     s = (e1 + e2) ** 2
-    t = (e1 - e3) ** 2 - (p - q) ** 2 - 4.0 * p * q * np.sin(0.5 * theta) ** 2
-    u = (e1 - e4) ** 2 - (p - q) ** 2 - 4.0 * p * q * np.cos(0.5 * theta) ** 2
+    half = 0.5 * theta
+    diff2, pq4 = (p - q) ** 2, 4.0 * p * q
+    t = (e1 - e3) ** 2 - diff2 - pq4 * np.sin(half) ** 2
+    u = (e1 - e4) ** 2 - diff2 - pq4 * np.cos(half) ** 2
     return s, t, u, e1, e2, e3, e4, q
 
 

@@ -28,10 +28,11 @@ import operator
 import numpy as np
 
 from .amplitudes import helicity_amplitudes_batch
-from .entanglement import measures_batch
+from .entanglement import measures_batch, partial_transpose
 from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                      UnfilterableStateError)
 from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
+from .linalg import hermitian_eigenvalues_batch
 from .qstate import (InitialState, diagonal, evolve_batch, pure, unpolarized,
                      werner_symmetric)
 from .xsection import dsigma_domega_from_msq
@@ -361,7 +362,8 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
         rho, ok = evolve_batch(amps, rho_in)
         if not bool(ok[0]):
             raise UnfilterableStateError(f"no outgoing flux at bracket point p={p}")
-        return float(measures_batch(rho)["min_pt_eig"][0])
+        # only the sign matters: the PT spectrum alone, as `measures_batch` forms it
+        return float(hermitian_eigenvalues_batch(partial_transpose(rho))[0, 0])
 
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
     if not 0 < lo < hi:

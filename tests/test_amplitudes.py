@@ -317,3 +317,25 @@ def test_grid_equals_flat_point_list(proc):
     # a plain p row broadcasts like the stored-once view
     row = helicity_amplitudes_batch(proc, p, theta[:, None])
     assert np.array_equal(row[0], grid[0])
+
+
+def test_no_runtime_contraction(monkeypatch):
+    # the theta-side algebra is compiled once per process at import; a call
+    # only forms features and weights and runs two matmuls per channel
+    from qedtangle import amplitudes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("helicity algebra contracted at call time")
+
+    for name in ("_current_pair", "_slash_chain", "_to_helicity_axes"):
+        monkeypatch.setattr(amplitudes, name, forbidden)
+    theta = np.linspace(0.1, 2 * math.pi - 0.1, 4)
+    for proc in ProcessKind:
+        lo, hi = (110.0, 5000.0) if proc is ProcessKind.MUON_PAIR else (0.05, 50.0)
+        p = np.geomspace(lo, hi, 5)
+        total, _, divergent = helicity_amplitudes_batch(proc, p[2:3], np.array([0.7]))
+        assert total.shape == (1, 4, 4) and np.all(np.isfinite(total)) and not divergent[0]
+        total, _, divergent = helicity_amplitudes_batch(
+            proc, np.broadcast_to(p, (theta.size, p.size)), theta[:, None])
+        assert total.shape == (theta.size, p.size, 4, 4)
+        assert np.all(np.isfinite(total)) and not divergent.any()

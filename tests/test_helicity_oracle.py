@@ -64,6 +64,27 @@ def test_oracle_matches_program_up_to_rephasing(proc):
     assert np.allclose(scale_got, scale_want, rtol=1e-10, atol=0.0)
 
 
+#: angles at the edges of a turn and outside [0, 2 pi), one point per call
+EDGE_THETAS = (1e-7, math.pi - 1e-7, math.pi + 1e-7, 2 * math.pi - 1e-7, -1.0, 7.0)
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_oracle_matches_single_points_at_edge_angles(proc):
+    # N = 1 calls, the per-call path of `qedtangle point` and the bisection;
+    # near a photon-propagator pole the matrix is large but still compared
+    p = 300.0 if proc is ProcessKind.MUON_PAIR else 0.7
+    got = np.concatenate([helicity_amplitudes_batch(proc, np.array([p]), np.array([theta]))[0]
+                          for theta in EDGE_THETAS])
+    want = oracle.amplitudes(proc.value, np.full(len(EDGE_THETAS), p), np.array(EDGE_THETAS))
+    got_abs, got_plaq = _invariants(got)
+    want_abs, want_plaq = _invariants(want)
+    assert np.max(np.abs(got_abs - want_abs)) <= 2e-13
+    assert np.max(np.abs(got_plaq - want_plaq)) <= 2e-13
+    scale_got = np.sum(np.abs(got) ** 2, axis=(1, 2))
+    scale_want = np.sum(np.abs(want) ** 2, axis=(1, 2))
+    assert np.allclose(scale_got, scale_want, rtol=1e-10, atol=0.0)
+
+
 def test_oracle_spinors_and_polarizations():
     rng = np.random.default_rng(7)
     vec = rng.normal(size=(8, 3)) * np.array([[3.0], [0.2], [40.0], [1e4],
