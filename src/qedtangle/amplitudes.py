@@ -305,23 +305,46 @@ def _compile(process: ProcessKind, vector_legs=()) -> tuple[_Channel, ...]:
 
 _COMPILED = {process: _compile(process) for process in ProcessKind}
 
+#: a leg's helicity signs (L, R) under mirror reflection in the scattering
+#: plane, which flips every helicity: sigma_z for a fermion, 1 for a photon
+_MIRROR_LEG = {"u": (1.0, -1.0), "v": (1.0, -1.0), "photon": (1.0, 1.0)}
 
-def helicity_amplitudes_batch(process: ProcessKind, p, theta, photon_vectors=None):
+
+def _mirror_signs(pair) -> np.ndarray:
+    """Diagonal of D for a pair of legs, over (LL, LR, RL, RR)."""
+    first, second = (np.array(_MIRROR_LEG[spec.field]) for spec in pair)
+    return np.outer(first, second).ravel()
+
+
+#: process -> (D_out, D_in) diagonals of the mirror relation obeyed by every
+#: amplitude matrix, M = D_out XX M XX D_in with XX = sigma_x (x) sigma_x
+#: (LL <-> RR, LR <-> RL): diag(1, -1, -1, 1) for a fermion pair, 1 for a
+#: photon pair, diag(1, 1, -1, -1) for an electron and a photon
+MIRROR_SIGNS = {process: (_mirror_signs(info["out"]), _mirror_signs(info["in"]))
+                for process, info in PROCESS_TABLE.items()}
+
+
+def helicity_amplitudes_batch(process: ProcessKind, p, theta, photon_vectors=None,
+                              invariants=None):
     """(total (..., 4, 4), channels, divergent mask (...)) over p and theta.
 
     p and theta broadcast against each other; the outputs have their
     broadcast shape. `photon_vectors` maps a photon leg (0..3 = in1, in2,
     out1, out2) to a (..., 4) in-plane vector used in place of its
     polarization vectors, for both helicities; substituting the photon
-    momentum checks the Ward identity.
+    momentum checks the Ward identity. `invariants` is what
+    `mandelstam_batch(process, p, theta)` returns, passed by a caller that
+    has already formed it; by default the engine forms it.
     """
     masses = process_masses(process)
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast(p, theta).shape
     p, theta = _once(p), _once(theta)
-    s, t, u, e1, e2, _, _, q = mandelstam_batch(process, p, theta)
-    invariants = {"s": s, "t": t, "u": u}
+    if invariants is None:
+        invariants = mandelstam_batch(process, p, theta)
+    s, t, u, e1, e2, _, _, q = invariants
+    denominators = {"s": s, "t": t, "u": u}
     vectors = photon_vectors or {}
     compiled = _compile(process, vectors) if vectors else _COMPILED[process]
     features = _Features({k: plane_vector(vec) for k, vec in vectors.items()}, theta=theta)
@@ -350,7 +373,7 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, photon_vectors=Non
             m_prop = masses[spec[0]]
             w = _outer(_outer(leg_weights(spec[0]), _propagator_weights(
                 channel.name, masses, m_prop, p, q, e1, e2, s)), leg_weights(spec[3]))
-        den = invariants[channel.name] - m_prop ** 2
+        den = denominators[channel.name] - m_prop ** 2
         if den.shape != shape:
             den = np.broadcast_to(den, shape)
         divergent |= np.abs(den) < pole
@@ -369,8 +392,10 @@ def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
     Raises DivergentKinematicsError on propagator poles (|denominator|
     < 1e-12 s).
     """
+    invariants = (kin.s, kin.t, kin.u, *kin.energies, kin.q_out)
     total, channels, divergent = helicity_amplitudes_batch(
-        kin.process, np.array([kin.p]), np.array([kin.theta]))
+        kin.process, np.array([kin.p]), np.array([kin.theta]),
+        invariants=tuple(np.array([x]) for x in invariants))
     if bool(divergent[0]):
         raise DivergentKinematicsError(
             f"{kin.process.value}: propagator pole at p={kin.p}, theta={kin.theta}")

@@ -14,6 +14,7 @@ numerical zero, decided in `_measures` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -126,11 +127,40 @@ def analyze(rho) -> EntanglementReport:
     )
 
 
-def measures_batch(rho: np.ndarray) -> dict:
+def mirror_spectra(h: np.ndarray, signs) -> np.ndarray:
+    """Ascending eigenvalues (..., 4) of Hermitian h (..., 4, 4) that commute
+    with A = diag(signs) XX, XX = sigma_x (x) sigma_x, where A^2 = +-1.
+
+    A swaps e0 <-> e3 and e1 <-> e2 up to the signs d. Its eigenspace of
+    eigenvalue lam (+-1 when A^2 = 1, +-i when A^2 = -1) is spanned by
+    (e0 + lam d0 e3)/sqrt2 and (e1 + lam d1 e2)/sqrt2, so h is two 2 x 2
+    blocks [[a, b], [b*, d]] in that basis, with eigenvalues
+    (a + d)/2 -+ hypot((a - d)/2, |b|). With A^2 = -1 the blocks of a real h
+    are complex conjugates, so the spectrum is doubly degenerate.
+    """
+    d0, d1, _, d3 = signs
+    h00, h11, h22, h33 = (h[..., i, i].real for i in range(4))
+    outer, inner = 0.5 * (h00 + h33), 0.5 * (h11 + h22)
+    eigs = []
+    for lam in ((1.0, -1.0) if d0 * d3 > 0 else (1j, -1j)):
+        c, k = lam * d0, lam * d1
+        a = outer + (c * h[..., 0, 3]).real
+        d = inner + (k * h[..., 1, 2]).real
+        b = 0.5 * (h[..., 0, 1] + k * h[..., 0, 2] + np.conj(c) * (h[..., 3, 1] + k * h[..., 3, 2]))
+        mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+        eigs += [mid - radius, mid + radius]
+    return np.sort(np.stack(eigs, axis=-1), axis=-1)
+
+
+def measures_batch(rho: np.ndarray, mirror=None) -> dict:
     """Vectorized scan measures for a batch (N,4,4) of states.
 
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
-    entangled, switching.
+    entangled, switching. `mirror`, when given, holds the signs d of a
+    symmetry A = diag(d) XX that every state and its partial transpose
+    commute with; both spectra then come from `mirror_spectra` rather than
+    LAPACK.
     """
-    return _measures(hermitian_eigenvalues_batch(partial_transpose(rho)),
-                     hermitian_eigenvalues_batch(rho))
+    spectra = (hermitian_eigenvalues_batch if mirror is None
+               else functools.partial(mirror_spectra, signs=mirror))
+    return _measures(spectra(partial_transpose(rho)), spectra(rho))

@@ -103,6 +103,7 @@ class KinematicPoint:
     t: float
     u: float
     q_out: float
+    energies: tuple[float, float, float, float]     # E1, E2, E3, E4 [MeV]
 
 
 def _com_energies(process: ProcessKind, p: np.ndarray):
@@ -147,12 +148,12 @@ def build_kinematics(process: ProcessKind, p: float, theta: float) -> KinematicP
         raise InvalidKinematicsError(f"incoming momentum must be positive, got {p}")
     theta = theta % (2.0 * math.pi)
 
-    s, t, u, _, _, _, _, q = (float(x) for x in mandelstam_batch(
+    s, t, u, *energies, q = (float(x) for x in mandelstam_batch(
         process, np.asarray(p), np.asarray(theta)))
     if math.isnan(q):
         raise BelowThresholdError(f"{process.value}: p = {p!r} MeV below threshold "
                                   f"{threshold_momentum(process)!r} MeV")
-    return KinematicPoint(process, p, theta, s, t, u, q)
+    return KinematicPoint(process, p, theta, s, t, u, q, tuple(energies))
 
 
 def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray):

@@ -10,6 +10,16 @@ CHUNK_POINTS, each a block of whole theta rows against the live p values
 (a longer row is split along p), which a thread pool shares out when
 jobs > 1, so results are deterministic and do not depend on jobs.
 
+Spectra: mirror reflection in the scattering plane flips every helicity,
+and the engine obeys M = D_out XX M XX D_in (`amplitudes.MIRROR_SIGNS`).
+`run_scan` decides once per scan whether the initial state is exactly
+mirror-invariant, D_in XX rho_in XX D_in == rho_in. It is for
+`unpolarized`, for `diag:` with w1 = w4 and w2 = w3, and for `werner` in
+every process but Compton. Then every outgoing state and its partial
+transpose commute with A = D_out XX, and both spectra come from closed-form
+2 x 2 blocks (`entanglement.mirror_spectra`). Every other input (pure
+states, asymmetric `diag:`, Compton `werner`) keeps LAPACK's eigvalsh.
+
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
 propagator denominators still vanish are reported with status "divergent"
@@ -27,7 +37,7 @@ import operator
 
 import numpy as np
 
-from .amplitudes import helicity_amplitudes_batch
+from .amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
 from .entanglement import measures_batch, partial_transpose
 from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                      UnfilterableStateError)
@@ -201,16 +211,25 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
     return out
 
 
+def _mirror(process: ProcessKind, rho_in: np.ndarray) -> np.ndarray | None:
+    """D_out when rho_in is exactly mirror-invariant, D_in XX rho_in XX D_in
+    == rho_in, else None; see the module docstring."""
+    d_out, d_in = MIRROR_SIGNS[process]
+    flipped = d_in[:, None] * rho_in[::-1, ::-1] * d_in
+    return d_out if np.array_equal(flipped, rho_in) else None
+
+
 def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-              rho_in: np.ndarray) -> dict:
-    """Measures and status flags, flattened, for p and theta broadcast together."""
+              rho_in: np.ndarray, mirror: np.ndarray | None) -> dict:
+    """Measures and status flags, flattened, for p and theta broadcast together;
+    `mirror` is `_mirror(process, rho_in)`."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
     amps, divergent = amps.reshape(-1, 4, 4), divergent.ravel()
     amps = np.where(divergent[:, None, None], 0.0, amps)
     rho, flux_ok = evolve_batch(amps, rho_in)
     bad = divergent | ~flux_ok
     safe = np.where(bad[:, None, None], np.eye(4) / 4.0, rho)
-    res = measures_batch(safe)
+    res = measures_batch(safe, mirror=mirror)
     res["divergent"] = divergent
     res["unfilterable"] = ~flux_ok & ~divergent
     return res
@@ -237,6 +256,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     cfg.validate()
     init = parse_initial(cfg.initial)
     rho_in = init.density.entries
+    mirror = _mirror(cfg.process, rho_in)
     p_grid = cfg.p_grid()
     theta_grid = cfg.theta_grid()
     if len(theta_grid) > 1:
@@ -261,7 +281,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         theta = theta_grid[block]
         # p as a broadcast view: one entry per grid point, stored once
         res = _evaluate(cfg.process, np.broadcast_to(p_grid[cols], (theta.size, cols.size)),
-                        theta[:, None], rho_in)
+                        theta[:, None], rho_in, mirror)
         idx = (row_index[block, None] * p_grid.size + cols).ravel()
         code = np.where(res["divergent"], _DIVERGENT,
                         np.where(res["unfilterable"], _UNFILTERABLE, _OK))

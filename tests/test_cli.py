@@ -129,6 +129,22 @@ def test_point_command(capsys):
     assert "negativity" in text and "closest Bell" in text
 
 
+@pytest.mark.parametrize("process", ["moller", "compton", "muon-pair"])
+def test_point_command_forms_the_invariants_once(monkeypatch, capsys, process):
+    from qedtangle import amplitudes, kinematics
+    calls = []
+    real = kinematics.mandelstam_batch
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(kinematics, "mandelstam_batch", counting)
+    monkeypatch.setattr(amplitudes, "mandelstam_batch", counting)
+    assert main(["point", "--process", process, "--p", "150.0", "--theta", "1.0"]) == 0
+    assert len(calls) == 1
+
+
 def test_point_below_threshold_exit_code():
     assert main(["point", "--process", "muon-pair", "--p", "50.0",
                  "--theta", "1.0"]) == 2
@@ -182,8 +198,9 @@ def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr("qedtangle.entanglement.hermitian_eigenvalues_batch", fail)
-    rc = main(["scan", "--process", "moller", "--p-steps", "2", "--theta-steps", "2",
-               "--out", str(tmp_path / "x.csv")])
+    # a pure input is not mirror-invariant, so the scan's spectra come from LAPACK
+    rc = main(["scan", "--process", "moller", "--initial", "ll", "--p-steps", "2",
+               "--theta-steps", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 
