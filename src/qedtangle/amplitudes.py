@@ -33,22 +33,32 @@ a short feature vector of its piece:
 Leg 3, at theta + pi, shares leg 2's features: its half angle
 (-sin, cos)(theta/2) and direction -khat(theta) are folded into its basis.
 
-So G(theta) = f(theta) @ T, with f the product of the channel's feature
-vectors (F <= 27 entries) and T a constant (F, K * 16) tensor. `_compile`
-builds T for every process and channel once, at import, by running the
-current and slash-chain contractions on the feature bases, each piece's
-basis on its own broadcast axis. A call then forms the invariants, the
-p-side weights W, the features once per distinct angle, G = f @ T, and
-W @ G divided by the propagator denominator once per point: two small
-matmuls, each stacked per item, so a point gives the same bits at any batch
-size. On a scan, theta is a column of grid rows and p a row of grid
-momenta; a flat point list is the case where both have one entry per point,
-and the two give the same bits. An axis along which an argument is a
-broadcast view (stride 0) is evaluated once. A leg listed in
-`photon_vectors` takes the four plane components of its vector as features
-and the unit plane vectors as basis, so its process's T is built at call
-time by the same `_compile`. A new leg type supplies its p-side weights
-(`_leg_weights`) and its feature basis (`_leg`).
+So G(theta) = f(theta) @ T, with f the product of the feature vectors and
+T a constant tensor. `_compile` builds one T per process, at import, by
+running the current and slash-chain contractions on the feature bases, each
+piece's basis on its own broadcast axis, and stacks the channels on one
+channel axis: T is (F, C * K * 16). The channels share their legs'
+features; a process with slash chains adds one propagator feature, the
+union of its channels' columns, and a channel puts its tensor on its own
+columns (an s channel, which has none, on the constant 1) and zeros
+elsewhere. A channel with fewer terms is padded to K with zero tensors and
+unit weights. A call then forms the invariants, the features once per
+distinct angle, one product f and one G = f @ T, one product giving every
+channel's p-side weights W (an index table into one vector of weight
+terms), one W @ G over the channel axis, and one multiply by each channel's
+sign e^2 / denominator; the total is the sum over the channel axis and the
+`channels` dict holds views into that array. The matmuls are stacked per
+item, so a point gives the same bits at any batch size, zero-dimensional
+p and theta included (`amplitude` and `find_threshold` pass those, whose
+p-side arithmetic is numpy scalar math; squares are products, never
+`** 2`, which is pow() on a scalar). On a scan, theta is a column of grid
+rows and p a row of grid momenta; a flat point list is the case where both
+have one entry per point, and the two give the same bits. An axis along
+which an argument is a broadcast view (stride 0) is evaluated once. A leg
+listed in `photon_vectors` takes the four plane components of its vector as
+feature columns and the unit plane vectors as basis, so its process's T is
+built at call time by the same `_compile`. A new leg type supplies its
+p-side weight terms (`_weight_terms`) and its feature basis (`_leg`).
 
 Feynman gauge photon propagator -i g_munu / q^2, vertices -i e gamma^mu,
 fermion propagators i (qslash + m) / (q^2 - m^2).
@@ -56,13 +66,14 @@ fermion propagators i (qslash + m) / (q^2 - m^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
 from .constants import DEFAULT
 from .dirac import (GAMMA0, IDENTITY4, PLANE_CONJ, POLARIZATION_PARTS, current_batch,
                     lorentz_dot_batch, plane_vector, polarizations, slash_batch,
-                    spinor_parts, spinor_weights)
+                    spinor_parts)
 from .errors import DivergentKinematicsError
 from .kinematics import (PROCESS_TABLE, KinematicPoint, ProcessKind,
                          mandelstam_batch, process_masses)
@@ -127,42 +138,34 @@ def _stack(arrays) -> np.ndarray:
     return np.concatenate([a[..., None] for a in arrays], axis=-1)
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a_i b_j over the last axes, flattened i-major: (..., I * J)."""
-    out = a[..., :, None] * b[..., None, :]
-    return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+#: the feature columns of a call (`_columns`): cos and sin of 0, theta/2 and
+#: theta, then sin^2 and cos^2 of theta/2; a piece's feature vector is a
+#: tuple of column indices
+_ONE, _COS_HALF, _COS, _ZERO, _SIN_HALF, _SIN, _SIN_HALF2, _COS_HALF2 = range(8)
+_ANGLES = np.array([0.0, 0.5, 1.0])
+_SPINOR_FEATURES = (_COS_HALF, _SIN_HALF)
+_PHOTON_FEATURES = (_ONE, _COS, _SIN)
+_PROPAGATOR_FEATURES = {"t": (_ONE, _SIN, _SIN_HALF2), "u": (_ONE, _SIN, _COS_HALF2)}
 
 
-class _Features(dict):
-    """One call's feature vectors (..., F) by name (`_FEATURES`), and their outer
-    products by tuple of names, each computed on first use from "theta"."""
-
-    def __missing__(self, key):
-        if isinstance(key, tuple):
-            value = self[key[0]] if len(key) == 1 else _outer(self[key[:-1]], self[key[-1]])
-        else:
-            value = _FEATURES[key](self)
-        self[key] = value
-        return value
-
-
-#: the trigonometry, then the feature vectors named in `_leg` and `_propagator`
-_FEATURES = {
-    "theta/2": lambda f: 0.5 * f["theta"],
-    "cos/2": lambda f: np.cos(f["theta/2"]),
-    "sin/2": lambda f: np.sin(f["theta/2"]),
-    "cos": lambda f: np.cos(f["theta"]),
-    "sin": lambda f: np.sin(f["theta"]),
-    "one": lambda f: np.ones_like(f["theta"]),
-    "spinor": lambda f: _stack([f["cos/2"], f["sin/2"]]),
-    "photon": lambda f: _stack([f["one"], f["cos"], f["sin"]]),
-    "t": lambda f: _stack([f["one"], f["sin"], f["sin/2"] ** 2]),
-    "u": lambda f: _stack([f["one"], f["sin"], f["cos/2"] ** 2]),
-}
+def _columns(theta, vectors, squares) -> np.ndarray:
+    """The feature columns (..., 8) at theta, then the four plane components
+    of each leg in `vectors`, in leg order; without `squares` only the first six."""
+    angles = theta[..., None] * _ANGLES
+    cols = np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
+    if not squares:
+        return cols
+    cols = np.concatenate([cols, cols[..., (_SIN_HALF, _COS_HALF)] ** 2], axis=-1)
+    if not vectors:
+        return cols
+    parts = [cols] + [plane_vector(vectors[k]) for k in sorted(vectors)]
+    lead = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
+    return np.concatenate([np.broadcast_to(part, lead + part.shape[-1:]) for part in parts],
+                          axis=-1)
 
 
 def _leg(k, spec):
-    """Leg k's theta side: (feature name or None, basis (F, T, 2, 4)).
+    """Leg k's theta side: (feature columns or None, basis (F, T, 2, 4)).
 
     The helicity axis is ordered L, R. Incoming legs (k = 0, 1) run along +z
     and -z, outgoing legs (k = 2, 3) at theta and theta + pi, the latter
@@ -170,15 +173,10 @@ def _leg(k, spec):
     so theta + pi is never rounded.
     """
     if spec.field == "photon":
-        return (None, _PHOTONS_IN[k]) if k < 2 else ("photon", _PHOTONS_OUT[k - 2])
+        return (None, _PHOTONS_IN[k]) if k < 2 else (_PHOTON_FEATURES, _PHOTONS_OUT[k - 2])
     if k < 2:
         return None, _SPINORS_IN[spec.field][k]
-    return "spinor", _SPINORS_OUT[spec.field][k - 2]
-
-
-def _leg_weights(mass, momentum):
-    """p-side weights (..., T) of a fermion leg: sqrt(E + m) and |p|/sqrt(E + m)."""
-    return _stack(spinor_weights(mass, momentum))
+    return _SPINOR_FEATURES, _SPINORS_OUT[spec.field][k - 2]
 
 
 def _mass_gaps(masses):
@@ -188,37 +186,15 @@ def _mass_gaps(masses):
 
 
 def _propagator(name, masses):
-    """theta side of slash(p1 +- leg momentum) + m: (feature name or None, basis (F, T, 4, 4)).
+    """theta side of slash(p1 +- leg momentum) + m: (feature columns or None,
+    basis (F, T, 4, 4)).
 
     The z-slash term is left out where its weight vanishes for every p
     (equal masses)."""
     if name == "s":
         return None, _PROPAGATOR_S
     basis = _PROPAGATOR_TU[name]
-    return name, (basis if any(_mass_gaps(masses)) else basis[:, :3])
-
-
-def _propagator_weights(name, masses, m, p, q, e1, e2, s):
-    """p-side weights (..., T) of slash(p1 +- leg momentum) + m.
-
-    Its time part c0 g0-slash + m is written as m (1 + g0) + (c0 - m) g0, so
-    c0 and m, nearly equal near rest, cancel in the exact projector 1 + g0.
-    c0 - m and p - |q| come from mass differences and sqrt(s) - m =
-    p^2/(E1 + m1) + (m1 - m) + E2, with no subtraction of nearly equal
-    numbers.
-    """
-    sq1, sq2, sq3, sq4 = (x * x for x in masses)
-    above = p ** 2 / (e1 + masses[0]) + (masses[0] - m) + e2      # sqrt(s) - m
-    if name == "s":
-        return _stack([np.full_like(above, m), above])
-    # 2 sqrt(s) (E1 - E_q) = m1^2 - m2^2 -+ (m3^2 - m4^2), - for t, + for u
-    d_energy = (sq1 - sq2) - (sq3 - sq4) if name == "t" else (sq1 - sq2) + (sq3 - sq4)
-    weights = [np.full_like(above, m),
-               ((d_energy - 2.0 * m * m) - 2.0 * m * above) / (2.0 * (e1 + e2)), q]
-    gap_s, gap_0 = _mass_gaps(masses)
-    if gap_s or gap_0:          # s = (E1 + E2)^2
-        weights.append((gap_s * s + gap_0) / (4.0 * s) / (p + q))
-    return _stack(weights)
+    return _PROPAGATOR_FEATURES[name], (basis if any(_mass_gaps(masses)) else basis[:, :3])
 
 
 def _to_helicity_axes(value, order):
@@ -266,44 +242,169 @@ def _slash_chain(legs, spec, tp):
     return _to_helicity_axes(value.reshape(value.shape[:-5] + (k, 4, 4)), (a, bar, b, leg))
 
 
+def _grid(*axes) -> np.ndarray:
+    """Every combination of one entry per axis, i-major: (len(axes), product of lengths)."""
+    return np.array(list(itertools.product(*axes)), dtype=np.intp).T
+
+
 @dataclass(frozen=True)
-class _Channel:
-    """A compiled channel: its numerator is sum_k W_k(p) G_k with G = f(theta) @ tensor."""
+class _Compiled:
+    """A process's channels on one channel axis c: channel c's numerator is
+    sum_k W[c, k](p) G[c, k](theta), with G = f(theta) @ tensor."""
 
-    name: str
-    sign: float
-    spec: tuple
-    features: tuple           # keys of its pieces' feature vectors, in piece order
-    tensor: np.ndarray        # (F, K * 16)
+    names: tuple              # channel names, in PROCESS_TABLE order
+    columns: np.ndarray       # (pieces, F): f is the product over pieces of these columns
+    squares: bool             # whether `_columns` forms sin^2 and cos^2 of theta/2
+    tensor: np.ndarray        # (F, C * K * 16)
+    weights: np.ndarray       # (4, C, K) indices into `_weight_terms`; W = (w0 w1)(w2 w3)
+    invariants: tuple         # each channel's invariant, as an index into (s, t, u)
+    mass2: np.ndarray         # (C,) propagator mass^2 subtracted from the invariant
+    scale: np.ndarray         # (C,) sign e^2
+    # what `_weight_terms` needs
+    m1: float                 # mass of leg 0
+    constants: np.ndarray     # 1 and each slash chain's fermion mass m
+    legs: tuple               # one fermion leg per distinct (mass, in or out)
+    leg_masses: np.ndarray    # their masses
+    offsets: np.ndarray       # m1 - m of each chain
+    tu: np.ndarray            # the t and u chains, as indices into the chains
+    c1: np.ndarray            # 2 sqrt(s) (E1 - E_q) - 2 m^2 of each t or u chain
+    c2: np.ndarray            # 2 m of each t or u chain
+    gap: tuple                # `_mass_gaps` when p - |q| is a term, else ()
 
 
-def _compile(process: ProcessKind, vector_legs=()) -> tuple[_Channel, ...]:
-    """The channels of `process` with G as constant tensors over the feature bases.
+def _compile(process: ProcessKind, vector_legs=()) -> _Compiled:
+    """The channels of `process`, with G as one constant tensor over the feature bases.
 
     The pieces are legs 0..3, then a slash chain's propagator; piece i puts
     its basis on leading axis i, so the contractions return G over the
     product of the bases, in the order of the outer product of the features.
-    A leg in `vector_legs` has the unit plane vectors as basis and its own
-    number as feature key.
+    The feature vector f is the product of the legs' features and, when the
+    process has slash chains, the union of its propagators' columns: a
+    channel puts its tensor on the columns of its own propagator (the
+    constant 1 for an s channel) and zeros elsewhere, and a channel with
+    fewer terms K is padded with zero G and unit W. A leg in `vector_legs`
+    has the unit plane vectors as basis and its own plane components as
+    feature columns.
     """
     info = PROCESS_TABLE[process]
     masses = process_masses(process)
-    legs = [(k, _VECTOR_BASIS) if k in vector_legs else _leg(k, spec)
-            for k, spec in enumerate(info["in"] + info["out"])]
-    channels = []
-    for name, sign, spec in info["channels"]:
-        pieces = legs if len(spec) == 2 else legs + [_propagator(name, masses)]
+    specs = info["in"] + info["out"]
+    vector_columns = {k: tuple(range(8 + 4 * j, 12 + 4 * j))
+                      for j, k in enumerate(sorted(vector_legs))}
+    legs = [(vector_columns[k], _VECTOR_BASIS) if k in vector_columns else _leg(k, spec)
+            for k, spec in enumerate(specs)]
+    channels = info["channels"]
+    keys = {}                 # fermion legs with distinct weights, by (mass, outgoing)
+    for k, spec in enumerate(specs):
+        if spec.field != "photon":
+            keys.setdefault((masses[k], k > 1), k)
+    chains = [(name, masses[spec[0]]) for name, _, spec in channels if len(spec) == 4]
+    tu = [i for i, (name, _) in enumerate(chains) if name != "s"]
+    gap = _mass_gaps(masses) if tu and any(_mass_gaps(masses)) else ()
+    # the layout of `_weight_terms`; only slash chains read the constants
+    first_leg = 1 + len(chains) if chains else 0
+    first_above = first_leg + 2 * len(keys)
+    first_d = first_above + len(chains)
+    at_q = first_d + len(tu)
+
+    def leg_terms(k):
+        slot = first_leg + list(keys).index((masses[k], k > 1))
+        return slot, slot + len(keys)
+
+    def propagator_terms(i):
+        if chains[i][0] == "s":
+            return 1 + i, first_above + i
+        return (1 + i, first_d + tu.index(i), at_q) + ((at_q + 1,) if gap else ())
+
+    props = [_propagator(name, masses) if len(spec) == 4 else None for name, _, spec in channels]
+    union = sorted({col for prop in props if prop is not None for col in prop[0] or (_ONE,)})
+    gs, factors, chain = [], [], iter(range(len(chains)))
+    for (name, _, spec), prop in zip(channels, props):
+        pieces = legs if prop is None else legs + [prop]
         n = len(pieces)
         bases = [basis.reshape((1,) * i + basis.shape[:1] + (1,) * (n - 1 - i) + basis.shape[1:])
                  for i, (_, basis) in enumerate(pieces)]
-        g = _current_pair(bases, spec) if len(spec) == 2 else _slash_chain(bases, spec, bases[4])
-        channels.append(_Channel(name, sign, spec,
-                                 tuple(key for key, _ in pieces if key is not None),
-                                 np.ascontiguousarray(g.reshape(-1, g.shape[-2] * 16))))
-    return tuple(channels)
+        if prop is None:
+            g = _current_pair(bases, spec)
+            factors.append(_grid(*(leg_terms(k) for pair in spec for k in pair)))
+        else:
+            g = _slash_chain(bases, spec, bases[4])
+            factors.append(_grid(leg_terms(spec[0]), propagator_terms(next(chain)),
+                                 leg_terms(spec[3]), (0,)))
+        gs.append(g.reshape([basis.shape[0] for _, basis in pieces] + list(g.shape[-2:])))
+    # every channel on the channel axis, a chain's propagator columns onto the
+    # union; the rest of the tensor, padding included, is zero
+    k_max = max(g.shape[-2] for g in gs)
+    tensor = np.zeros(gs[0].shape[:len(legs)] + ((len(union),) if union else ())
+                      + (len(gs), k_max, 16))
+    for c, (g, prop) in enumerate(zip(gs, props)):
+        at = (c, slice(0, g.shape[-2]), slice(None))
+        if prop is not None:
+            at = ([union.index(col) for col in prop[0] or (_ONE,)],) + at
+        tensor[(Ellipsis,) + at] = g
+    # padding, which only a process with slash chains needs, reads the constant 1
+    weights = np.zeros((4, len(gs), k_max), dtype=np.intp)
+    for c, factor in enumerate(factors):
+        weights[:, c, :factor.shape[1]] = factor
+    features = [cols for cols, _ in legs if cols is not None] + ([union] if union else [])
+    sq1, sq2, sq3, sq4 = (x * x for x in masses)
+    # 2 sqrt(s) (E1 - E_q) = m1^2 - m2^2 -+ (m3^2 - m4^2), - for t, + for u
+    d_energy = {"t": (sq1 - sq2) - (sq3 - sq4), "u": (sq1 - sq2) + (sq3 - sq4)}
+    return _Compiled(
+        names=tuple(name for name, _, _ in channels),
+        columns=_grid(*features),
+        squares=bool(union) or bool(vector_legs),
+        tensor=np.ascontiguousarray(tensor.reshape(-1, len(gs) * k_max * 16)),
+        weights=weights,
+        invariants=tuple("stu".index(name) for name, _, _ in channels),
+        mass2=np.array([masses[spec[0]] ** 2 if len(spec) == 4 else 0.0
+                        for _, _, spec in channels]),
+        scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]),
+        m1=masses[0],
+        constants=np.array([1.0] + [m for _, m in chains] if chains else []),
+        legs=tuple(keys.values()),
+        leg_masses=np.array([masses[k] for k in keys.values()]),
+        offsets=np.array([masses[0] - m for _, m in chains]),
+        tu=np.array(tu, dtype=np.intp),
+        c1=np.array([d_energy[chains[i][0]] - 2.0 * chains[i][1] * chains[i][1] for i in tu]),
+        c2=np.array([2.0 * chains[i][1] for i in tu]),
+        gap=gap)
 
 
 _COMPILED = {process: _compile(process) for process in ProcessKind}
+
+
+def _weight_terms(compiled: _Compiled, p, invariants) -> np.ndarray:
+    """The p-side weight terms (..., V) that `compiled.weights` indexes.
+
+    They are 1 and each slash chain's fermion mass m; sqrt(E + m) and then
+    |k| / sqrt(E + m) of each weight leg; sqrt(s) - m of each chain; then,
+    for t and u chains, c0 - m, |q| and, with unequal masses, p - |q|.
+    A chain's propagator slash(p1 +- leg momentum) + m has its time part
+    c0 g0-slash + m written as m (1 + g0) + (c0 - m) g0, so c0 and m, nearly
+    equal near rest, cancel in the exact projector 1 + g0: an s channel's
+    terms are m and sqrt(s) - m, a t or u channel's m, c0 - m, |q| and
+    p - |q|. c0 - m and p - |q| come from mass differences and sqrt(s) - m =
+    p^2/(E1 + m1) + (m1 - m) + E2, with no subtraction of nearly equal
+    numbers.
+    """
+    s, _, _, e1, e2, e3, e4, q = invariants
+    energies, momenta = (e1, e2, e3, e4), (p, p, q, q)
+    root = np.sqrt(_stack([energies[k] for k in compiled.legs]) + compiled.leg_masses)
+    legs = [root, _stack([momenta[k] for k in compiled.legs]) / root]
+    if not compiled.offsets.size:           # no slash chains
+        return np.concatenate(legs, axis=-1)
+    above = ((p * p / (e1 + compiled.m1))[..., None] + compiled.offsets) + e2[..., None]
+    terms = [np.full(root.shape[:-1] + compiled.constants.shape, compiled.constants),
+             *legs, above]
+    if compiled.tu.size:
+        terms += [(compiled.c1 - compiled.c2 * above[..., compiled.tu])
+                  / (2.0 * (e1 + e2))[..., None], q[..., None]]
+    if compiled.gap:            # s = (E1 + E2)^2
+        gap_s, gap_0 = compiled.gap
+        terms.append(((gap_s * s + gap_0) / (4.0 * s) / (p + q))[..., None])
+    return np.concatenate(terms, axis=-1)
+
 
 #: a leg's helicity signs (L, R) under mirror reflection in the scattering
 #: plane, which flips every helicity: sigma_z for a fermion, 1 for a photon
@@ -329,74 +430,55 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, photon_vectors=Non
     """(total (..., 4, 4), channels, divergent mask (...)) over p and theta.
 
     p and theta broadcast against each other; the outputs have their
-    broadcast shape. `photon_vectors` maps a photon leg (0..3 = in1, in2,
-    out1, out2) to a (..., 4) in-plane vector used in place of its
-    polarization vectors, for both helicities; substituting the photon
-    momentum checks the Ward identity. `invariants` is what
-    `mandelstam_batch(process, p, theta)` returns, passed by a caller that
-    has already formed it; by default the engine forms it.
+    broadcast shape, () for zero-dimensional p and theta (a (4, 4) total
+    and a numpy bool), and each channel is a view into one (..., C, 4, 4)
+    array. `photon_vectors` maps a photon leg (0..3 = in1, in2, out1, out2)
+    to a (..., 4) in-plane vector used in place of its polarization vectors,
+    for both helicities; substituting the photon momentum checks the Ward
+    identity. `invariants` is what `mandelstam_batch(process, p, theta)`
+    returns, passed by a caller that has already formed it; by default the
+    engine forms it.
     """
-    masses = process_masses(process)
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast(p, theta).shape
     p, theta = _once(p), _once(theta)
     if invariants is None:
         invariants = mandelstam_batch(process, p, theta)
-    s, t, u, e1, e2, _, _, q = invariants
-    denominators = {"s": s, "t": t, "u": u}
     vectors = photon_vectors or {}
     compiled = _compile(process, vectors) if vectors else _COMPILED[process]
-    features = _Features({k: plane_vector(vec) for k, vec in vectors.items()}, theta=theta)
-    momenta = (p, p, q, q)
-    weights = {}            # fermion legs' weights, by (mass, outgoing)
-
-    def leg_weights(k):
-        key = (masses[k], k > 1)
-        if key not in weights:
-            weights[key] = _leg_weights(masses[k], momenta[k])
-        return weights[key]
-
-    channels = {}
-    divergent = np.zeros(shape, dtype=bool)
-    pole = POLE_RTOL * s
-    for channel in compiled:
-        g = (features[channel.features][..., None, :] @ channel.tensor)[..., 0, :]
-        g = g.reshape(g.shape[:-1] + (channel.tensor.shape[-1] // 16, 16))
-        spec = channel.spec
-        if len(spec) == 2:
-            m_prop = 0.0
-            (b1, l1), (b2, l2) = spec
-            w = _outer(_outer(leg_weights(b1), leg_weights(l1)),
-                       _outer(leg_weights(b2), leg_weights(l2)))
-        else:
-            m_prop = masses[spec[0]]
-            w = _outer(_outer(leg_weights(spec[0]), _propagator_weights(
-                channel.name, masses, m_prop, p, q, e1, e2, s)), leg_weights(spec[3]))
-        den = denominators[channel.name] - m_prop ** 2
-        if den.shape != shape:
-            den = np.broadcast_to(den, shape)
-        divergent |= np.abs(den) < pole
-        value = (w[..., None, :] @ g)[..., 0, :]
-        # points on a pole give inf/nan here; the divergent mask flags them
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = channel.sign * DEFAULT.e2 / den
-            channels[channel.name] = (coef[..., None] * value).reshape(shape + (4, 4))
-    first, *rest = channels.values()
-    return (sum(rest, first) if rest else first.copy()), channels, divergent
+    cols = _columns(theta, vectors, compiled.squares)[..., compiled.columns]   # (..., pieces, F)
+    f = cols[..., 0, :]
+    for i in range(1, cols.shape[-2]):          # the outer product, left to right
+        f = f * cols[..., i, :]
+    g = (f[..., None, :] @ compiled.tensor)[..., 0, :]
+    g = g.reshape(g.shape[:-1] + compiled.weights.shape[1:] + (16,))          # (..., C, K, 16)
+    w = _weight_terms(compiled, p, invariants)[..., compiled.weights]
+    w = (w[..., 0, :, :] * w[..., 1, :, :]) * (w[..., 2, :, :] * w[..., 3, :, :])
+    value = (w[..., None, :] @ g)[..., 0, :]                                  # (..., C, 16)
+    den = np.empty(shape + compiled.scale.shape)
+    for c, index in enumerate(compiled.invariants):
+        den[..., c] = invariants[index]
+    den -= compiled.mass2
+    divergent = (np.abs(den) < (POLE_RTOL * invariants[0])[..., None]).any(axis=-1)
+    # points on a pole give inf/nan here; the divergent mask flags them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        channels = ((compiled.scale / den)[..., None] * value).reshape(den.shape + (4, 4))
+    return (channels.sum(axis=-3),
+            {name: channels[..., c, :, :] for c, name in enumerate(compiled.names)}, divergent)
 
 
 def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
-    """Helicity amplitude matrix at one kinematic point.
+    """Helicity amplitude matrix at one kinematic point: the engine on
+    zero-dimensional p and theta, with the point's invariants.
 
     Raises DivergentKinematicsError on propagator poles (|denominator|
     < 1e-12 s).
     """
-    invariants = (kin.s, kin.t, kin.u, *kin.energies, kin.q_out)
+    invariants = tuple(np.array([kin.s, kin.t, kin.u, *kin.energies, kin.q_out]))
     total, channels, divergent = helicity_amplitudes_batch(
-        kin.process, np.array([kin.p]), np.array([kin.theta]),
-        invariants=tuple(np.array([x]) for x in invariants))
-    if bool(divergent[0]):
+        kin.process, np.asarray(kin.p), np.asarray(kin.theta), invariants=invariants)
+    if divergent:
         raise DivergentKinematicsError(
             f"{kin.process.value}: propagator pole at p={kin.p}, theta={kin.theta}")
-    return AmplitudeMatrix(total[0], kin, {k: v[0] for k, v in channels.items()})
+    return AmplitudeMatrix(total, kin, channels)

@@ -74,9 +74,13 @@ PROCESS_TABLE: dict[ProcessKind, dict] = {
 }
 
 
+_MASSES = {process: tuple(spec.mass for spec in info["in"] + info["out"])
+           for process, info in PROCESS_TABLE.items()}
+
+
 def process_masses(process: ProcessKind) -> tuple[float, float, float, float]:
-    info = PROCESS_TABLE[process]
-    return tuple(spec.mass for spec in info["in"] + info["out"])  # type: ignore[return-value]
+    """Masses (m1, m2, m3, m4) of legs in1, in2, out1, out2 [MeV]."""
+    return _MASSES[process]  # type: ignore[return-value]
 
 
 def threshold_momentum(process: ProcessKind) -> float:
@@ -119,17 +123,19 @@ def _com_energies(process: ProcessKind, p: np.ndarray):
     m1, m2, m3, m4 = process_masses(process)
     p = np.asarray(p, dtype=float)
     # a pair of equal masses shares one evaluation of its energy terms
-    p2 = p ** 2
+    p2 = p * p
     e1 = np.sqrt(p2 + m1 ** 2)
     e2 = e1 if m2 == m1 else np.sqrt(p2 + m2 ** 2)
     rs = e1 + e2
     k1 = p2 / (e1 + m1)
     k2 = k1 if m2 == m1 else p2 / (e2 + m2)
     gap = k1 + k2 + (m1 + m2 - m3 - m4)
-    lam = gap * (rs + m3 + m4) * (gap + 2.0 * m3) * (gap + 2.0 * m4)
+    g3 = gap + 2.0 * m3
+    g4 = g3 if m4 == m3 else gap + 2.0 * m4
+    lam = gap * (rs + m3 + m4) * g3 * g4
     with np.errstate(invalid="ignore"):
         q = np.sqrt(lam) / (2.0 * rs)
-    q2 = q ** 2
+    q2 = q * q
     e3 = np.sqrt(q2 + m3 ** 2)
     e4 = e3 if m4 == m3 else np.sqrt(q2 + m4 ** 2)
     return e1, e2, e3, e4, q
@@ -162,16 +168,29 @@ def mandelstam_batch(process: ProcessKind, p: np.ndarray, theta: np.ndarray):
     t and u are written as (E1 - E3)^2 - (p - q)^2 - 4 p q sin^2(theta/2) and
     (E1 - E4)^2 - (p - q)^2 - 4 p q cos^2(theta/2), which keep their digits
     at forward and backward angles.
+
+    Zero-dimensional p and theta give numpy scalars, and a point gives the
+    same bits as in any batch: squares are written as products, since a
+    numpy scalar's x ** 2 is pow(x, 2), which differs from x * x in the
+    last bit for about 1 argument in 1,300.
     """
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     e1, e2, e3, e4, q = _com_energies(process, p)
-    s = (e1 + e2) ** 2
+    rs = e1 + e2
     half = 0.5 * theta
-    diff2, pq4 = (p - q) ** 2, 4.0 * p * q
-    t = (e1 - e3) ** 2 - diff2 - pq4 * np.sin(half) ** 2
-    u = (e1 - e4) ** 2 - diff2 - pq4 * np.cos(half) ** 2
-    return s, t, u, e1, e2, e3, e4, q
+    diff, pq4 = p - q, 4.0 * p * q
+    diff2 = diff * diff
+
+    def offset(e):              # (E1 - E)^2 - (p - q)^2
+        d = e1 - e
+        return d * d - diff2
+    d3 = offset(e3)
+    d4 = d3 if e4 is e3 else offset(e4)
+    sin_half, cos_half = np.sin(half), np.cos(half)
+    t = d3 - pq4 * (sin_half * sin_half)
+    u = d4 - pq4 * (cos_half * cos_half)
+    return rs * rs, t, u, e1, e2, e3, e4, q
 
 
 def momenta_batch(p, theta, e1, e2, e3, e4, q):

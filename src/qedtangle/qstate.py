@@ -38,7 +38,7 @@ class DensityMatrix:
         dev = np.max(np.abs(m - m.conj().T))
         if dev > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
-        tr = np.trace(m).real
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
         lo = hermitian_eigenvalues(0.5 * (m + m.conj().T))[0]
@@ -68,17 +68,28 @@ def pure(pair: str) -> InitialState:
     return InitialState(DensityMatrix(m), f"pure({pair})")
 
 
+def _shortest_text(x: float) -> str:
+    """The shortest text that reads back as x, without a trailing ".0"."""
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def diagonal(weights) -> InitialState:
-    """Diagonal mixture with the given four weights (nonnegative, sum 1)."""
+    """Diagonal mixture with the given four weights (nonnegative, sum 1).
+
+    Its description "diag:w1;w2;w3;w4" gives each weight as its shortest
+    round-trip text, so the label parses back to the same state bit for bit.
+    """
     w = np.asarray(weights, dtype=float)
     if w.shape != (4,):
         raise ValueError("diagonal mixture needs exactly 4 weights")
     if np.any(w < 0):
         raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+    total = float(w.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
     return InitialState(DensityMatrix(np.diag(w)),
-                        "diag:" + ";".join(f"{x:g}" for x in w))
+                        "diag:" + ";".join(_shortest_text(x) for x in w.tolist()))
 
 
 def werner_symmetric() -> InitialState:
@@ -97,8 +108,9 @@ def from_matrix(matrix: np.ndarray, description: str = "custom-matrix") -> Initi
 
 
 def _entries(m) -> np.ndarray:
-    m = np.asarray(m.entries if hasattr(m, "entries") else m)
-    return m.astype(np.result_type(m, float), copy=False)      # float or complex
+    """The entries of a matrix or of an object holding them, as float64 or complex128."""
+    m = np.asarray(getattr(m, "entries", m))
+    return m if m.dtype.char in "dD" else m.astype(np.result_type(m, float))
 
 
 def evolve(amplitude, init) -> DensityMatrix:
@@ -123,9 +135,9 @@ def evolve_batch(amps: np.ndarray, rho_in: np.ndarray):
     gives complex ones. Rows with no outgoing flux are left unnormalized
     and flagged False.
     """
-    out = amps @ rho_in @ np.swapaxes(amps.conj(), 1, 2)
-    norm = np.einsum('naa->n', out).real
-    flux_ok = norm > FLUX_TOL * np.sum(np.abs(amps) ** 2, axis=(1, 2))
+    out = amps @ rho_in @ amps.conj().swapaxes(1, 2)
+    norm = out.trace(axis1=1, axis2=2).real
+    flux_ok = norm > FLUX_TOL * (np.abs(amps) ** 2).sum(axis=(1, 2))
     out /= np.where(flux_ok, norm, 1.0)[:, None, None]
-    out = 0.5 * (out + np.swapaxes(out.conj(), 1, 2))
+    out = 0.5 * (out + out.conj().swapaxes(1, 2))
     return out, flux_ok

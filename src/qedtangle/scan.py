@@ -373,13 +373,12 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
     rho_in = parse_initial(initial).density.entries
 
     def min_eig(p: float) -> float:
-        amps, _, div = helicity_amplitudes_batch(
-            process, np.array([p]), np.array([theta]))
-        if bool(div[0]):
+        amps, _, div = helicity_amplitudes_batch(process, np.asarray(p), np.asarray(theta))
+        if div:
             raise DivergentKinematicsError(f"bracket point p={p} sits on a propagator pole")
         if np.isnan(amps).any():        # the engine's below-threshold points
             raise BelowThresholdError(f"{process.value}: bracket point p={p} below threshold")
-        rho, ok = evolve_batch(amps, rho_in)
+        rho, ok = evolve_batch(amps[None], rho_in)
         if not bool(ok[0]):
             raise UnfilterableStateError(f"no outgoing flux at bracket point p={p}")
         # only the sign matters: the PT spectrum alone, as `measures_batch` forms it

@@ -321,7 +321,7 @@ def test_grid_equals_flat_point_list(proc):
 
 def test_no_runtime_contraction(monkeypatch):
     # the theta-side algebra is compiled once per process at import; a call
-    # only forms features and weights and runs two matmuls per channel
+    # only forms features and weights and runs two matmuls per process
     from qedtangle import amplitudes
 
     def forbidden(*args, **kwargs):
@@ -339,3 +339,23 @@ def test_no_runtime_contraction(monkeypatch):
             proc, np.broadcast_to(p, (theta.size, p.size)), theta[:, None])
         assert total.shape == (theta.size, p.size, 4, 4)
         assert np.all(np.isfinite(total)) and not divergent.any()
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_point_engine_gives_the_batch_bits(proc):
+    # amplitude(kin) and find_threshold run the engine on zero-dimensional
+    # p and theta; every point must equal its entry in a flat batch exactly
+    rng = np.random.default_rng(23)
+    lo = 110.0 if proc is ProcessKind.MUON_PAIR else 1e-3
+    p = np.exp(rng.uniform(math.log(lo), math.log(1e4), 150))
+    th = rng.uniform(0.01, 2 * math.pi - 0.01, 150)
+    total, channels, divergent = helicity_amplitudes_batch(proc, p, th)
+    for i in range(p.size):
+        point = helicity_amplitudes_batch(proc, np.asarray(p[i]), np.asarray(th[i]))
+        assert point[0].shape == (4, 4) and point[2].shape == ()
+        assert np.array_equal(point[0], total[i]) and point[2] == divergent[i]
+        single = amplitude(build_kinematics(proc, float(p[i]), float(th[i])))
+        assert np.array_equal(single.entries, total[i])
+        for name, mat in channels.items():
+            assert np.array_equal(point[1][name], mat[i])
+            assert np.array_equal(single.channels[name], mat[i])

@@ -248,3 +248,28 @@ def test_phase_optimized_fidelity():
     assert opt["phi-"] == pytest.approx(1.0, abs=1e-12)
     rep = analyze(rho)
     assert rep.closest_bell_phase_opt[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("process", list(ProcessKind))
+def test_analyze_and_scans_share_one_verdict_rule(process):
+    # analyze and the scans' generic path (eigvalsh, no mirror blocks) give
+    # the same measures and verdicts bit for bit, for every initial kind
+    rng = np.random.default_rng(31)
+    lo = 110.0 if process is ProcessKind.MUON_PAIR else 0.02
+    for initial in ("unpolarized", "ll", "lr", "rl", "rr", "werner",
+                    "diag:0.1,0.2,0.3,0.4", "diag:0.25,0.05,0.3,0.4"):
+        rho_in = parse_initial(initial).density.entries
+        p = np.exp(rng.uniform(math.log(lo), math.log(200.0), 12))
+        theta = rng.uniform(0.05, 2 * math.pi - 0.05, 12)
+        amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
+        states, flux_ok = evolve_batch(amps, rho_in)
+        assert not divergent.any()
+        for state in states[flux_ok]:
+            report = analyze(state)
+            res = measures_batch(state[None])
+            assert report.pt_eigenvalues[0] == res["min_pt_eig"][0]
+            assert report.negativity == res["negativity"][0]
+            assert report.log_negativity == res["log_negativity"][0]
+            assert report.entropy == res["entropy"][0]
+            assert report.entangled == res["entangled"][0]
+            assert report.switching_potential == res["switching"][0]

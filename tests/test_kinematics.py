@@ -169,3 +169,19 @@ def test_process_masses():
     assert m == (DEFAULT.m_e, 0.0, DEFAULT.m_e, 0.0)
     m = process_masses(ProcessKind.MUON_PAIR)
     assert m == (DEFAULT.m_e, DEFAULT.m_e, DEFAULT.m_mu, DEFAULT.m_mu)
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_point_gives_the_batch_bits(proc):
+    # build_kinematics runs mandelstam_batch on zero-dimensional arrays, whose
+    # arithmetic is numpy scalar math; a point must still give the batch's
+    # bits (a scalar's x ** 2 is pow(), which can differ from x * x)
+    rng = np.random.default_rng(17)
+    lo = 110.0 if proc is ProcessKind.MUON_PAIR else 1e-3
+    p = np.exp(rng.uniform(math.log(lo), math.log(1e4), 400))
+    theta = rng.uniform(0.0, 2 * math.pi, 400)
+    s, t, u, e1, e2, e3, e4, q = mandelstam_batch(proc, p, theta)
+    for i in range(p.size):
+        kin = build_kinematics(proc, float(p[i]), float(theta[i]))
+        assert (kin.s, kin.t, kin.u, kin.q_out) == (s[i], t[i], u[i], q[i])
+        assert kin.energies == (e1[i], e2[i], e3[i], e4[i])

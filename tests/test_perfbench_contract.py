@@ -56,3 +56,28 @@ def test_trace_mode_runs_on_queries(monkeypatch):
     assert isinstance(layers["entanglement.fragile"], int)
     evals = sum(rec["evals"] for rec in records if rec["kind"] == "bisect")
     assert layers["scan.find_threshold.evals"] == evals > 0
+
+
+def test_bisection_engine_calls_match_the_replay(monkeypatch):
+    # one engine call per bisection evaluation, bracket ends included, which
+    # is what perfbench's `bisection_evals` replays from (lo, hi, p*)
+    from qedtangle import scan
+    from qedtangle.kinematics import ProcessKind
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    real = scan.helicity_amplitudes_batch
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", counting)
+    ops = [op for op in workloads.query_stream(1, 0) if op["kind"] == "bisect"]
+    assert len(ops) == workloads.BISECTIONS_PER_PASS
+    for op in ops:
+        calls.clear()
+        p_star = scan.find_threshold(ProcessKind.MOLLER, "unpolarized", op["theta"],
+                                     (op["lo"], op["hi"]))
+        assert len(calls) == workloads.bisection_evals(op["lo"], op["hi"], p_star)
+        assert all(p.size == 1 for p in calls)

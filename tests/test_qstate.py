@@ -123,3 +123,8 @@ def test_evolve_batch_matches_scalar_and_flags():
     for i in (0, 1, 2, 4, 5):
         want = evolve(amps[i], unpolarized()).entries
         assert np.allclose(out[i], want, atol=1e-13)
+
+
+def test_trace_error_shows_a_plain_float():
+    with pytest.raises(ValueError, match=r"trace must be 1, got 1\.2$"):
+        from_matrix(np.eye(4) * 0.3)

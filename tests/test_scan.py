@@ -457,3 +457,33 @@ def test_find_threshold_electron_muon():
     want = math.sqrt(DEFAULT.m_e * DEFAULT.m_mu) / 2.0
     got = find_threshold(ProcessKind.ELECTRON_MUON, "unpolarized", math.pi, (1.0, 10.0))
     assert got == pytest.approx(want, rel=5e-3)
+
+
+def _diag_spec(rng):
+    """A seeded `diag:` spec, four random weights in repr text (the recipe of
+    the benchmark's query streams)."""
+    w = rng.uniform(0.05, 1.0, size=4)
+    w /= w.sum()
+    w[3] = 1.0 - w[:3].sum()
+    return "diag:" + ",".join(repr(float(x)) for x in w)
+
+
+def test_diag_labels_parse_back_bit_for_bit():
+    # a diag: scan's CSV `initial` field can be fed back to --initial
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        init = parse_initial(_diag_spec(rng))
+        again = parse_initial(init.description)
+        assert again.description == init.description
+        assert np.array_equal(again.density.entries, init.density.entries)
+    assert parse_initial("diag:0.5,0.5,0,0").description == "diag:0.5;0.5;0;0"
+    assert parse_initial("diag:1e-05,0.25,0.25,0.49999").description == \
+        "diag:1e-05;0.25;0.25;0.49999"
+
+
+@pytest.mark.parametrize("spec, shown", [("diag:0.3,0.3,0.3,0.3", "got 1.2"),
+                                         ("diag:0.1,0.2,0.3,0.5", "got 1.1")])
+def test_weight_errors_show_plain_floats(spec, shown):
+    with pytest.raises(InvalidConfigError, match=shown) as err:
+        parse_initial(spec)
+    assert "np." not in str(err.value)
