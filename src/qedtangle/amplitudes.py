@@ -54,11 +54,11 @@ p-side arithmetic is numpy scalar math; squares are products, never
 `** 2`, which is pow() on a scalar). On a scan, theta is a column of grid
 rows and p a row of grid momenta; a flat point list is the case where both
 have one entry per point, and the two give the same bits. An axis along
-which an argument is a broadcast view (stride 0) is evaluated once. A leg
-listed in `photon_vectors` takes the four plane components of its vector as
-feature columns and the unit plane vectors as basis, so its process's T is
-built at call time by the same `_compile`. A new leg type supplies its
-p-side weight terms (`_weight_terms`) and its feature basis (`_leg`).
+which an argument is a broadcast view (stride 0) is evaluated once. Each
+photon leg also has a gauge variant, compiled at import: its polarization
+vectors replaced by its direction k / E = (1, khat) on the same features.
+A new leg type supplies its p-side weight terms (`_weight_terms`) and its
+feature basis (`_leg`).
 
 Feynman gauge photon propagator -i g_munu / q^2, vertices -i e gamma^mu,
 fermion propagators i (qslash + m) / (q^2 - m^2).
@@ -72,8 +72,7 @@ import numpy as np
 
 from .constants import DEFAULT
 from .dirac import (GAMMA0, IDENTITY4, PLANE_CONJ, POLARIZATION_PARTS, current_batch,
-                    lorentz_dot_batch, plane_vector, polarizations, slash_batch,
-                    spinor_parts)
+                    lorentz_dot_batch, slash_batch, spinor_parts)
 from .errors import DivergentKinematicsError
 from .kinematics import (PROCESS_TABLE, KinematicPoint, ProcessKind,
                          mandelstam_batch, process_masses)
@@ -88,17 +87,20 @@ _GAMMA0_DIAG = np.diag(GAMMA0).real
 #: -z, are constant (F = 1); outgoing ones are linear in their features
 _SPINORS_IN = {field: (spinor_parts(field, 1.0, 0.0)[None], spinor_parts(field, 0.0, 1.0)[None])
                for field in "uv"}
-_PHOTONS_IN = (polarizations(1.0, 0.0)[None, None], polarizations(-1.0, 0.0)[None, None])
 #: outgoing legs 2 and 3: spinor parts are c A + s B at half angle (c, s),
 #: with A and B those of legs 0 and 1, so the basis is (A, B) for leg 2 and
-#: (B, -A) for leg 3 at (-s, c); photon vectors are P0 + c Pc + s Ps at
-#: direction (c, s), with Pc and Ps negated for leg 3 at -khat
+#: (B, -A) for leg 3 at (-s, c)
 _SPINORS_OUT = {field: (np.concatenate([a, b]), np.concatenate([b, -a]))
                 for field, (a, b) in _SPINORS_IN.items()}
-_PHOTONS_OUT = tuple((POLARIZATION_PARTS * np.array([1.0, sign, sign])[:, None, None]
-                      * PLANE_CONJ)[:, None] for sign in (1.0, -1.0))
-#: a leg given in photon_vectors: the unit plane vectors, for both helicities
-_VECTOR_BASIS = np.repeat(np.eye(4)[:, None, None, :], 2, axis=2)
+#: gauged -> bases of photon legs 0..3, whose vectors P0 + c Pc + s Ps at
+#: direction (c, s) are the polarization vectors or, gauged, the direction
+#: (1, khat) = e0 + c e_z + s e_x for both helicities: legs 0 and 1 at
+#: (+-1, 0); legs 2 and 3 conjugated, Pc and Ps negated for leg 3 at -khat
+_PHOTONS = {gauged: tuple((parts[0] + c * parts[1])[None, None] for c in (1.0, -1.0))
+            + tuple((parts * np.array([1.0, sign, sign])[:, None, None] * PLANE_CONJ)[:, None]
+                    for sign in (1.0, -1.0))
+            for gauged, parts in ((False, POLARIZATION_PARTS),
+                                  (True, np.repeat(np.eye(4)[[0, 3, 1], None], 2, axis=1)))}
 
 _SLASH_T = slash_batch(np.array([1.0, 0.0, 0.0, 0.0]))
 _SLASH_X = slash_batch(np.array([0.0, 1.0, 0.0, 0.0]))
@@ -148,32 +150,26 @@ _PHOTON_FEATURES = (_ONE, _COS, _SIN)
 _PROPAGATOR_FEATURES = {"t": (_ONE, _SIN, _SIN_HALF2), "u": (_ONE, _SIN, _COS_HALF2)}
 
 
-def _columns(theta, vectors, squares) -> np.ndarray:
-    """The feature columns (..., 8) at theta, then the four plane components
-    of each leg in `vectors`, in leg order; without `squares` only the first six."""
+def _columns(theta, squares) -> np.ndarray:
+    """The feature columns (..., 8) at theta; without `squares` only the first six."""
     angles = theta[..., None] * _ANGLES
     cols = np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
     if not squares:
         return cols
-    cols = np.concatenate([cols, cols[..., (_SIN_HALF, _COS_HALF)] ** 2], axis=-1)
-    if not vectors:
-        return cols
-    parts = [cols] + [plane_vector(vectors[k]) for k in sorted(vectors)]
-    lead = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
-    return np.concatenate([np.broadcast_to(part, lead + part.shape[-1:]) for part in parts],
-                          axis=-1)
+    return np.concatenate([cols, cols[..., (_SIN_HALF, _COS_HALF)] ** 2], axis=-1)
 
 
-def _leg(k, spec):
+def _leg(k, spec, gauged=False):
     """Leg k's theta side: (feature columns or None, basis (F, T, 2, 4)).
 
     The helicity axis is ordered L, R. Incoming legs (k = 0, 1) run along +z
     and -z, outgoing legs (k = 2, 3) at theta and theta + pi, the latter
     taken as the half angle (-sin, cos)(theta/2) and the direction -khat(theta),
-    so theta + pi is never rounded.
+    so theta + pi is never rounded. A `gauged` photon leg has its direction
+    in place of its polarization vectors.
     """
     if spec.field == "photon":
-        return (None, _PHOTONS_IN[k]) if k < 2 else (_PHOTON_FEATURES, _PHOTONS_OUT[k - 2])
+        return (None if k < 2 else _PHOTON_FEATURES), _PHOTONS[gauged][k]
     if k < 2:
         return None, _SPINORS_IN[spec.field][k]
     return _SPINOR_FEATURES, _SPINORS_OUT[spec.field][k - 2]
@@ -272,7 +268,7 @@ class _Compiled:
     gap: tuple                # `_mass_gaps` when p - |q| is a term, else ()
 
 
-def _compile(process: ProcessKind, vector_legs=()) -> _Compiled:
+def _compile(process: ProcessKind, gauge=None) -> _Compiled:
     """The channels of `process`, with G as one constant tensor over the feature bases.
 
     The pieces are legs 0..3, then a slash chain's propagator; piece i puts
@@ -282,17 +278,13 @@ def _compile(process: ProcessKind, vector_legs=()) -> _Compiled:
     process has slash chains, the union of its propagators' columns: a
     channel puts its tensor on the columns of its own propagator (the
     constant 1 for an s channel) and zeros elsewhere, and a channel with
-    fewer terms K is padded with zero G and unit W. A leg in `vector_legs`
-    has the unit plane vectors as basis and its own plane components as
-    feature columns.
+    fewer terms K is padded with zero G and unit W. Leg `gauge`, a photon,
+    is gauged (`_leg`).
     """
     info = PROCESS_TABLE[process]
     masses = process_masses(process)
     specs = info["in"] + info["out"]
-    vector_columns = {k: tuple(range(8 + 4 * j, 12 + 4 * j))
-                      for j, k in enumerate(sorted(vector_legs))}
-    legs = [(vector_columns[k], _VECTOR_BASIS) if k in vector_columns else _leg(k, spec)
-            for k, spec in enumerate(specs)]
+    legs = [_leg(k, spec, k == gauge) for k, spec in enumerate(specs)]
     channels = info["channels"]
     keys = {}                 # fermion legs with distinct weights, by (mass, outgoing)
     for k, spec in enumerate(specs):
@@ -353,7 +345,7 @@ def _compile(process: ProcessKind, vector_legs=()) -> _Compiled:
     return _Compiled(
         names=tuple(name for name, _, _ in channels),
         columns=_grid(*features),
-        squares=bool(union) or bool(vector_legs),
+        squares=bool(union),
         tensor=np.ascontiguousarray(tensor.reshape(-1, len(gs) * k_max * 16)),
         weights=weights,
         invariants=tuple("stu".index(name) for name, _, _ in channels),
@@ -371,7 +363,11 @@ def _compile(process: ProcessKind, vector_legs=()) -> _Compiled:
         gap=gap)
 
 
-_COMPILED = {process: _compile(process) for process in ProcessKind}
+#: (process, None or a photon leg) -> its channels, plain or with that leg gauged
+_COMPILED = {(process, gauge): _compile(process, gauge)
+             for process, info in PROCESS_TABLE.items()
+             for gauge in [None] + [k for k, spec in enumerate(info["in"] + info["out"])
+                                    if spec.field == "photon"]}
 
 
 def _weight_terms(compiled: _Compiled, p, invariants) -> np.ndarray:
@@ -425,29 +421,29 @@ MIRROR_SIGNS = {process: (_mirror_signs(info["out"]), _mirror_signs(info["in"]))
                 for process, info in PROCESS_TABLE.items()}
 
 
-def helicity_amplitudes_batch(process: ProcessKind, p, theta, photon_vectors=None,
-                              invariants=None):
+def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invariants=None):
     """(total (..., 4, 4), channels, divergent mask (...)) over p and theta.
 
     p and theta broadcast against each other; the outputs have their
     broadcast shape, () for zero-dimensional p and theta (a (4, 4) total
     and a numpy bool), and each channel is a view into one (..., C, 4, 4)
-    array. `photon_vectors` maps a photon leg (0..3 = in1, in2, out1, out2)
-    to a (..., 4) in-plane vector used in place of its polarization vectors,
-    for both helicities; substituting the photon momentum checks the Ward
-    identity. `invariants` is what `mandelstam_batch(process, p, theta)`
-    returns, passed by a caller that has already formed it; by default the
-    engine forms it.
+    array. `gauge`, a photon leg (0..3 = in1, in2, out1, out2), replaces
+    that leg's polarization vectors, for both helicities, by its direction
+    k / E, so E times the result is M(eps -> k), which the Ward identity
+    makes zero; any other leg raises ValueError. `invariants` is what
+    `mandelstam_batch(process, p, theta)` returns, passed by a caller that
+    has already formed it; by default the engine forms it.
     """
+    compiled = _COMPILED.get((process, gauge))
+    if compiled is None:
+        raise ValueError(f"{process.value}: leg {gauge!r} is not a photon leg")
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast(p, theta).shape
     p, theta = _once(p), _once(theta)
     if invariants is None:
         invariants = mandelstam_batch(process, p, theta)
-    vectors = photon_vectors or {}
-    compiled = _compile(process, vectors) if vectors else _COMPILED[process]
-    cols = _columns(theta, vectors, compiled.squares)[..., compiled.columns]   # (..., pieces, F)
+    cols = _columns(theta, compiled.squares)[..., compiled.columns]            # (..., pieces, F)
     f = cols[..., 0, :]
     for i in range(1, cols.shape[-2]):          # the outer product, left to right
         f = f * cols[..., i, :]

@@ -24,7 +24,7 @@ from . import __version__
 from .amplitudes import amplitude, helicity_amplitudes_batch
 from .entanglement import analyze, measures_batch, partial_transpose
 from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
-from .kinematics import ProcessKind, build_kinematics, mandelstam_batch, momenta_batch
+from .kinematics import ProcessKind, build_kinematics, mandelstam_batch
 from .linalg import hermitian_eigenvalues_batch
 from .qstate import evolve
 from .scan import (ScanConfig, cross_section_check, emit_csv, emit_plot_script,
@@ -182,15 +182,15 @@ def _cmd_audit(args) -> int:
             worst = max(worst, abs(amp.spin_summed_msq() - want) / abs(want))
         report(f"oracle {process.value}", worst < 1e-8, f"worst rel err {worst:.2e}")
 
-    # 2. Ward identities (replace a photon's polarization vector by its momentum)
+    # 2. Ward identities (replace a photon's polarization vector by its
+    # momentum k = E n: E times the amplitude with that leg gauged)
     p = np.array([rng.uniform(0.5, 5.0)])
     th = np.array([rng.uniform(0.2, math.pi - 0.2)])
     for process, leg in ((ProcessKind.ANNIHILATION, 2), (ProcessKind.ANNIHILATION, 3),
                          (ProcessKind.COMPTON, 1), (ProcessKind.COMPTON, 3)):
-        k = momenta_batch(p, th, *mandelstam_batch(process, p, th)[3:])[leg]
+        energy = mandelstam_batch(process, p, th)[3 + leg][0]
         scale = np.max(np.abs(helicity_amplitudes_batch(process, p, th)[0]))
-        ward = np.max(np.abs(helicity_amplitudes_batch(
-            process, p, th, photon_vectors={leg: k})[0]))
+        ward = energy * np.max(np.abs(helicity_amplitudes_batch(process, p, th, gauge=leg)[0]))
         report(f"Ward {process.value} leg {leg}", ward / scale < 1e-10,
                f"residual {ward / scale:.2e}")
 

@@ -29,12 +29,12 @@ the weights from `spinor_weights` (momentum only) and the parts from
 vectors are linear in cos and sin of theta (`polarizations`). The amplitude
 engine uses the same split to contract spinors once per angle.
 A 4-vector's y component is then zero (momenta) or imaginary (photon
-vectors), so it is stored as the real *plane vector* (v^0, v^x, Im v^y, v^z);
-`plane_vector` converts and refuses any other. With PLANE_GAMMA = (g0, g1,
--i g2, g3), real, and PLANE_METRIC = (+,-,+,-), slash(v) = sum_mu PLANE_METRIC
-PLANE_GAMMA^mu v_mu, a.b = sum_mu PLANE_METRIC a_mu b_mu, and ubar
-PLANE_GAMMA^mu u' is the plane form of ubar gamma^mu u'; all are real.
-Conjugating a plane vector flips slot 2 (PLANE_CONJ).
+vectors), so it is stored as the real *plane vector* (v^0, v^x, Im v^y, v^z).
+With PLANE_GAMMA = (g0, g1, -i g2, g3), real, and PLANE_METRIC =
+(+,-,+,-), slash(v) = sum_mu PLANE_METRIC PLANE_GAMMA^mu v_mu, a.b = sum_mu
+PLANE_METRIC a_mu b_mu, and ubar PLANE_GAMMA^mu u' is the plane form of
+ubar gamma^mu u'; all are real. Conjugating a plane vector flips slot 2
+(PLANE_CONJ).
 """
 from __future__ import annotations
 
@@ -66,14 +66,6 @@ PLANE_CONJ = np.array([1.0, 1.0, -1.0, 1.0])
 _SLASH = (PLANE_METRIC[:, None, None] * PLANE_GAMMA).reshape(4, 16)
 # ubar PLANE_GAMMA^mu u' = u^T (g0 PLANE_GAMMA^mu) u'; [b, (a, mu)] after the transpose
 _CURRENT = (PLANE_GAMMA[0] @ PLANE_GAMMA).transpose(2, 1, 0).reshape(4, 16)
-
-
-def plane_vector(vec) -> np.ndarray:
-    """Plane form (v^0, v^x, Im v^y, v^z) of in-plane (..., 4) vectors, else ValueError."""
-    plane = np.asarray(vec) * np.array([1, 1, -1j, 1])
-    if np.any(plane.imag != 0):
-        raise ValueError("not an in-plane vector: t, x, z must be real and y imaginary")
-    return plane.real.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import UnfilterableStateError
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues_batch
 
 BASIS = ("LL", "LR", "RL", "RR")
 
@@ -35,13 +35,14 @@ class DensityMatrix:
         m = _entries(matrix)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
-        dev = np.max(np.abs(m - m.conj().T))
+        adjoint = m.conj().T
+        dev = np.max(np.abs(m - adjoint))
         if dev > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
-        lo = hermitian_eigenvalues(0.5 * (m + m.conj().T))[0]
+        lo = hermitian_eigenvalues_batch(0.5 * (m + adjoint))[0]
         if lo < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
         return DensityMatrix(m)

@@ -40,7 +40,7 @@ import numpy as np
 from .amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
 from .entanglement import measures_batch, partial_transpose
 from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
-                     UnfilterableStateError)
+                     InvalidKinematicsError, UnfilterableStateError)
 from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
 from .linalg import hermitian_eigenvalues_batch
 from .qstate import (InitialState, diagonal, evolve_batch, pure, unpolarized,
@@ -364,7 +364,8 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
                    p_bracket: tuple[float, float]) -> float:
     """Bisect the p where the minimum PT eigenvalue changes sign.
 
-    Raises InvalidConfigError when the bracket does not straddle a sign
+    Raises InvalidKinematicsError for a non-finite theta, InvalidConfigError
+    for a bracket that is not 0 < lo < hi < inf or does not straddle a sign
     change, and at a bracket point the errors of the point path:
     DivergentKinematicsError on a propagator pole, BelowThresholdError below
     threshold, UnfilterableStateError with no outgoing flux. Converges to
@@ -385,8 +386,10 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
         return float(hermitian_eigenvalues_batch(partial_transpose(rho))[0, 0])
 
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
-    if not 0 < lo < hi:
+    if not 0 < lo < hi < math.inf:
         raise InvalidConfigError(f"bad bracket {p_bracket}")
+    if not math.isfinite(theta):
+        raise InvalidKinematicsError(f"non-finite theta={theta}")
     f_lo, f_hi = min_eig(lo), min_eig(hi)
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise InvalidConfigError(

@@ -6,8 +6,8 @@ import pytest
 from qedtangle.amplitudes import amplitude, helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import DivergentKinematicsError
-from qedtangle.kinematics import (ProcessKind, build_kinematics, mandelstam_batch,
-                                  momenta_batch)
+from qedtangle.kinematics import (PROCESS_TABLE, ProcessKind, build_kinematics,
+                                  mandelstam_batch)
 from qedtangle.qstate import evolve, unpolarized
 from qedtangle.entanglement import analyze
 from qedtangle import xsection
@@ -126,22 +126,49 @@ def test_bhabha_t_channel_drives_backscattering_entanglement():
 
 
 def _ward_residual(proc, p, theta, leg):
-    """max |M| with photon `leg`'s polarization replaced by its momentum, over max |M|."""
-    p, theta = np.array([p]), np.array([theta])
-    k = momenta_batch(p, theta, *mandelstam_batch(proc, p, theta)[3:])[leg]
-    total, _, _ = helicity_amplitudes_batch(proc, p, theta)
-    gauged, _, _ = helicity_amplitudes_batch(proc, p, theta, photon_vectors={leg: k})
-    return np.max(np.abs(gauged)) / np.max(np.abs(total))
+    """max |M| with photon `leg`'s polarization replaced by its momentum k = E n,
+    over max |M|, per point; also the same for each channel alone."""
+    invariants = mandelstam_batch(proc, p, theta)
+    energy = invariants[3 + leg][..., None, None]
+    total, _, _ = helicity_amplitudes_batch(proc, p, theta, invariants=invariants)
+    gauged, channels, _ = helicity_amplitudes_batch(proc, p, theta, gauge=leg,
+                                                    invariants=invariants)
+    scale = np.max(np.abs(total), axis=(-2, -1))
+    return (np.max(np.abs(energy * gauged), axis=(-2, -1)) / scale,
+            {name: np.max(np.abs(energy * mat), axis=(-2, -1)) / scale
+             for name, mat in channels.items()})
 
 
 def test_ward_identity_annihilation():
     for leg in (2, 3):
-        assert _ward_residual(ProcessKind.ANNIHILATION, 1.7, 1.1, leg) < 1e-8
+        assert _ward_residual(ProcessKind.ANNIHILATION, 1.7, 1.1, leg)[0] < 1e-8
 
 
 def test_ward_identity_compton_both_legs():
     for leg in (1, 3):
-        assert _ward_residual(ProcessKind.COMPTON, 2.9, 2.2, leg) < 1e-8
+        assert _ward_residual(ProcessKind.COMPTON, 2.9, 2.2, leg)[0] < 1e-8
+
+
+@pytest.mark.parametrize("proc, leg", [(ProcessKind.ANNIHILATION, 2), (ProcessKind.ANNIHILATION, 3),
+                                       (ProcessKind.COMPTON, 1), (ProcessKind.COMPTON, 3)])
+def test_ward_identity_on_a_seeded_grid(proc, leg):
+    # every photon leg, from p = 1e-3 to 1e4 MeV and over several turns of
+    # theta: only the channel sum is gauge invariant, so each channel alone
+    # must stay well away from zero while the sum vanishes
+    rng = np.random.default_rng(31)
+    p = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 400))
+    theta = rng.uniform(-7.0, 14.0, 400)
+    residual, channels = _ward_residual(proc, p, theta, leg)
+    assert np.max(residual) < 1e-10
+    for alone in channels.values():
+        assert np.min(alone) > 1e-6
+
+
+def test_gauge_takes_only_a_photon_leg():
+    for proc, leg in ((ProcessKind.COMPTON, 0), (ProcessKind.COMPTON, 2),
+                      (ProcessKind.MOLLER, 2), (ProcessKind.ANNIHILATION, 4)):
+        with pytest.raises(ValueError, match="not a photon leg"):
+            helicity_amplitudes_batch(proc, 1.0, 1.0, gauge=leg)
 
 
 def test_crossing_electron_muon_vs_muon_pair():
@@ -333,12 +360,17 @@ def test_no_runtime_contraction(monkeypatch):
     for proc in ProcessKind:
         lo, hi = (110.0, 5000.0) if proc is ProcessKind.MUON_PAIR else (0.05, 50.0)
         p = np.geomspace(lo, hi, 5)
-        total, _, divergent = helicity_amplitudes_batch(proc, p[2:3], np.array([0.7]))
-        assert total.shape == (1, 4, 4) and np.all(np.isfinite(total)) and not divergent[0]
-        total, _, divergent = helicity_amplitudes_batch(
-            proc, np.broadcast_to(p, (theta.size, p.size)), theta[:, None])
-        assert total.shape == (theta.size, p.size, 4, 4)
-        assert np.all(np.isfinite(total)) and not divergent.any()
+        # the plain engine and the gauge variant of every photon leg
+        specs = PROCESS_TABLE[proc]["in"] + PROCESS_TABLE[proc]["out"]
+        for gauge in [None] + [k for k, spec in enumerate(specs) if spec.field == "photon"]:
+            total, _, divergent = helicity_amplitudes_batch(proc, p[2:3], np.array([0.7]),
+                                                            gauge=gauge)
+            assert total.shape == (1, 4, 4) and np.all(np.isfinite(total))
+            assert not divergent[0]
+            total, _, divergent = helicity_amplitudes_batch(
+                proc, np.broadcast_to(p, (theta.size, p.size)), theta[:, None], gauge=gauge)
+            assert total.shape == (theta.size, p.size, 4, 4)
+            assert np.all(np.isfinite(total)) and not divergent.any()
 
 
 @pytest.mark.parametrize("proc", list(ProcessKind))

@@ -114,6 +114,18 @@ def test_threshold_bracket_point_errors_exit_code(capsys):
     assert "no outgoing flux" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta, bracket, reason", [
+    ("nan", "0.1,2", "non-finite theta"), ("inf", "0.1,2", "non-finite theta"),
+    ("-inf", "0.1,2", "non-finite theta"), ("1.5707963", "0.5,inf", "bad bracket")])
+def test_threshold_non_finite_input_exit_code(theta, bracket, reason, capsys):
+    # rejected before any evaluation: the right reason and no numpy warning,
+    # which the test settings turn into an error
+    assert main(["threshold", "--process", "moller", f"--theta={theta}",
+                 "--p-bracket", bracket]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "below threshold" not in err
+
+
 def test_missing_process_exit_code():
     assert main(["threshold", "--theta", "1.0", "--p-bracket", "0.5,2.0"]) == 2
     assert main(["threshold", "--process", "moller", "--theta", "1.0",

@@ -15,7 +15,7 @@ import pytest
 
 from qedtangle.dirac import (GAMMA, GAMMA0, GAMMA5, IDENTITY4, METRIC,
                              PLANE_CONJ, current_batch, eps_batch,
-                             lorentz_dot_batch, plane_vector, slash_batch,
+                             lorentz_dot_batch, slash_batch,
                              u_batch, v_batch)
 
 RNG = np.random.default_rng(42)
@@ -184,22 +184,6 @@ def test_minkowski_dot_and_mass_shell():
     m = 105.6583755
     p, theta, e, k = random_onshell(m, pmax=500.0)
     assert np.allclose(lorentz_dot_batch(k[:, None], k[:, None])[:, 0, 0], m ** 2, rtol=1e-9)
-
-
-def test_plane_vector_conversion():
-    vec = complex_vector(RNG.normal(size=(5, 4)))
-    assert np.array_equal(complex_vector(plane_vector(vec)), vec)
-    assert plane_vector(vec).dtype == float
-    k = RNG.normal(size=(3, 4))
-    k[:, 2] = 0.0
-    assert np.array_equal(plane_vector(k), k)       # real in-plane momenta
-    for slot, value in ((2, 0.5), (0, 0.5j), (1, 0.5j), (3, 0.5j)):
-        bad = vec.copy()
-        bad[1, slot] += value
-        with pytest.raises(ValueError):
-            plane_vector(bad)
-    with pytest.raises(ValueError):
-        plane_vector(np.array([1.0, 0.0, 0.3, 0.0]))    # a real y part
 
 
 def test_photon_polarization_plus_z():
