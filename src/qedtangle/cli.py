@@ -296,8 +296,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_negative_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return arg.startswith("-")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """'--theta -1e-1' as '--theta=-1e-1'. argparse reads a word that starts
+    with '-' as an option unless it is a plain negative decimal, so a value
+    such as -1e-1, -inf or -nan must follow its option after an '='."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(message)s", stream=sys.stderr)
     try:

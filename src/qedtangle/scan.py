@@ -20,6 +20,14 @@ transpose commute with A = D_out XX, and both spectra come from closed-form
 2 x 2 blocks (`entanglement.mirror_spectra`). Every other input (pure
 states, asymmetric `diag:`, Compton `werner`) keeps LAPACK's eigvalsh.
 
+CSV text: `emit_csv` writes each chunk of CHUNK_POINTS lines as one uint8
+slab of NUL-padded fields side by side, with the NUL bytes dropped. Floats
+come from `_text17`, an exact vectorised '%.17g': the 17 significant digits
+are the integer nearest |v| 10^(16-e), formed with Dekker's error-free
+product against a double-double power of ten (Numer. Math. 18, 224 (1971)).
+Near-ties, non-finite values and |e| > 99 take Python's own correctly
+rounded conversion instead, so every byte is that of f"{v:.17g}".
+
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
 propagator denominators still vanish are reported with status "divergent"
@@ -56,15 +64,22 @@ POLE_NUDGE_TOL = 1e-9
 SYMMETRY_AUDIT_TOL = 1e-8
 
 
+def _read_only(state: InitialState) -> InitialState:
+    state.density.entries.setflags(write=False)
+    return state
+
+
+#: the named initial states, built once and shared, so their entries are read-only
+_NAMED_INITIAL = {name: _read_only(state) for name, state in [
+    ("unpolarized", unpolarized()), ("werner", werner_symmetric()),
+    *((pair, pure(pair.upper())) for pair in ("ll", "lr", "rl", "rr"))]}
+
+
 def parse_initial(spec: str) -> InitialState:
     """Initial-state spec: unpolarized|ll|lr|rl|rr|werner|diag:w1,w2,w3,w4 (or w1;w2;w3;w4)."""
     s = spec.strip().lower()
-    if s == "unpolarized":
-        return unpolarized()
-    if s in ("ll", "lr", "rl", "rr"):
-        return pure(s.upper())
-    if s == "werner":
-        return werner_symmetric()
+    if s in _NAMED_INITIAL:
+        return _NAMED_INITIAL[s]
     if s.startswith("diag:"):
         try:
             weights = [float(x) for x in s[5:].replace(";", ",").split(",")]
@@ -418,47 +433,184 @@ def cross_section_check(process: ProcessKind, kin) -> float:
 # ---------------------------------------------------------------------------
 # output: CSV and plot script
 
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)
-#: one line template per status code: prefix, p, theta and the flags are %s
-#: arguments, the measures %.17g ones; non-ok lines take the first three only
-_TEMPLATES = np.array(["%s%s,%s,%.17g,%.17g,%.17g,%.17g,%s,%s,ok\n"]
-                      + [f"%s%s,%s,,,,,,,{name}\n" for name in STATUSES[1:]], dtype=object)
+_SPLIT = 134217729.0         # 2^27 + 1, Dekker's splitter for float64
 
 
-def _distinct_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.17g' text of each distinct value, and each entry's index into it.
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v = big + small exactly, each with at most 26 significant bits (Dekker)."""
+    c = _SPLIT * v
+    big = c - (c - v)
+    return big, v - big
 
-    Values are told apart by bit pattern, so -0.0 keeps its sign."""
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
-                    dtype=object), index
+
+def _pow10_table() -> np.ndarray:
+    """Rows hi, lo and hi's two halves, column e + 99 for e = -99..99: hi is
+    10^(16-e) correctly rounded and lo the remainder 10^(16-e) - hi correctly
+    rounded, both from exact integer ratios, so hi + lo is 10^(16-e) to 2^-106."""
+    pairs = []
+    for k in range(115, -84, -1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        pairs.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(pairs).T
+    return np.stack([hi, lo, *_halves(hi)])
+
+
+_POW10 = _pow10_table()
+_TENS = 10 ** np.arange(18, dtype=np.int64)
+#: row g: the four ASCII digits of g; row g + 10000: the same with trailing zeros as NUL
+_PLACES = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000)
+_KEPT = np.logical_or.accumulate(_PLACES[::-1] != 0)[::-1]     # a nonzero digit here or after
+_DIGITS = np.concatenate([_PLACES + 48, (_PLACES + 48) * _KEPT], axis=1).T.copy()
+_DIGIT_COUNT = np.concatenate([np.full(10000, 4), _KEPT.sum(axis=0)])
+#: the rest are indexed by decimal exponent, at e + 99 for e = -99..99
+_EXPONENTS = np.arange(-99, 100)
+_SCIENTIFIC = (_EXPONENTS < -4) | (_EXPONENTS >= 17)
+#: digits before the point: e + 1 in fixed notation (0 below 1), 1 in scientific
+_WHOLE_DIGITS = np.where(_SCIENTIFIC, 1, np.maximum(_EXPONENTS + 1, 0))
+#: the '0.000' lead of fixed notation below 1 and, at e + 99 + 199, the sign
+#: before it, right-aligned in 6 bytes: a field whose NUL bytes form fewer
+#: runs is compacted faster by bytes.translate. _LEAD_AT indexes '0.000';
+#: -1 is the sign's byte
+_LEAD_AT = np.arange(-6, 0) + np.where(_WHOLE_DIGITS == 0, 1 - _EXPONENTS, 0)[:, None]
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[np.maximum(_LEAD_AT, 0)] * (_LEAD_AT >= 0)
+_PREFIX = np.concatenate([_PREFIX, _PREFIX + np.uint8(45) * (_LEAD_AT == -1)])
+#: the 'e+XX' after the digits of scientific notation
+_SUFFIX = np.column_stack([np.full(199, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")),
+                           _DIGITS[np.abs(_EXPONENTS), 2:]]).astype(np.uint8) \
+    * _SCIENTIFIC[:, None]
+#: row i: '0' for the first i of 17 digits (an integer part's own zeros)
+_INTEGER_ZEROS = np.uint8(48) * (np.arange(17) < np.arange(18)[:, None])
+#: row i: the decimal point in slot i - 1 of 16, after digit i - 1; row 0: none
+_POINTS = np.uint8(46) * (np.arange(16) == np.arange(18)[:, None] - 1)
+
+
+def _fallback_text(value: float) -> bytes:
+    """Python's correctly rounded conversion, for what the fast path leaves."""
+    return f"{value:.17g}".encode()
+
+
+def _text17(x: np.ndarray) -> np.ndarray:
+    """'%.17g' text of each float64 in x, one NUL-padded uint8 row each.
+
+    A row holds the bytes of f"{v:.17g}" once its NUL bytes are dropped.
+    With e = floor(log10 |v|), the 17 significant digits are the integer
+    nearest y = |v| 10^(16-e), in [1e16, 1e17). hi + lo holds 10^(16-e) to
+    2^-106 (`_pow10_table`) and Dekker's split gives |v| hi exactly as
+    p + err, so y = p + (err + |v| lo) is known to better than 1e-14. Rounding
+    y half to even is then exact unless its fraction lies within 1e-6 of 1/2
+    (a tie or near-tie), or log10 misjudged e, which shows as a floor of y
+    outside [1e16, 1e17) or a rounding up to 1e17. Those values, non-finite
+    ones and |e| > 99 take `_fallback_text`. Zeros print as '0' and '-0';
+    when x holds any, only its nonzero entries go through the arithmetic.
+
+    A row is: the sign and the '0.000' lead of fixed notation below 1,
+    right-aligned in 6 bytes; the 17 digits, with trailing fraction zeros as
+    NUL and a decimal-point slot after each of the first k, k as many as the
+    widest integer part in x needs; then the 'e+XX' suffix of scientific
+    notation (e < -4 or e >= 17). At 27 + k bytes it has room for any fallback.
+    """
+    nonzero = np.flatnonzero(x)
+    if nonzero.size < x.size:
+        inner = _text17(x[nonzero])
+        out = np.zeros((x.size, inner.shape[1]), np.uint8)
+        out[:, 5] = np.uint8(45) * np.signbit(x)
+        out[:, 6] = 48
+        out[nonzero] = inner
+        return out
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = np.abs(e) <= 99                      # False for nan and inf
+    at = np.where(fast, e + 99, 99).astype(np.int64)        # row of the tables by exponent
+    a = np.where(fast, a, 1.0)
+    hi, lo, hi_big, hi_small = (np.take(table, at) for table in _POW10)
+    a_big, a_small = _halves(a)
+    p = a * hi
+    t = ((a_big * hi_big - p) + a_big * hi_small + a_small * hi_big) + a_small * hi_small \
+        + a * lo
+    t_floor = np.floor(t)
+    frac = t - t_floor
+    floor = p.astype(np.int64) + t_floor.astype(np.int64)
+    n = floor + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > 1e-6) & (floor >= _TENS[16]) & (n < 10 * _TENS[16])
+    # four groups of four digits after the first, each as a row of _DIGITS:
+    # a group loses its trailing zeros when every later digit is zero
+    first = n // _TENS[16]
+    rest = n - first * _TENS[16]
+    rows = []
+    for scale in _TENS[12:0:-4]:
+        group = rest // scale
+        rest = rest - group * scale
+        rows.append(group + 10000 * (rest == 0))
+    rows.append(rest + 10000)
+    digits = np.empty((x.size, 17), np.uint8)
+    digits[:, 0] = first + 48
+    significant = 1
+    for j, row in enumerate(rows):
+        digits[:, 1 + 4 * j:5 + 4 * j] = np.take(_DIGITS, row, axis=0)
+        significant = significant + np.take(_DIGIT_COUNT, row)
+    whole = np.take(_WHOLE_DIGITS, at)
+    short = np.flatnonzero(significant < whole)     # integers ending in zeros
+    digits[short] = np.maximum(digits[short], np.take(_INTEGER_ZEROS, whole[short], axis=0))
+    point = whole * (significant > whole)           # digits before the point, if any after
+    k = int(point.max(initial=0))                   # point slots in use
+    out = np.empty((x.size, 27 + k), np.uint8)
+    out[:, :6] = np.take(_PREFIX, at + 199 * np.signbit(x), axis=0)
+    out[:, 6:6 + 2 * k:2] = digits[:, :k]
+    out[:, 7:7 + 2 * k:2] = np.take(_POINTS[:, :k], point, axis=0)
+    out[:, 6 + 2 * k:23 + k] = digits[:, k:]
+    out[:, 23 + k:] = np.take(_SUFFIX, at, axis=0)
+    slow = np.flatnonzero(~fast)
+    out[slow] = np.array([_fallback_text(v) for v in x[slow].tolist()],
+                         dtype=f"S{out.shape[1]}").view(np.uint8).reshape(-1, out.shape[1])
+    return out
+
+
+#: flag fields with their comma, by flag value; row 2 is a non-ok line's empty field
+_FLAG_TEXT = np.array([b"false,", b"true,", b","]).view(np.uint8).reshape(3, -1)
+_STATUS_TEXT = np.array([f"{name}\n".encode() for name in STATUSES]).view(np.uint8) \
+    .reshape(len(STATUSES), -1)
+_COMMA = np.array([[ord(",")]], np.uint8)
 
 
 def emit_csv(res: ScanResult, path) -> None:
     """Fixed-column CSV, 17 significant digits, '\\n' line endings.
 
     Non-ok rows get empty measure and flag fields. Written CHUNK_POINTS
-    lines at a time.
+    lines at a time: each chunk is a uint8 slab of NUL-padded fields side by
+    side (`_text17`), written with its NUL bytes dropped.
     """
-    p_text, p_index = _distinct_text(res.p)
-    theta_text, theta_index = _distinct_text(res.theta)
-    prefix = f"{res.process},{res.initial},"
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    # p and theta repeat along the grid: each distinct value is formatted once,
+    # told apart by bit pattern so that -0.0 keeps its sign
+    tables = []
+    for values in (res.p, res.theta):
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        tables.append((_text17(bits.view(np.float64)), index))
+    (p_text, p_index), (theta_text, theta_index) = tables
+    prefix = np.frombuffer(f"{res.process},{res.initial},".encode(), np.uint8)[None]
+    with open(path, "wb") as fh:
+        fh.write(f"{CSV_HEADER}\n".encode())
         for start in range(0, len(res), CHUNK_POINTS):
             part = slice(start, start + CHUNK_POINTS)
             status = res.status[part]
-            # one row of template arguments per line; a non-ok line uses the first three
-            args = np.empty((status.size, 9), dtype=object)
-            args[:, 0] = prefix
-            args[:, 1] = p_text[p_index[part]]
-            args[:, 2] = theta_text[theta_index[part]]
-            args[:, 3:7] = np.stack([getattr(res, name)[part] for name in _MEASURES], axis=1)
-            for j, name in enumerate(_FLAGS, 7):
-                args[:, j] = _BOOL_TEXT[getattr(res, name)[part].astype(np.intp)]
-            used = np.ones(args.shape, dtype=bool)
-            used[:, 3:] = (status == _OK)[:, None]
-            fh.write("".join(_TEMPLATES[status].tolist()) % tuple(args[used].tolist()))
+            ok = status == _OK
+            n = status.size
+            fields = [prefix, np.take(p_text, p_index[part], axis=0), _COMMA,
+                      np.take(theta_text, theta_index[part], axis=0), _COMMA]
+            for name in _MEASURES:
+                text = _text17(getattr(res, name)[part][ok])
+                if text.shape[0] < n:           # the non-ok lines get empty fields
+                    spread = np.zeros((n, text.shape[1]), np.uint8)
+                    spread[ok] = text
+                    text = spread
+                fields += [text, _COMMA]
+            fields += [np.take(_FLAG_TEXT, np.where(ok, getattr(res, name)[part], 2), axis=0)
+                       for name in _FLAGS]
+            fields.append(np.take(_STATUS_TEXT, status, axis=0))
+            slab = np.concatenate([np.broadcast_to(f, (n, f.shape[1])) for f in fields], axis=1)
+            fh.write(slab.tobytes().translate(None, b"\0"))
 
 
 def parse_csv(path) -> list[ScanRow]:

@@ -126,6 +126,21 @@ def test_threshold_non_finite_input_exit_code(theta, bracket, reason, capsys):
     assert reason in err and "below threshold" not in err
 
 
+def test_negative_values_with_an_exponent(tmp_path, capsys):
+    # argparse alone reads '-1e-1', '-1e-3' and '-inf' as option names
+    assert main(["point", "--process", "moller", "--p", "1.0", "--theta", "-1e-1"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["point", "--process", "moller", "--p", "1.0", "--theta=-1e-1"]) == 0
+    assert capsys.readouterr().out == spaced
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--process", "moller", "--p-steps", "2", "--theta-steps", "2",
+                 "--theta-min", "-1e-3", "--theta-max", "1", "--out", str(out)]) == 0
+    assert len(parse_csv(out)) == 4
+    assert main(["threshold", "--process", "moller", "--theta", "-inf",
+                 "--p-bracket", "0.1,2"]) == 2
+    assert "non-finite theta" in capsys.readouterr().err
+
+
 def test_missing_process_exit_code():
     assert main(["threshold", "--theta", "1.0", "--p-bracket", "0.5,2.0"]) == 2
     assert main(["threshold", "--process", "moller", "--theta", "1.0",

@@ -11,12 +11,22 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
+
+from qedtangle import qstate
+from qedtangle.amplitudes import amplitude
+from qedtangle.entanglement import analyze
+from qedtangle.errors import QedTangleError
+from qedtangle.kinematics import ProcessKind, build_kinematics
+from qedtangle.scan import parse_initial
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -81,3 +91,32 @@ def test_bisection_engine_calls_match_the_replay(monkeypatch):
                                      (op["lo"], op["hi"]))
         assert len(calls) == workloads.bisection_evals(op["lo"], op["hi"], p_star)
         assert all(p.size == 1 for p in calls)
+
+
+def _point_report(op: dict, init):
+    """(state entries, report) of a benchmark point query, or its error class."""
+    try:
+        amp = amplitude(build_kinematics(ProcessKind(op["process"]), op["p"], op["theta"]))
+        state = qstate.evolve(amp, init)
+    except QedTangleError as exc:
+        return type(exc)
+    return state.entries, analyze(state)
+
+
+def test_shared_initial_states_give_the_same_point_reports():
+    # parse_initial hands out one shared state per name; the benchmark's point
+    # reports must equal those from a state built afresh for each query
+    fresh = {"unpolarized": qstate.unpolarized, "werner": qstate.werner_symmetric,
+             **{pair: lambda pair=pair: qstate.pure(pair.upper())
+                for pair in ("ll", "lr", "rl", "rr")}}
+    workloads = _load("workloads")
+    ops = [op for pass_index in range(3) for op in workloads.query_stream(1, pass_index)
+           if op["kind"] == "point" and op["initial"] in fresh]
+    assert len(ops) > 500
+    for op in ops:
+        shared = _point_report(op, parse_initial(op["initial"]))
+        own = _point_report(op, fresh[op["initial"]]())
+        if isinstance(own, type):
+            assert shared is own, op
+        else:
+            assert np.array_equal(shared[0], own[0]) and shared[1] == own[1], op

@@ -38,6 +38,14 @@ def test_parse_initial():
         parse_initial("diag:1,2")
 
 
+@pytest.mark.parametrize("name", ["unpolarized", "ll", "lr", "rl", "rr", "werner"])
+def test_named_initial_states_are_built_once(name):
+    state = parse_initial(name)
+    assert parse_initial(f" {name.upper()} ") is state
+    with pytest.raises(ValueError, match="read-only"):
+        state.density.entries[0, 0] = 1.0
+
+
 def test_single_point_grid():
     cfg = ScanConfig(process=ProcessKind.BHABHA, p_min=0.32, p_max=0.32,
                      p_steps=1, theta_min=math.pi, theta_max=math.pi, theta_steps=1)
@@ -216,10 +224,15 @@ def _reference_csv(rows, path):
 
 _THR_MU = math.sqrt(DEFAULT.m_mu ** 2 - DEFAULT.m_e ** 2)
 
-#: grids of more than two chunks: muon pair straddling its threshold, and
+#: grids of more than two chunks: muon pair straddling its threshold,
 #: Moller with a theta row 1e-6 rad from each pole ray (outside the nudge
-#: window, inside the divergence tolerance)
+#: window, inside the divergence tolerance), and Compton with the werner
+#: input over six decades of p, whose min_pt_eig reaches scientific notation
 MULTI_CHUNK_GRIDS = {
+    "compton-werner-log-p": (
+        dict(process=ProcessKind.COMPTON, initial="werner", p_min=0.01, p_max=1e4,
+             p_steps=600, p_log=True, theta_steps=30),
+        {"ok"}),
     "muon-pair-threshold": (
         dict(process=ProcessKind.MUON_PAIR, p_min=0.8 * _THR_MU, p_max=4.0 * _THR_MU,
              p_steps=2600, theta_steps=8),
