@@ -12,8 +12,9 @@ theta-side tensor:
 
 * a fermion leg of momentum k and energy E is sqrt(E + m) * large(theta)
   + k / sqrt(E + m) * small(theta) (`dirac.spinor_parts`);
-* a photon leg is its polarization vectors (`dirac.polarizations`) with
-  weight 1, conjugated when outgoing;
+* a photon leg is its polarization vectors, P0 + cos(theta) Pc
+  + sin(theta) Ps (`dirac.POLARIZATION_PARTS`), with weight 1, conjugated
+  when outgoing;
 * the propagator slash(p1 - q) + m of a t or u channel, q the momentum of
   outgoing leg 2 or 3 with direction khat, is (E1 - E_q) g0-slash
   + (p - |q|) z-slash + |q| (z - khat)-slash + m; an s channel's

@@ -35,6 +35,11 @@ With PLANE_GAMMA = (g0, g1, -i g2, g3), real, and PLANE_METRIC =
 PLANE_METRIC a_mu b_mu, and ubar PLANE_GAMMA^mu u' is the plane form of
 ubar gamma^mu u'; all are real. Conjugating a plane vector flips slot 2
 (PLANE_CONJ).
+
+For its legs the amplitude engine reads only `spinor_parts` and
+`POLARIZATION_PARTS`. `u_batch`, `v_batch` and `eps_batch` are off its path
+and stay for two callers: tests check the conventions above against them,
+and the benchmark's tracer (`perfbench/tracer.py`) times them by name.
 """
 from __future__ import annotations
 

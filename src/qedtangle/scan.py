@@ -5,9 +5,9 @@ spacing); the theta grid is cell-centered, theta_j = min + (j + 1/2) * step,
 so a default [0, 2 pi) range never lands on the exact forward/backward rays
 or on duplicate 0 / 2 pi rows. Rows are emitted theta-major: all p values
 for the first theta, then the next theta. A scan's result is a ScanResult
-of numpy columns; points are evaluated in fixed chunks of at most
-CHUNK_POINTS, each a block of whole theta rows against the live p values
-(a longer row is split along p), which a thread pool shares out when
+of grid axes and numpy columns; points are evaluated in fixed chunks of at
+most CHUNK_POINTS, each a block of whole theta rows against the live p
+values (a longer row is split along p), which a thread pool shares out when
 jobs > 1, so results are deterministic and do not depend on jobs.
 
 Spectra: mirror reflection in the scattering plane flips every helicity,
@@ -173,16 +173,17 @@ class ScanRow:
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """A scan as numpy columns, one entry per grid point, theta-major.
+    """A scan as its grid axes ``p_grid``, ``theta_grid`` (nudged) and columns.
 
+    Columns are flat and theta-major; ``p`` and ``theta`` derive from the axes.
     Measures are NaN and flags False where the point is not ok; ``status``
     holds indices into STATUSES. ``len``, integer indexing and iteration give
     ScanRow views, with None in the measure and flag fields of non-ok rows.
     """
     process: str
     initial: str
-    p: np.ndarray
-    theta: np.ndarray
+    p_grid: np.ndarray
+    theta_grid: np.ndarray
     min_pt_eig: np.ndarray
     negativity: np.ndarray
     log_negativity: np.ndarray
@@ -192,17 +193,37 @@ class ScanResult:
     status: np.ndarray
     warnings: list = field(default_factory=list)      # run_scan's symmetry audit
 
+    def __post_init__(self):
+        n = self.p_grid.size * self.theta_grid.size
+        for name in _MEASURES + _FLAGS + ("status",):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"column {name} has shape {getattr(self, name).shape}, "
+                                 f"not ({n},) for a {self.theta_grid.size} x "
+                                 f"{self.p_grid.size} grid")
+
+    @property
+    def p(self) -> np.ndarray:
+        return np.tile(self.p_grid, self.theta_grid.size)
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.repeat(self.theta_grid, self.p_grid.size)
+
+    def _grid(self, name: str) -> np.ndarray:
+        return getattr(self, name).reshape(self.theta_grid.size, self.p_grid.size)
+
     def _row(self, p, theta, code, values) -> ScanRow:
         if code != _OK:
             values = (None,) * len(values)
         return ScanRow(self.process, self.initial, p, theta, *values, STATUSES[code])
 
     def __len__(self) -> int:
-        return self.p.size
+        return self.status.size
 
     def __getitem__(self, i) -> ScanRow:
-        i = operator.index(i)
-        return self._row(self.p[i].item(), self.theta[i].item(), int(self.status[i]),
+        i = range(len(self))[operator.index(i)]
+        return self._row(self.p_grid[i % self.p_grid.size].item(),
+                         self.theta_grid[i // self.p_grid.size].item(), int(self.status[i]),
                          [getattr(self, name)[i].item() for name in _MEASURES + _FLAGS])
 
     def __iter__(self):
@@ -280,16 +301,14 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         theta_grid = _nudge_poles(cfg.process, theta_grid,
                                   theta_grid[1] - theta_grid[0])
 
-    tt, pp = np.meshgrid(theta_grid, p_grid, indexing="ij")
-    n = tt.size
-    result = ScanResult(cfg.process.value, init.description, pp.ravel(), tt.ravel(),
+    n = theta_grid.size * p_grid.size
+    result = ScanResult(cfg.process.value, init.description, p_grid, theta_grid,
                         *(np.full(n, math.nan) for _ in _MEASURES),
                         *(np.zeros(n, dtype=bool) for _ in _FLAGS),
                         np.full(n, _BELOW, dtype=np.int8))
 
     # below threshold, as build_kinematics and the engine decide it: q is NaN
     live = np.flatnonzero(~np.isnan(_com_energies(cfg.process, p_grid)[-1]))
-    row_index = np.arange(theta_grid.size)
 
     def fill(chunk: tuple[slice, np.ndarray]) -> None:
         block, cols = chunk
@@ -297,15 +316,14 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         # p as a broadcast view: one entry per grid point, stored once
         res = _evaluate(cfg.process, np.broadcast_to(p_grid[cols], (theta.size, cols.size)),
                         theta[:, None], rho_in, mirror)
-        idx = (row_index[block, None] * p_grid.size + cols).ravel()
         code = np.where(res["divergent"], _DIVERGENT,
-                        np.where(res["unfilterable"], _UNFILTERABLE, _OK))
+                        np.where(res["unfilterable"], _UNFILTERABLE, _OK)).reshape(theta.size, -1)
         ok = code == _OK
-        result.status[idx] = code
+        result._grid("status")[block, cols] = code
         for name in _MEASURES:
-            getattr(result, name)[idx] = np.where(ok, res[name], math.nan)
+            result._grid(name)[block, cols] = np.where(ok, res[name].reshape(ok.shape), math.nan)
         for name in _FLAGS:
-            getattr(result, name)[idx] = res[name] & ok
+            result._grid(name)[block, cols] = res[name].reshape(ok.shape) & ok
 
     chunks = _chunks(theta_grid.size, live)
     if cfg.jobs > 1 and len(chunks) > 1:
@@ -335,40 +353,34 @@ _SYMMETRIES = {
 }
 
 
-def _audit_key(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(theta mod 2 pi, p) rounded to 12 digits, as one complex number each:
-    numpy orders complex numbers by real part, then imaginary part."""
-    return np.round(np.remainder(theta, _TWO_PI), 12) + 1j * np.round(p, 12)
-
-
 def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
     """theta -> theta + pi invariance for Moller / muon pair / annihilation,
     theta -> -theta for Bhabha, with angles compared modulo 2 pi.
 
-    Every ok point is paired with the ok point at its image, when the grid
-    has one. Each audit logs its worst deviation and pair count at INFO;
-    any deviation above 1e-8 is also returned as a warning.
+    Each theta row is paired with the last row in grid order at its image
+    (theta mod 2 pi to 12 digits), each ok point with the ok point at its p.
+    Each audit logs its worst deviation and pair count at INFO; any
+    deviation above 1e-8 is also returned as a warning.
     """
     if process not in _SYMMETRIES:
         return []
     label, image = _SYMMETRIES[process]
-    ok = np.flatnonzero(res.status == _OK)
-    key = _audit_key(res.theta[ok], res.p[ok])
-    want = _audit_key(image(res.theta[ok]), res.p[ok])
+    key = np.round(np.remainder(res.theta_grid, _TWO_PI), 12)
+    want = np.round(np.remainder(image(res.theta_grid), _TWO_PI), 12)
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    # the last of equal keys in grid order is the partner; pos = -1 (image
-    # below every key) reads the largest key, which cannot match
-    pos = np.searchsorted(sorted_key, want, side="right") - 1
-    hit = sorted_key[pos] == want
-    mine, partner = ok[hit], ok[order[pos[hit]]]
-    worst = float(np.max([np.abs(getattr(res, name)[mine] - getattr(res, name)[partner])
+    # pos = -1 (image below every key) reads the largest key, which cannot match
+    pos = np.searchsorted(key[order], want, side="right") - 1
+    hit = key[order[pos]] == want
+    partners = order[pos[hit]]
+    ok = res._grid("status") == _OK
+    both = ok[hit] & ok[partners]
+    pairs = int(both.sum())
+    worst = float(np.max([np.abs(res._grid(name)[hit] - res._grid(name)[partners])[both]
                           for name in _MEASURES], initial=0.0))
-    log.info("symmetry audit %s: worst deviation %.3e over %d pairs",
-             label, worst, mine.size)
-    if mine.size and worst > SYMMETRY_AUDIT_TOL:
+    log.info("symmetry audit %s: worst deviation %.3e over %d pairs", label, worst, pairs)
+    if pairs and worst > SYMMETRY_AUDIT_TOL:
         return [f"symmetry audit {label}: worst deviation {worst:.3e} "
-                f"exceeds {SYMMETRY_AUDIT_TOL:g} over {mine.size} pairs"]
+                f"exceeds {SYMMETRY_AUDIT_TOL:g} over {pairs} pairs"]
     return []
 
 
@@ -582,13 +594,8 @@ def emit_csv(res: ScanResult, path) -> None:
     lines at a time: each chunk is a uint8 slab of NUL-padded fields side by
     side (`_text17`), written with its NUL bytes dropped.
     """
-    # p and theta repeat along the grid: each distinct value is formatted once,
-    # told apart by bit pattern so that -0.0 keeps its sign
-    tables = []
-    for values in (res.p, res.theta):
-        bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        tables.append((_text17(bits.view(np.float64)), index))
-    (p_text, p_index), (theta_text, theta_index) = tables
+    # p and theta repeat along the grid: each axis value is formatted once
+    p_text, theta_text = _text17(res.p_grid), _text17(res.theta_grid)
     prefix = np.frombuffer(f"{res.process},{res.initial},".encode(), np.uint8)[None]
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
@@ -597,8 +604,9 @@ def emit_csv(res: ScanResult, path) -> None:
             status = res.status[part]
             ok = status == _OK
             n = status.size
-            fields = [prefix, np.take(p_text, p_index[part], axis=0), _COMMA,
-                      np.take(theta_text, theta_index[part], axis=0), _COMMA]
+            row, col = np.divmod(np.arange(start, start + n), res.p_grid.size)
+            fields = [prefix, np.take(p_text, col, axis=0), _COMMA,
+                      np.take(theta_text, row, axis=0), _COMMA]
             for name in _MEASURES:
                 text = _text17(getattr(res, name)[part][ok])
                 if text.shape[0] < n:           # the non-ok lines get empty fields
@@ -613,23 +621,45 @@ def emit_csv(res: ScanResult, path) -> None:
             fh.write(slab.tobytes().translate(None, b"\0"))
 
 
+_FLAG_VALUES = {"true": True, "false": False, "": None}
+
+
+def _parse_row(line: str) -> ScanRow:
+    parts = line.rstrip("\n").split(",")
+    if len(parts) != 11:
+        raise ValueError(f"bad CSV line: {line!r}")
+    status, fields = parts[10], parts[4:10]
+    if status not in STATUSES:
+        raise ValueError(f"unknown status {status!r}")
+    if not (all(fields) if status == "ok" else not any(fields)):
+        want = "every measure and flag" if status == "ok" else "no measure or flag"
+        raise ValueError(f"{status} line needs {want}: {line!r}")
+    if not all(flag in _FLAG_VALUES for flag in fields[4:]):
+        raise ValueError(f"flags must be true or false: {line!r}")
+    return ScanRow(parts[0], parts[1], float(parts[2]), float(parts[3]),
+                   *(float(s) if s else None for s in fields[:4]),
+                   *(_FLAG_VALUES[s] for s in fields[4:]), status)
+
+
 def parse_csv(path) -> list[ScanRow]:
-    """Round-trip reader for emit_csv output."""
+    """Round-trip reader for emit_csv output; a malformed line raises
+    ValueError naming its line number."""
     rows = []
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 11:
-                raise ValueError(f"bad CSV line: {line!r}")
-            opt = lambda s: None if s == "" else float(s)
-            optb = lambda s: None if s == "" else s == "true"
-            rows.append(ScanRow(parts[0], parts[1], float(parts[2]), float(parts[3]),
-                                opt(parts[4]), opt(parts[5]), opt(parts[6]), opt(parts[7]),
-                                optb(parts[8]), optb(parts[9]), parts[10]))
+        for number, line in enumerate(fh, start=2):
+            try:
+                rows.append(_parse_row(line))
+            except ValueError as exc:
+                raise ValueError(f"CSV line {number}: {exc}") from None
     return rows
+
+
+def _quoted(text) -> str:
+    """A gnuplot single-quoted string: a quote inside is doubled."""
+    return "'" + str(text).replace("'", "''") + "'"
 
 
 def emit_plot_script(res: ScanResult, path, csv_path) -> None:
@@ -637,12 +667,12 @@ def emit_plot_script(res: ScanResult, path, csv_path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([
             f"# gnuplot script for {res.process} ({res.initial}) scan",
-            f"csv = '{csv_path}'",
+            f"csv = {_quoted(csv_path)}",
             "set datafile separator ','",
             "set xlabel 'theta [rad]'",
             "set ylabel 'p [MeV]'",
             "set cblabel 'log-negativity'",
-            f"set title '{res.process} ({res.initial}): logarithmic negativity'",
+            f"set title {_quoted(f'{res.process} ({res.initial}): logarithmic negativity')}",
             "set palette defined (0 'white', 0.5 'orange', 1 'red')",
             "plot csv skip 1 using 4:3:7 with points pt 5 ps 0.6 palette notitle",
             "pause -1 'press enter to close'",

@@ -101,7 +101,7 @@ def test_scan_columns_rarely_fall_back(monkeypatch, tmp_path):
     emit_csv(res, tmp_path / "scan.csv")
     ok = res.status == STATUSES.index("ok")
     formatted = (sum(np.count_nonzero(getattr(res, name)[ok]) for name in scan._MEASURES)
-                 + np.unique(res.p).size + np.unique(res.theta).size)
+                 + res.p_grid.size + res.theta_grid.size)
     assert formatted > 30_000
     assert len(calls) < 0.01 * formatted
 

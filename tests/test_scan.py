@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import math
+import os
 import sys
 import tracemalloc
 
@@ -175,13 +177,24 @@ def test_csv_round_trip_with_status_rows(tmp_path):
         assert a.negativity == b.negativity
 
 
-def _columns(process, initial, p, theta, measures, flags, status) -> ScanResult:
-    """A ScanResult built directly from per-point values."""
+def _columns(process, initial, p_grid, theta_grid, measures, flags, status) -> ScanResult:
+    """A ScanResult built directly from its grid axes and per-point values."""
     measures = np.array(measures, dtype=float).reshape(-1, 4)
     flags = np.array(flags, dtype=bool).reshape(-1, 2)
-    return ScanResult(process, initial, np.array(p, dtype=float),
-                      np.array(theta, dtype=float), *measures.T.copy(), *flags.T.copy(),
+    return ScanResult(process, initial, np.array(p_grid, dtype=float),
+                      np.array(theta_grid, dtype=float), *measures.T.copy(), *flags.T.copy(),
                       np.array([STATUSES.index(s) for s in status], dtype=np.int8))
+
+
+def test_scan_result_columns_must_fill_the_grid():
+    args = ("moller", "unpolarized", [0.5, 1.0], [1.0, 2.0, 3.0])
+    result = _columns(*args, [(0.0,) * 4] * 6, [(False, False)] * 6, ["ok"] * 6)
+    assert result.p.tolist() == [0.5, 1.0] * 3
+    assert result.theta.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    with pytest.raises(ValueError, match="not \\(6,\\) for a 3 x 2 grid"):
+        _columns(*args, [(0.0,) * 4] * 2, [(False, False)] * 2, ["ok"] * 2)
+    with pytest.raises(ValueError, match="column status"):
+        _columns(*args, [(0.0,) * 4] * 6, [(False, False)] * 6, ["ok"] * 5)
 
 
 def test_csv_header_only_for_empty(tmp_path):
@@ -273,25 +286,52 @@ def test_jobs_give_identical_csv_over_many_chunks(grid, tmp_path):
 
 
 def test_csv_writer_matches_reference_for_every_status(tmp_path):
-    # one chunk that holds all four statuses, with awkward values on the ok
-    # lines and a '%' in the labels, which must never be read as a format
+    # one chunk on a 3 theta x 4 p grid whose every row holds all four
+    # statuses, with a -0.0 theta row, awkward values on the ok lines and a
+    # '%' in the labels, which must never be read as a format
     status = STATUSES * 3
     ok = [s == "ok" for s in status]
     result = _columns(
-        "moller%s", "pure(%d)", [0.1 * (i + 1) for i in range(len(status))],
-        [-0.0 if i == 1 else i * 2.1 for i in range(len(status))],
+        "moller%s", "pure(%d)", [0.1 * (i + 1) for i in range(4)], [0.0, -0.0, 4.2],
         [(-0.0 if i < 4 else -i * 1e-17, 1 / 3, 5e-324, 1e300 / (i + 1)) if good
          else (math.nan,) * 4 for i, good in enumerate(ok)],
         [(i % 2 == 0, i % 3 == 0) if good else (False, False) for i, good in enumerate(ok)],
         status)
     rows = list(result)
-    assert {r.status for r in rows} == set(STATUSES)
+    assert [r.status for r in rows] == list(status)
+    assert [r.theta for r in rows] == [0.0] * 4 + [-0.0] * 4 + [4.2] * 4
+    assert [math.copysign(1.0, r.theta) for r in rows[:8]] == [1.0] * 4 + [-1.0] * 4
+    assert [r.p for r in rows] == [0.1 * (i + 1) for i in range(4)] * 3
     assert rows[0].min_pt_eig == 0.0 and math.copysign(1.0, rows[0].min_pt_eig) < 0
     assert rows[0].entropy > 0 and rows[4].log_negativity == 5e-324
     emit_csv(result, tmp_path / "rows.csv")
     _reference_csv(rows, tmp_path / "reference.csv")
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert parse_csv(tmp_path / "rows.csv") == rows
+
+
+def test_parse_csv_rejects_lines_emit_csv_never_writes(tmp_path):
+    good = "moller,unpolarized,0.5,1,-0.1,0.1,0.2,0.3,true,false,ok"
+    bad = {
+        "moller,unpolarized,0.5,1,,,,,,,bogus": "unknown status 'bogus'",
+        "moller,unpolarized,0.5,1,-0.1,0.1,0.2,0.3,yes,false,ok": "flags must be",
+        "moller,unpolarized,0.5,1,-0.1,0.1,0.2,0.3,true,maybe,ok": "flags must be",
+        "moller,unpolarized,0.5,1,,,,,,,ok": "ok line needs every measure and flag",
+        "moller,unpolarized,0.5,1,-0.1,0.1,0.2,,true,false,ok": "ok line needs every",
+        "moller,unpolarized,0.5,1,-0.1,0.1,0.2,0.3,true,,ok": "ok line needs every",
+        "moller,unpolarized,0.5,1,,,,,false,,divergent": "divergent line needs no measure",
+        "moller,unpolarized,0.5,1,0,,,,,,below-threshold": "below-threshold line needs no",
+        "moller,unpolarized,0.5,1,,,,,,true,unfilterable": "unfilterable line needs no",
+        "moller,unpolarized,0.5,x,-0.1,0.1,0.2,0.3,true,false,ok": "could not convert",
+    }
+    path = tmp_path / "bad.csv"
+    for line, message in bad.items():
+        path.write_text(f"{CSV_HEADER}\n{good}\n{line}\n")
+        with pytest.raises(ValueError, match=f"^CSV line 3: {message}"):
+            parse_csv(path)
+    path.write_text(f"{CSV_HEADER}\n{good}\nmoller,unpolarized,0.5,2,,,,,,,divergent\n")
+    assert [(r.entangled, r.switching, r.status) for r in parse_csv(path)] == \
+        [(True, False, "ok"), (None, None, "divergent")]
 
 
 #: a live p row longer than one chunk: each theta row is split along p
@@ -348,6 +388,19 @@ def test_scan_memory_grows_by_columns_only():
     assert (peaks[1] - peaks[0]) / 10000 <= 256
 
 
+def test_scan_result_stores_35_bytes_per_point():
+    # four float64 measures, two bool flags and an int8 status per point;
+    # p and theta are derived from the grid axes, not stored per point
+    result = run_scan(ScanConfig(process=ProcessKind.MOLLER, p_min=0.1, p_max=3.0,
+                                 p_steps=40, theta_steps=30))
+    arrays = {name: a for name, a in vars(result).items() if isinstance(a, np.ndarray)}
+    per_point = {name for name, a in arrays.items() if a.size == len(result)}
+    assert per_point == set(scan._MEASURES + scan._FLAGS + ("status",))
+    assert sum(arrays[name].nbytes for name in per_point) == 35 * len(result) == 35 * 1200
+    assert arrays["p_grid"].shape == (40,) and arrays["theta_grid"].shape == (30,)
+    assert len(arrays) == len(per_point) + 2
+
+
 def test_plot_script_references_csv(tmp_path):
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.5, p_max=1.5,
                      p_steps=2, theta_steps=2)
@@ -359,6 +412,17 @@ def test_plot_script_references_csv(tmp_path):
     script = gp_path.read_text()
     assert str(csv_path) in script
     assert "plot" in script
+
+
+def test_plot_script_doubles_quotes_in_its_strings(tmp_path):
+    result = _columns("moller", "it's", [1.0], [1.0], [(0.0,) * 4], [(False, False)], ["ok"])
+    emit_plot_script(result, tmp_path / "a.gp", os.path.join("data", "it's", "a.csv"))
+    script = (tmp_path / "a.gp").read_text()
+    assert "csv = '" + os.path.join("data", "it''s", "a.csv") + "'\n" in script
+    assert "set title 'moller (it''s): logarithmic negativity'\n" in script
+    # every single-quoted string closes on its own line
+    assert all(line.replace("''", "").count("'") % 2 == 0
+               for line in script.splitlines() if not line.startswith("#"))
 
 
 def test_symmetry_audit_clean_and_violated():
@@ -404,6 +468,104 @@ def test_symmetry_audit_outside_first_turn(process, turn, caplog):
     result.negativity[20] += 1e-3
     warnings = symmetry_audit(result, process)
     assert len(warnings) == 1 and warnings[0].endswith("over 96 pairs")
+
+
+_IMAGES = {ProcessKind.MOLLER: lambda t: t + math.pi,
+           ProcessKind.MUON_PAIR: lambda t: t + math.pi,
+           ProcessKind.ANNIHILATION: lambda t: t + math.pi,
+           ProcessKind.BHABHA: lambda t: 2 * math.pi - t}
+
+
+def _point_keyed_audit(result, process):
+    """(worst deviation, pairs) by the point-keyed rule: each ok point against
+    the last ok point in grid order whose (theta mod 2 pi, p), rounded to 12
+    digits, is its image's, found by a sort and a binary search of all points."""
+    def key(theta, p):
+        return np.round(np.remainder(theta, 2 * math.pi), 12) + 1j * np.round(p, 12)
+
+    ok = np.flatnonzero(result.status == STATUSES.index("ok"))
+    theta, p = result.theta[ok], result.p[ok]
+    keys, want = key(theta, p), key(_IMAGES[process](theta), p)
+    order = np.argsort(keys, kind="stable")
+    pos = np.searchsorted(keys[order], want, side="right") - 1
+    hit = keys[order][pos] == want
+    mine, partner = ok[hit], ok[order[pos[hit]]]
+    worst = max(float(np.max(np.abs(getattr(result, name)[mine] - getattr(result, name)[partner]),
+                             initial=0.0)) for name in scan._MEASURES)
+    return worst, mine.size
+
+
+def _audit_numbers(result, process, caplog):
+    """(worst deviation, pairs) as symmetry_audit logs them, unrounded."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="qedtangle.scan"):
+        symmetry_audit(result, process)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("symmetry audit")]
+    return record.args[1:]
+
+
+_TWO_PI = 2 * math.pi
+
+#: grids with their audit pair counts: pole rows nudged onto each other's
+#: images (16 rows), an odd row count whose only pairs are a nudged row and
+#: its image (15 rows), several turns (equal keys in several rows), rows of
+#: unfilterable points, and the multi-chunk scans with a symmetry
+AUDIT_GRIDS = {
+    "moller-nudged-poles": (dict(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0,
+                                 p_steps=50, theta_min=-math.pi / 16,
+                                 theta_max=_TWO_PI - math.pi / 16, theta_steps=16), 800),
+    "moller-odd-rows": (dict(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0, p_steps=7,
+                             theta_steps=15), 14),
+    "moller-two-turns": (dict(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0, p_steps=20,
+                              theta_max=2 * _TWO_PI, theta_steps=32), 640),
+    "bhabha-two-turns": (dict(process=ProcessKind.BHABHA, p_min=0.4, p_max=2.0, p_steps=20,
+                              theta_max=2 * _TWO_PI, theta_steps=32), 640),
+    "moller-three-turns": (dict(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0, p_steps=20,
+                                theta_min=-_TWO_PI, theta_max=2 * _TWO_PI,
+                                theta_steps=48), 960),
+    "bhabha-odd-rows": (dict(process=ProcessKind.BHABHA, p_min=0.4, p_max=2.0, p_steps=50,
+                             theta_steps=17), 850),
+    "muon-pair": (dict(process=ProcessKind.MUON_PAIR, p_min=0.8 * _THR_MU,
+                       p_max=4.0 * _THR_MU, p_steps=31, theta_steps=24), 696),
+    "annihilation-lr": (dict(process=ProcessKind.ANNIHILATION, initial="lr", p_min=0.01,
+                             p_max=3.0, p_steps=30, theta_steps=24), 720),
+    "annihilation-lr-unfilterable-rows": (
+        dict(process=ProcessKind.ANNIHILATION, initial="lr", p_min=0.01, p_max=3.0,
+             p_steps=12, theta_min=-math.pi / 20, theta_max=_TWO_PI - math.pi / 20,
+             theta_steps=20), 216),
+    "moller-poles": (MULTI_CHUNK_GRIDS["moller-poles"][0], 13200),
+    "muon-pair-threshold": (MULTI_CHUNK_GRIDS["muon-pair-threshold"][0], 19496),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(AUDIT_GRIDS))
+def test_row_paired_audit_matches_point_keyed_pairing(grid, caplog):
+    base, pairs = AUDIT_GRIDS[grid]
+    result = run_scan(ScanConfig(**base))
+    process = base["process"]
+    got = _audit_numbers(result, process, caplog)
+    assert got == _point_keyed_audit(result, process)
+    assert got[1] == pairs
+    # a deviation planted at the last ok point is seen by both
+    last = np.flatnonzero(result.status == STATUSES.index("ok"))[-1]
+    result.entropy[last] += 1e-3
+    assert _audit_numbers(result, process, caplog) == _point_keyed_audit(result, process)
+
+
+@pytest.mark.parametrize("workload, processes, pairs", [
+    ("scan-moller", [ProcessKind.MOLLER], [90000]),
+    # Compton has no symmetry: its grid is audited under the other rules;
+    # the jittered theta_min leaves -theta off the grid
+    ("scan-compton-wide", [ProcessKind.MOLLER, ProcessKind.BHABHA], [180000, 0])])
+def test_row_paired_audit_matches_point_keyed_pairing_on_benchmark_grids(
+        workload, processes, pairs, caplog):
+    from test_perfbench_contract import _load
+    spec = dataclasses.asdict(_load("workloads").scan_spec(workload, 1))
+    result = run_scan(ScanConfig(**{**spec, "process": ProcessKind(spec["process"])}))
+    for process, want in zip(processes, pairs):
+        got = _audit_numbers(result, process, caplog)
+        assert got == _point_keyed_audit(result, process)
+        assert got[1] == want
 
 
 def test_run_scan_logs_every_audit(caplog):
