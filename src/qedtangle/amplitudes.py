@@ -22,44 +22,44 @@ theta-side tensor:
 
 A channel's numerator is then sum_k W_k(p) G_k(theta) with K <= 16 terms,
 G holding the 16 helicity configurations of each term on the (out1, out2,
-in1, in2) axes. Every theta-side tensor is a constant basis contracted with
-a short feature vector of its piece:
+in1, in2) axes. Every theta-side piece is a polynomial in the half angle,
+stored as its coefficients over the monomials c^(D - j) s^j, j = 0..D, with
+(c, s) = (cos, sin)(theta/2):
 
-* an outgoing spinor: (cos, sin)(theta/2);
-* an outgoing photon: (1, cos theta, sin theta);
-* a t or u propagator: (1, sin theta, sin^2(theta/2)) or (1, sin theta,
-  cos^2(theta/2)), which fill its (z -+ khat)-slash slot;
-* an incoming leg or an s-channel propagator: constant.
+* an incoming leg or an s-channel propagator: D = 0, constant;
+* an outgoing spinor: D = 1, linear in (c, s);
+* an outgoing photon or a t or u propagator: D = 2, from its terms in 1,
+  cos theta and sin theta (the propagator's (z -+ khat)-slash slot) through
+  1 = c^2 + s^2, cos theta = c^2 - s^2 and sin theta = 2 c s (`_half_angle`).
 
-Leg 3, at theta + pi, shares leg 2's features: its half angle
+Leg 3, at theta + pi, has the same monomials as leg 2: its half angle
 (-sin, cos)(theta/2) and direction -khat(theta) are folded into its basis.
 
-So G(theta) = f(theta) @ T, with f the product of the feature vectors and
-T a constant tensor. `_compile` builds one T per process, at import, by
-running the current and slash-chain contractions on the feature bases, each
-piece's basis on its own broadcast axis, and stacks the channels on one
-channel axis: T is (F, C * K * 16). The channels share their legs'
-features; a process with slash chains adds one propagator feature, the
-union of its channels' columns, and a channel puts its tensor on its own
-columns (an s channel, which has none, on the constant 1) and zeros
-elsewhere. A channel with fewer terms is padded to K with zero tensors and
-unit weights. A call then forms the invariants, the features once per
-distinct angle, one product f and one G = f @ T, one product giving every
-channel's p-side weights W (an index table into one vector of weight
-terms), one W @ G over the channel axis, and one multiply by each channel's
-sign e^2 / denominator; the total is the sum over the channel axis and the
-`channels` dict holds views into that array. The matmuls are stacked per
-item, so a point gives the same bits at any batch size, zero-dimensional
-p and theta included (`amplitude` and `find_threshold` pass those, whose
-p-side arithmetic is numpy scalar math; squares are products, never
-`** 2`, which is pow() on a scalar). On a scan, theta is a column of grid
-rows and p a row of grid momenta; a flat point list is the case where both
-have one entry per point, and the two give the same bits. An axis along
-which an argument is a broadcast view (stride 0) is evaluated once. Each
-photon leg also has a gauge variant, compiled at import: its polarization
-vectors replaced by its direction k / E = (1, khat) on the same features.
-A new leg type supplies its p-side weight terms (`_weight_terms`) and its
-feature basis (`_leg`).
+So a channel's G(theta) is a polynomial whose degree is the sum of its
+pieces', G = f(theta) @ T with f_j = c^(D - j) s^j and T a constant tensor.
+`_compile` builds one T per process, at import, by running the current and
+slash-chain contractions on the pieces' bases, each on its own broadcast
+axis, and collecting the coefficients by total power of s. A channel of
+lower degree than the process's is multiplied by c^2 + s^2 = 1, and the
+channels stack on one channel axis: T is (D + 1, C * K * 16). A channel
+with fewer terms is padded to K with zero tensors and unit weights. A call
+then forms the invariants, the powers of c and s once per distinct angle,
+one G = f @ T, one product giving every channel's p-side weights W (an
+index table into one vector of weight terms), one W @ G over the channel
+axis, and one multiply by each channel's sign e^2 / denominator; the total
+is the sum over the channel axis and the `channels` dict holds views into
+that array. The matmuls are stacked per item, so a point gives the same
+bits at any batch size, zero-dimensional p and theta included (`amplitude`
+and `find_threshold` pass those, whose p-side arithmetic is numpy scalar
+math; squares and powers are products, never `**`, which is pow() on a
+scalar). On a scan, theta is a column of grid rows and p a row of grid
+momenta; a flat point list is the case where both have one entry per
+point, and the two give the same bits. An axis along which an argument is
+a broadcast view (stride 0) is evaluated once. Each photon leg also has a
+gauge variant, compiled at import: its polarization vectors replaced by its
+direction k / E = (1, khat), on the same monomials. A new leg type supplies
+its p-side weight terms (`_weight_terms`) and its half-angle basis
+(`_leg`).
 
 Feynman gauge photon propagator -i g_munu / q^2, vertices -i e gamma^mu,
 fermion propagators i (qslash + m) / (q^2 - m^2).
@@ -84,21 +84,31 @@ POLE_RTOL = 1e-12
 #: diagonal of gamma^0: the Dirac adjoint of a real spinor is u * _GAMMA0_DIAG
 _GAMMA0_DIAG = np.diag(GAMMA0).real
 
-#: leg bases (F, T, 2, 4): incoming spinors and photon vectors, along +z and
-#: -z, are constant (F = 1); outgoing ones are linear in their features
+
+def _half_angle(b1, b_cos, b_sin) -> np.ndarray:
+    """B1 + cos(theta) B_cos + sin(theta) B_sin over (c^2, c s, s^2), with
+    (c, s) = (cos, sin)(theta/2): 1 = c^2 + s^2, cos = c^2 - s^2, sin = 2 c s."""
+    return np.stack([b1 + b_cos, 2.0 * b_sin, b1 - b_cos])
+
+
+#: leg bases (D + 1, T, 2, 4): row j is the coefficient of c^(D - j) s^j at
+#: the half angle (c, s) = (cos, sin)(theta/2). Incoming spinors and photon
+#: vectors, along +z and -z, are constant (D = 0)
 _SPINORS_IN = {field: (spinor_parts(field, 1.0, 0.0)[None], spinor_parts(field, 0.0, 1.0)[None])
                for field in "uv"}
-#: outgoing legs 2 and 3: spinor parts are c A + s B at half angle (c, s),
-#: with A and B those of legs 0 and 1, so the basis is (A, B) for leg 2 and
-#: (B, -A) for leg 3 at (-s, c)
+#: outgoing spinors (D = 1) of legs 2 and 3: spinor parts are c A + s B at
+#: half angle (c, s), with A and B those of legs 0 and 1, so the basis is
+#: (A, B) for leg 2 and (B, -A) for leg 3 at (-s, c)
 _SPINORS_OUT = {field: (np.concatenate([a, b]), np.concatenate([b, -a]))
                 for field, (a, b) in _SPINORS_IN.items()}
-#: gauged -> bases of photon legs 0..3, whose vectors P0 + c Pc + s Ps at
-#: direction (c, s) are the polarization vectors or, gauged, the direction
-#: (1, khat) = e0 + c e_z + s e_x for both helicities: legs 0 and 1 at
-#: (+-1, 0); legs 2 and 3 conjugated, Pc and Ps negated for leg 3 at -khat
+#: gauged -> bases of photon legs 0..3, whose vectors at direction theta are
+#: P0 + cos(theta) Pc + sin(theta) Ps: the polarization vectors or, gauged,
+#: the direction (1, khat) = e0 + cos e_z + sin e_x for both helicities.
+#: Legs 0 and 1, at theta = 0 and pi, are constant; legs 2 and 3 (D = 2) are
+#: conjugated, with Pc and Ps negated for leg 3 at -khat
 _PHOTONS = {gauged: tuple((parts[0] + c * parts[1])[None, None] for c in (1.0, -1.0))
-            + tuple((parts * np.array([1.0, sign, sign])[:, None, None] * PLANE_CONJ)[:, None]
+            + tuple(_half_angle(*(parts * np.array([1.0, sign, sign])[:, None, None]
+                                  * PLANE_CONJ)[:, None])
                     for sign in (1.0, -1.0))
             for gauged, parts in ((False, POLARIZATION_PARTS),
                                   (True, np.repeat(np.eye(4)[[0, 3, 1], None], 2, axis=1)))}
@@ -106,15 +116,14 @@ _PHOTONS = {gauged: tuple((parts[0] + c * parts[1])[None, None] for c in (1.0, -
 _SLASH_T = slash_batch(np.array([1.0, 0.0, 0.0, 0.0]))
 _SLASH_X = slash_batch(np.array([0.0, 1.0, 0.0, 0.0]))
 _SLASH_Z = slash_batch(np.array([0.0, 0.0, 0.0, 1.0]))
-#: propagator bases (F, T, 4, 4): terms 1 + g0 and g0-slash for an s channel
-#: (constant); for t and u also the (z -+ khat)-slash slot and z-slash. The
-#: slot is z -+ khat = (-sin theta, 0, 2 sin^2(theta/2)) for t and
-#: (sin theta, 0, 2 cos^2(theta/2)) for u; the sign and the 2 sit in the basis
 _ZERO4 = np.zeros((4, 4))
+#: propagator bases (D + 1, T, 4, 4): terms 1 + g0 and g0-slash for an s
+#: channel (D = 0); for t and u (D = 2) also the (z -+ khat)-slash slot and
+#: z-slash, with khat = (sin theta, 0, cos theta)
 _PROPAGATOR_S = np.stack([IDENTITY4 + _SLASH_T, _SLASH_T])[None]
-_PROPAGATOR_TU = {name: np.stack([np.stack([IDENTITY4 + _SLASH_T, _SLASH_T, _ZERO4, _SLASH_Z]),
-                                  np.stack([_ZERO4, _ZERO4, sign * _SLASH_X, _ZERO4]),
-                                  np.stack([_ZERO4, _ZERO4, 2.0 * _SLASH_Z, _ZERO4])])
+_PROPAGATOR_TU = {name: _half_angle(np.stack([IDENTITY4 + _SLASH_T, _SLASH_T, _SLASH_Z, _SLASH_Z]),
+                                    sign * np.stack([_ZERO4, _ZERO4, _SLASH_Z, _ZERO4]),
+                                    sign * np.stack([_ZERO4, _ZERO4, _SLASH_X, _ZERO4]))
                   for name, sign in (("t", -1.0), ("u", 1.0))}
 
 
@@ -141,27 +150,12 @@ def _stack(arrays) -> np.ndarray:
     return np.concatenate([a[..., None] for a in arrays], axis=-1)
 
 
-#: the feature columns of a call (`_columns`): cos and sin of 0, theta/2 and
-#: theta, then sin^2 and cos^2 of theta/2; a piece's feature vector is a
-#: tuple of column indices
-_ONE, _COS_HALF, _COS, _ZERO, _SIN_HALF, _SIN, _SIN_HALF2, _COS_HALF2 = range(8)
-_ANGLES = np.array([0.0, 0.5, 1.0])
-_SPINOR_FEATURES = (_COS_HALF, _SIN_HALF)
-_PHOTON_FEATURES = (_ONE, _COS, _SIN)
-_PROPAGATOR_FEATURES = {"t": (_ONE, _SIN, _SIN_HALF2), "u": (_ONE, _SIN, _COS_HALF2)}
-
-
-def _columns(theta, squares) -> np.ndarray:
-    """The feature columns (..., 8) at theta; without `squares` only the first six."""
-    angles = theta[..., None] * _ANGLES
-    cols = np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
-    if not squares:
-        return cols
-    return np.concatenate([cols, cols[..., (_SIN_HALF, _COS_HALF)] ** 2], axis=-1)
+#: theta/2 and 0: their cos and sin are c, 1 and s, 0
+_HALF = np.array([0.5, 0.0])
 
 
 def _leg(k, spec, gauged=False):
-    """Leg k's theta side: (feature columns or None, basis (F, T, 2, 4)).
+    """Leg k's theta side: its basis (D + 1, T, 2, 4) over c^(D - j) s^j.
 
     The helicity axis is ordered L, R. Incoming legs (k = 0, 1) run along +z
     and -z, outgoing legs (k = 2, 3) at theta and theta + pi, the latter
@@ -170,10 +164,10 @@ def _leg(k, spec, gauged=False):
     in place of its polarization vectors.
     """
     if spec.field == "photon":
-        return (None if k < 2 else _PHOTON_FEATURES), _PHOTONS[gauged][k]
+        return _PHOTONS[gauged][k]
     if k < 2:
-        return None, _SPINORS_IN[spec.field][k]
-    return _SPINOR_FEATURES, _SPINORS_OUT[spec.field][k - 2]
+        return _SPINORS_IN[spec.field][k]
+    return _SPINORS_OUT[spec.field][k - 2]
 
 
 def _mass_gaps(masses):
@@ -183,15 +177,15 @@ def _mass_gaps(masses):
 
 
 def _propagator(name, masses):
-    """theta side of slash(p1 +- leg momentum) + m: (feature columns or None,
-    basis (F, T, 4, 4)).
+    """theta side of slash(p1 +- leg momentum) + m: its basis (D + 1, T, 4, 4)
+    over c^(D - j) s^j.
 
     The z-slash term is left out where its weight vanishes for every p
     (equal masses)."""
     if name == "s":
-        return None, _PROPAGATOR_S
+        return _PROPAGATOR_S
     basis = _PROPAGATOR_TU[name]
-    return _PROPAGATOR_FEATURES[name], (basis if any(_mass_gaps(masses)) else basis[:, :3])
+    return basis if any(_mass_gaps(masses)) else basis[:, :3]
 
 
 def _to_helicity_axes(value, order):
@@ -247,12 +241,13 @@ def _grid(*axes) -> np.ndarray:
 @dataclass(frozen=True)
 class _Compiled:
     """A process's channels on one channel axis c: channel c's numerator is
-    sum_k W[c, k](p) G[c, k](theta), with G = f(theta) @ tensor."""
+    sum_k W[c, k](p) G[c, k](theta), with G = f(theta) @ tensor and f_j =
+    cos(theta/2)^(D - j) sin(theta/2)^j, j = 0..D."""
 
     names: tuple              # channel names, in PROCESS_TABLE order
-    columns: np.ndarray       # (pieces, F): f is the product over pieces of these columns
-    squares: bool             # whether `_columns` forms sin^2 and cos^2 of theta/2
-    tensor: np.ndarray        # (F, C * K * 16)
+    monomials: np.ndarray     # (D, 2, D + 1) indices into (c, 1, s, 0): f_j = c^(D - j) s^j is
+                              # the product down [:, 0, j] times the product down [:, 1, j]
+    tensor: np.ndarray        # (D + 1, C * K * 16)
     weights: np.ndarray       # (4, C, K) indices into `_weight_terms`; W = (w0 w1)(w2 w3)
     invariants: tuple         # each channel's invariant, as an index into (s, t, u)
     mass2: np.ndarray         # (C,) propagator mass^2 subtracted from the invariant
@@ -260,7 +255,7 @@ class _Compiled:
     # what `_weight_terms` needs
     m1: float                 # mass of leg 0
     constants: np.ndarray     # 1 and each slash chain's fermion mass m
-    legs: tuple               # one fermion leg per distinct (mass, in or out)
+    legs: tuple               # the fermion legs
     leg_masses: np.ndarray    # their masses
     offsets: np.ndarray       # m1 - m of each chain
     tu: np.ndarray            # the t and u chains, as indices into the chains
@@ -270,84 +265,81 @@ class _Compiled:
 
 
 def _compile(process: ProcessKind, gauge=None) -> _Compiled:
-    """The channels of `process`, with G as one constant tensor over the feature bases.
+    """The channels of `process`, with G as one constant tensor over the
+    half-angle monomials.
 
-    The pieces are legs 0..3, then a slash chain's propagator; piece i puts
-    its basis on leading axis i, so the contractions return G over the
-    product of the bases, in the order of the outer product of the features.
-    The feature vector f is the product of the legs' features and, when the
-    process has slash chains, the union of its propagators' columns: a
-    channel puts its tensor on the columns of its own propagator (the
-    constant 1 for an s channel) and zeros elsewhere, and a channel with
-    fewer terms K is padded with zero G and unit W. Leg `gauge`, a photon,
-    is gauged (`_leg`).
+    The pieces are legs 0..3, then a slash chain's propagator. Piece i puts
+    its basis on leading axis i, so the contractions return G for every
+    choice of one row j_i per piece: a coefficient of c^(D - j) s^j, with
+    j = sum j_i and D the sum of the pieces' degrees. A channel's polynomial
+    sums these by j. A channel of lower degree than the process's is
+    multiplied by c^2 + s^2 = 1, and a channel with fewer terms K is padded
+    with zero G and unit W. Leg `gauge`, a photon, is gauged (`_leg`).
     """
     info = PROCESS_TABLE[process]
     masses = process_masses(process)
     specs = info["in"] + info["out"]
     legs = [_leg(k, spec, k == gauge) for k, spec in enumerate(specs)]
     channels = info["channels"]
-    keys = {}                 # fermion legs with distinct weights, by (mass, outgoing)
-    for k, spec in enumerate(specs):
-        if spec.field != "photon":
-            keys.setdefault((masses[k], k > 1), k)
+    fermions = [k for k, spec in enumerate(specs) if spec.field != "photon"]
     chains = [(name, masses[spec[0]]) for name, _, spec in channels if len(spec) == 4]
     tu = [i for i, (name, _) in enumerate(chains) if name != "s"]
     gap = _mass_gaps(masses) if tu and any(_mass_gaps(masses)) else ()
     # the layout of `_weight_terms`; only slash chains read the constants
     first_leg = 1 + len(chains) if chains else 0
-    first_above = first_leg + 2 * len(keys)
+    first_above = first_leg + 2 * len(fermions)
     first_d = first_above + len(chains)
     at_q = first_d + len(tu)
 
     def leg_terms(k):
-        slot = first_leg + list(keys).index((masses[k], k > 1))
-        return slot, slot + len(keys)
+        slot = first_leg + fermions.index(k)
+        return slot, slot + len(fermions)
 
     def propagator_terms(i):
         if chains[i][0] == "s":
             return 1 + i, first_above + i
         return (1 + i, first_d + tu.index(i), at_q) + ((at_q + 1,) if gap else ())
 
-    props = [_propagator(name, masses) if len(spec) == 4 else None for name, _, spec in channels]
-    union = sorted({col for prop in props if prop is not None for col in prop[0] or (_ONE,)})
-    gs, factors, chain = [], [], iter(range(len(chains)))
-    for (name, _, spec), prop in zip(channels, props):
-        pieces = legs if prop is None else legs + [prop]
+    polys, factors, chain = [], [], iter(range(len(chains)))
+    for name, _, spec in channels:
+        pieces = legs + [_propagator(name, masses)] if len(spec) == 4 else legs
         n = len(pieces)
         bases = [basis.reshape((1,) * i + basis.shape[:1] + (1,) * (n - 1 - i) + basis.shape[1:])
-                 for i, (_, basis) in enumerate(pieces)]
-        if prop is None:
+                 for i, basis in enumerate(pieces)]
+        if len(spec) == 2:
             g = _current_pair(bases, spec)
             factors.append(_grid(*(leg_terms(k) for pair in spec for k in pair)))
         else:
             g = _slash_chain(bases, spec, bases[4])
             factors.append(_grid(leg_terms(spec[0]), propagator_terms(next(chain)),
                                  leg_terms(spec[3]), (0,)))
-        gs.append(g.reshape([basis.shape[0] for _, basis in pieces] + list(g.shape[-2:])))
-    # every channel on the channel axis, a chain's propagator columns onto the
-    # union; the rest of the tensor, padding included, is zero
-    k_max = max(g.shape[-2] for g in gs)
-    tensor = np.zeros(gs[0].shape[:len(legs)] + ((len(union),) if union else ())
-                      + (len(gs), k_max, 16))
-    for c, (g, prop) in enumerate(zip(gs, props)):
-        at = (c, slice(0, g.shape[-2]), slice(None))
-        if prop is not None:
-            at = ([union.index(col) for col in prop[0] or (_ONE,)],) + at
-        tensor[(Ellipsis,) + at] = g
+        # the power of s of each choice of rows, and the sum over each power
+        order = np.indices([len(basis) for basis in pieces]).sum(axis=0).ravel()
+        poly = (order == np.arange(order.max() + 1)[:, None]) @ g.reshape(order.size, -1)
+        polys.append(poly.reshape(-1, *g.shape[-2:]))
+    # every channel on the channel axis; the rest of the tensor, padding
+    # included, is zero
+    degree = max(len(poly) for poly in polys) - 1
+    k_max = max(poly.shape[1] for poly in polys)
+    tensor = np.zeros((degree + 1, len(polys), k_max, 16))
+    for c, poly in enumerate(polys):
+        while len(poly) <= degree:                                  # times c^2 + s^2
+            zero = np.zeros((2,) + poly.shape[1:])
+            poly = np.concatenate([poly, zero]) + np.concatenate([zero, poly])
+        tensor[:, c, :poly.shape[1]] = poly
     # padding, which only a process with slash chains needs, reads the constant 1
-    weights = np.zeros((4, len(gs), k_max), dtype=np.intp)
+    weights = np.zeros((4, len(polys), k_max), dtype=np.intp)
     for c, factor in enumerate(factors):
         weights[:, c, :factor.shape[1]] = factor
-    features = [cols for cols, _ in legs if cols is not None] + ([union] if union else [])
+    step, power = np.arange(degree)[:, None], np.arange(degree + 1)
     sq1, sq2, sq3, sq4 = (x * x for x in masses)
     # 2 sqrt(s) (E1 - E_q) = m1^2 - m2^2 -+ (m3^2 - m4^2), - for t, + for u
     d_energy = {"t": (sq1 - sq2) - (sq3 - sq4), "u": (sq1 - sq2) + (sq3 - sq4)}
     return _Compiled(
         names=tuple(name for name, _, _ in channels),
-        columns=_grid(*features),
-        squares=bool(union),
-        tensor=np.ascontiguousarray(tensor.reshape(-1, len(gs) * k_max * 16)),
+        monomials=np.stack([np.where(step < degree - power, 0, 1),
+                            np.where(step < power, 2, 1)], axis=1),
+        tensor=np.ascontiguousarray(tensor.reshape(degree + 1, -1)),
         weights=weights,
         invariants=tuple("stu".index(name) for name, _, _ in channels),
         mass2=np.array([masses[spec[0]] ** 2 if len(spec) == 4 else 0.0
@@ -355,8 +347,8 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
         scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]),
         m1=masses[0],
         constants=np.array([1.0] + [m for _, m in chains] if chains else []),
-        legs=tuple(keys.values()),
-        leg_masses=np.array([masses[k] for k in keys.values()]),
+        legs=tuple(fermions),
+        leg_masses=np.array([masses[k] for k in fermions]),
         offsets=np.array([masses[0] - m for _, m in chains]),
         tu=np.array(tu, dtype=np.intp),
         c1=np.array([d_energy[chains[i][0]] - 2.0 * chains[i][1] * chains[i][1] for i in tu]),
@@ -444,10 +436,10 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     p, theta = _once(p), _once(theta)
     if invariants is None:
         invariants = mandelstam_batch(process, p, theta)
-    cols = _columns(theta, compiled.squares)[..., compiled.columns]            # (..., pieces, F)
-    f = cols[..., 0, :]
-    for i in range(1, cols.shape[-2]):          # the outer product, left to right
-        f = f * cols[..., i, :]
+    half = theta[..., None] * _HALF
+    powers = np.concatenate([np.cos(half), np.sin(half)], axis=-1)[..., compiled.monomials]
+    powers = powers.prod(axis=-3)                                             # (..., 2, D + 1)
+    f = powers[..., 0, :] * powers[..., 1, :]
     g = (f[..., None, :] @ compiled.tensor)[..., 0, :]
     g = g.reshape(g.shape[:-1] + compiled.weights.shape[1:] + (16,))          # (..., C, K, 16)
     w = _weight_terms(compiled, p, invariants)[..., compiled.weights]

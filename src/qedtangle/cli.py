@@ -24,11 +24,11 @@ from . import __version__
 from .amplitudes import amplitude, helicity_amplitudes_batch
 from .entanglement import analyze, measures_batch, partial_transpose
 from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
-from .kinematics import ProcessKind, build_kinematics, mandelstam_batch
+from .kinematics import PROCESS_TABLE, ProcessKind, build_kinematics, mandelstam_batch
 from .linalg import hermitian_eigenvalues_batch
 from .qstate import evolve
-from .scan import (ScanConfig, cross_section_check, emit_csv, emit_plot_script,
-                   find_threshold, parse_initial, parse_process, run_scan)
+from .scan import (_SYMMETRIES, ScanConfig, cross_section_check, emit_csv,
+                   emit_plot_script, find_threshold, parse_initial, parse_process, run_scan)
 from .xsection import dsigma_domega_oracle, msq_oracle
 
 log = logging.getLogger(__name__)
@@ -186,8 +186,9 @@ def _cmd_audit(args) -> int:
     # momentum k = E n: E times the amplitude with that leg gauged)
     p = np.array([rng.uniform(0.5, 5.0)])
     th = np.array([rng.uniform(0.2, math.pi - 0.2)])
-    for process, leg in ((ProcessKind.ANNIHILATION, 2), (ProcessKind.ANNIHILATION, 3),
-                         (ProcessKind.COMPTON, 1), (ProcessKind.COMPTON, 3)):
+    photon_legs = [(process, leg) for process, info in PROCESS_TABLE.items()
+                   for leg, spec in enumerate(info["in"] + info["out"]) if spec.field == "photon"]
+    for process, leg in photon_legs:
         energy = mandelstam_batch(process, p, th)[3 + leg][0]
         scale = np.max(np.abs(helicity_amplitudes_batch(process, p, th)[0]))
         ward = energy * np.max(np.abs(helicity_amplitudes_batch(process, p, th, gauge=leg)[0]))
@@ -195,8 +196,7 @@ def _cmd_audit(args) -> int:
                f"residual {ward / scale:.2e}")
 
     # 3. symmetry spot checks on small grids, as audited inside run_scan
-    for process in (ProcessKind.MOLLER, ProcessKind.MUON_PAIR,
-                    ProcessKind.ANNIHILATION, ProcessKind.BHABHA):
+    for process in _SYMMETRIES:
         muonic = process is ProcessKind.MUON_PAIR
         cfg = ScanConfig(process=process,
                          p_min=120.0 if muonic else 0.4,

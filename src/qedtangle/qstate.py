@@ -35,6 +35,8 @@ class DensityMatrix:
         m = _entries(matrix)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         adjoint = m.conj().T
         dev = np.max(np.abs(m - adjoint))
         if dev > HERMITICITY_TOL:
@@ -76,7 +78,7 @@ def _shortest_text(x: float) -> str:
 
 
 def diagonal(weights) -> InitialState:
-    """Diagonal mixture with the given four weights (nonnegative, sum 1).
+    """Diagonal mixture with the given four weights (finite, nonnegative, sum 1).
 
     Its description "diag:w1;w2;w3;w4" gives each weight as its shortest
     round-trip text, so the label parses back to the same state bit for bit.
@@ -84,10 +86,10 @@ def diagonal(weights) -> InitialState:
     w = np.asarray(weights, dtype=float)
     if w.shape != (4,):
         raise ValueError("diagonal mixture needs exactly 4 weights")
-    if np.any(w < 0):
-        raise ValueError(f"weights must be nonnegative, got {w.tolist()}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError(f"weights must be finite and nonnegative, got {w.tolist()}")
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"weights must sum to 1, got {total!r}")
     return InitialState(DensityMatrix(np.diag(w)),
                         "diag:" + ";".join(_shortest_text(x) for x in w.tolist()))

@@ -7,7 +7,7 @@ from qedtangle.amplitudes import amplitude, helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import DivergentKinematicsError
 from qedtangle.kinematics import (PROCESS_TABLE, ProcessKind, build_kinematics,
-                                  mandelstam_batch)
+                                  mandelstam_batch, process_masses)
 from qedtangle.qstate import evolve, unpolarized
 from qedtangle.entanglement import analyze
 from qedtangle import xsection
@@ -371,6 +371,65 @@ def test_no_runtime_contraction(monkeypatch):
                 proc, np.broadcast_to(p, (theta.size, p.size)), theta[:, None], gauge=gauge)
             assert total.shape == (theta.size, p.size, 4, 4)
             assert np.all(np.isfinite(total)) and not divergent.any()
+
+
+def _at_half_angle(basis, c, s):
+    """A piece's basis (D + 1, ...) at the half angle (c, s): sum_j c^(D - j) s^j basis[j]."""
+    d = len(basis) - 1
+    return sum(c ** (d - j) * s ** j * basis[j] for j in range(d + 1))
+
+
+#: rows of each process's compiled tensor: one more than its degree in the half angle
+_TENSOR_ROWS = {ProcessKind.MOLLER: 3, ProcessKind.MUON_PAIR: 3, ProcessKind.ANNIHILATION: 7,
+                ProcessKind.BHABHA: 3, ProcessKind.ELECTRON_MUON: 3, ProcessKind.COMPTON: 6}
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_compiled_tensor_is_the_contraction_at_theta(proc):
+    # the compiled tensor at the half-angle monomials of theta equals the
+    # helicity algebra contracted on the pieces at theta, and each outgoing
+    # piece at theta is its spinor, polarization or propagator slot
+    from qedtangle import amplitudes
+    from qedtangle.dirac import PLANE_CONJ, polarizations, slash_batch, spinor_parts
+
+    info = PROCESS_TABLE[proc]
+    specs = info["in"] + info["out"]
+    masses = process_masses(proc)
+    rows = _TENSOR_ROWS[proc]
+    rng = np.random.default_rng(37)
+    thetas = [1e-9, -1e-9, math.pi, 2 * math.pi - 1e-9, 2 * math.pi + 1e-9, -13.5, 4 * math.pi + 0.3]
+    thetas += rng.uniform(-14.0, 14.0, 43).tolist()
+    for gauge in [None] + [k for k, spec in enumerate(specs) if spec.field == "photon"]:
+        compiled = amplitudes._COMPILED[(proc, gauge)]
+        assert compiled.tensor.shape[0] == rows
+        tensor = compiled.tensor.reshape((rows,) + compiled.weights.shape[1:] + (16,))
+        for theta in thetas:
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            khat = np.array([0.0, math.sin(theta), 0.0, math.cos(theta)])
+            legs = [_at_half_angle(amplitudes._leg(k, spec, k == gauge), c, s)
+                    for k, spec in enumerate(specs)]
+            for k in (2, 3):
+                sign = 1.0 if k == 2 else -1.0
+                if specs[k].field != "photon":
+                    want = spinor_parts(specs[k].field, *((c, s) if k == 2 else (-s, c)))
+                elif k == gauge:
+                    want = np.broadcast_to(np.array([1.0, 0, 0, 0]) + sign * khat, (1, 2, 4))
+                else:
+                    want = polarizations(sign * khat[3], sign * khat[1])[None] * PLANE_CONJ
+                assert np.max(np.abs(legs[k] - want)) <= 1e-15
+            got = np.tensordot([c ** (rows - 1 - j) * s ** j for j in range(rows)], tensor, 1)
+            for ch, (name, _, spec) in enumerate(info["channels"]):
+                if len(spec) == 2:
+                    want = amplitudes._current_pair(legs, spec)
+                else:
+                    prop = _at_half_angle(amplitudes._propagator(name, masses), c, s)
+                    if name != "s":         # its slot is (z -+ khat)-slash, - for t
+                        slot = np.array([0.0, 0, 0, 1]) + (1.0 if name == "u" else -1.0) * khat
+                        assert np.max(np.abs(prop[2] - slash_batch(slot))) <= 1e-15
+                    want = amplitudes._slash_chain(legs, spec, prop)
+                terms = want.shape[0]
+                assert np.max(np.abs(got[ch, :terms] - want)) <= 1e-15 * np.max(np.abs(want))
+                assert not got[ch, terms:].any()
 
 
 @pytest.mark.parametrize("proc", list(ProcessKind))

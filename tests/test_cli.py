@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qedtangle.cli import main
+from qedtangle.kinematics import PROCESS_TABLE
 from qedtangle.scan import parse_csv
 
 
@@ -172,6 +173,18 @@ def test_point_command_forms_the_invariants_once(monkeypatch, capsys, process):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("weights", ["nan,0,0,0", "1,0,0,nan", "inf,0,0,0", "-inf,1,0,1"])
+def test_non_finite_diagonal_weights_exit_code(tmp_path, capsys, weights):
+    out = tmp_path / "x.csv"
+    assert main(["scan", "--process", "moller", "--initial", f"diag:{weights}",
+                 "--p-steps", "2", "--theta-steps", "2", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["point", "--process", "moller", "--p", "1.0", "--theta", "1.0",
+                 "--initial", f"diag:{weights}"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_point_below_threshold_exit_code():
     assert main(["point", "--process", "muon-pair", "--p", "50.0",
                  "--theta", "1.0"]) == 2
@@ -211,6 +224,13 @@ def test_audit_command(capsys):
     assert rc == 0, out
     assert "ALL PASS" in out
     assert "PASS  measure sanity det(rho^T_B)" in out
+    # one Ward line per photon leg of the process table, in table order
+    ward = [line.split(":")[0] for line in out.splitlines() if line.startswith("PASS  Ward ")]
+    assert ward == [f"PASS  Ward {process.value} leg {leg}"
+                    for process, info in PROCESS_TABLE.items()
+                    for leg, spec in enumerate(info["in"] + info["out"])
+                    if spec.field == "photon"]
+    assert len(ward) == 4
 
 
 def test_audit_command_audits_each_grid_once(caplog):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qedtangle.errors import UnfilterableStateError
+from qedtangle.errors import InvalidConfigError, UnfilterableStateError
 from qedtangle.qstate import (BASIS, DensityMatrix, diagonal, evolve,
                               evolve_batch, from_matrix, pure, unpolarized,
                               werner_symmetric)
+from qedtangle.scan import parse_initial
 
 RNG = np.random.default_rng(5)
 
@@ -46,6 +47,25 @@ def test_diagonal_validation():
         diagonal([0.3, 0.3, 0.3, 0.3])
     with pytest.raises(ValueError):
         diagonal([1.0, 0.0, 0.0])
+
+
+def test_non_finite_input_is_rejected():
+    # every comparison with NaN is False, so range checks alone accept it
+    for weights in ([math.nan, 0, 0, 0], [1.0, 0, 0, math.nan], [math.inf, 0, 0, 0],
+                    [-math.inf, 1, 0, 1]):
+        with pytest.raises(ValueError, match="finite"):
+            diagonal(weights)
+    for bad in (math.nan, math.inf):
+        m = np.eye(4) / 4
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            from_matrix(m)
+        m = np.eye(4) / 4 + 0j
+        m[1, 2], m[2, 1] = complex(0.0, bad), complex(0.0, -bad)
+        with pytest.raises(ValueError, match="finite"):
+            from_matrix(m)
+    with pytest.raises(InvalidConfigError, match="finite"):
+        parse_initial("diag:nan,0,0,0")
 
 
 def test_from_matrix_validation():
