@@ -57,9 +57,10 @@ momenta; a flat point list is the case where both have one entry per
 point, and the two give the same bits. An axis along which an argument is
 a broadcast view (stride 0) is evaluated once. Each photon leg also has a
 gauge variant, compiled at import: its polarization vectors replaced by its
-direction k / E = (1, khat), on the same monomials. A new leg type supplies
-its p-side weight terms (`_weight_terms`) and its half-angle basis
-(`_leg`).
+direction k / E = (1, khat), on the same monomials. The p side is laid out
+once per process, also at import: `_compile` builds the function that forms
+the weight terms next to the index table that reads them. A new leg type
+supplies its weight terms there and its half-angle basis in `_leg`.
 
 Feynman gauge photon propagator -i g_munu / q^2, vertices -i e gamma^mu,
 fermion propagators i (qslash + m) / (q^2 - m^2).
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -146,8 +148,10 @@ def _once(a: np.ndarray) -> np.ndarray:
 
 
 def _stack(arrays) -> np.ndarray:
-    """Equal-shape arrays stacked along a new last axis (np.stack at a third of its overhead)."""
-    return np.concatenate([a[..., None] for a in arrays], axis=-1)
+    """Equal-shape arrays stacked along a new last axis, as a view (np.stack at a
+    seventh of its overhead)."""
+    a = np.array(arrays)
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
 #: theta/2 and 0: their cos and sin are c, 1 and s, 0
@@ -248,25 +252,16 @@ class _Compiled:
     monomials: np.ndarray     # (D, 2, D + 1) indices into (c, 1, s, 0): f_j = c^(D - j) s^j is
                               # the product down [:, 0, j] times the product down [:, 1, j]
     tensor: np.ndarray        # (D + 1, C * K * 16)
-    weights: np.ndarray       # (4, C, K) indices into `_weight_terms`; W = (w0 w1)(w2 w3)
+    weight_terms: Callable    # (p, invariants) -> the p-side weight terms (..., V)
+    weights: np.ndarray       # (4, C, K) indices into `weight_terms`; W = (w0 w1)(w2 w3)
     invariants: tuple         # each channel's invariant, as an index into (s, t, u)
     mass2: np.ndarray         # (C,) propagator mass^2 subtracted from the invariant
     scale: np.ndarray         # (C,) sign e^2
-    # what `_weight_terms` needs
-    m1: float                 # mass of leg 0
-    constants: np.ndarray     # 1 and each slash chain's fermion mass m
-    legs: tuple               # the fermion legs
-    leg_masses: np.ndarray    # their masses
-    offsets: np.ndarray       # m1 - m of each chain
-    tu: np.ndarray            # the t and u chains, as indices into the chains
-    c1: np.ndarray            # 2 sqrt(s) (E1 - E_q) - 2 m^2 of each t or u chain
-    c2: np.ndarray            # 2 m of each t or u chain
-    gap: tuple                # `_mass_gaps` when p - |q| is a term, else ()
 
 
 def _compile(process: ProcessKind, gauge=None) -> _Compiled:
     """The channels of `process`, with G as one constant tensor over the
-    half-angle monomials.
+    half-angle monomials and W as an index table into its weight terms.
 
     The pieces are legs 0..3, then a slash chain's propagator. Piece i puts
     its basis on leading axis i, so the contractions return G for every
@@ -275,32 +270,65 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
     sums these by j. A channel of lower degree than the process's is
     multiplied by c^2 + s^2 = 1, and a channel with fewer terms K is padded
     with zero G and unit W. Leg `gauge`, a photon, is gauged (`_leg`).
+
+    The weight terms, in the order `weight_terms` returns them, are
+    sqrt(E + m) of each fermion leg, then |k| / sqrt(E + m) of each; with
+    slash chains, whose fermion must have leg 0's mass m1, also 1, m1,
+    sqrt(s) - m1, |q|, c0 - m1 of each t or u chain and, with unequal
+    masses, p - |q|. A chain's propagator slash(p1 +- leg momentum) + m1 has
+    its time part c0 g0-slash + m1 written as m1 (1 + g0) + (c0 - m1) g0, so
+    c0 and m1, nearly equal near rest, cancel in the exact projector 1 + g0:
+    an s channel's terms are m1 and sqrt(s) - m1, a t or u channel's m1,
+    c0 - m1, |q| and p - |q|. c0 - m1 and p - |q| come from mass differences
+    and sqrt(s) - m1 = p^2/(E1 + m1) + E2, with no subtraction of nearly
+    equal numbers.
     """
     info = PROCESS_TABLE[process]
     masses = process_masses(process)
     specs = info["in"] + info["out"]
     legs = [_leg(k, spec, k == gauge) for k, spec in enumerate(specs)]
     channels = info["channels"]
+    m1 = masses[0]
+    for name, _, spec in channels:
+        if len(spec) == 4 and masses[spec[0]] != m1:
+            raise ValueError(f"{process.value}: the {name} chain's fermion is not leg 0's mass")
     fermions = [k for k, spec in enumerate(specs) if spec.field != "photon"]
-    chains = [(name, masses[spec[0]]) for name, _, spec in channels if len(spec) == 4]
-    tu = [i for i, (name, _) in enumerate(chains) if name != "s"]
+    chains = [name for name, _, spec in channels if len(spec) == 4]
+    tu = sorted(set(chains) - {"s"})
     gap = _mass_gaps(masses) if tu and any(_mass_gaps(masses)) else ()
-    # the layout of `_weight_terms`; only slash chains read the constants
-    first_leg = 1 + len(chains) if chains else 0
-    first_above = first_leg + 2 * len(fermions)
-    first_d = first_above + len(chains)
-    at_q = first_d + len(tu)
+    # slots: a fermion leg's two terms at i and nf + i; one holds the
+    # constant 1, followed by m1, sqrt(s) - m1, |q|, the c0 - m1 and p - |q|
+    nf, one = len(fermions), 2 * len(fermions)
+    leg_masses = np.array([masses[k] for k in fermions])
+    sq1, sq2, sq3, sq4 = (x * x for x in masses)
+    # 2 sqrt(s) (c0 - m1) = d_energy - 2 m1 (sqrt(s) - m1), from 2 sqrt(s) c0 =
+    # m1^2 - m2^2 -+ (m3^2 - m4^2), - for t, + for u
+    d_energy = np.array([(sq1 - sq2) + (-1.0 if name == "t" else 1.0) * (sq3 - sq4)
+                         - 2.0 * m1 * m1 for name in tu])
+
+    def weight_terms(p, invariants):
+        s, _, _, e1, e2, e3, e4, q = invariants
+        x = _stack([(e1, e2, e3, e4)[k] for k in fermions] + [(p, p, q, q)[k] for k in fermions])
+        root = np.sqrt(x[..., :nf] + leg_masses)
+        terms = [root, x[..., nf:] / root]
+        if chains:
+            above = p * p / (e1 + m1) + e2
+            terms += [np.full(above.shape + (2,), (1.0, m1)), _stack((above, q)),
+                      (d_energy - (2.0 * m1) * above[..., None]) / (2.0 * (e1 + e2))[..., None]]
+        if gap:                 # s = (E1 + E2)^2
+            gap_s, gap_0 = gap
+            terms.append(((gap_s * s + gap_0) / (4.0 * s) / (p + q))[..., None])
+        return np.concatenate(terms, axis=-1)
 
     def leg_terms(k):
-        slot = first_leg + fermions.index(k)
-        return slot, slot + len(fermions)
+        return fermions.index(k), nf + fermions.index(k)
 
-    def propagator_terms(i):
-        if chains[i][0] == "s":
-            return 1 + i, first_above + i
-        return (1 + i, first_d + tu.index(i), at_q) + ((at_q + 1,) if gap else ())
+    def propagator_terms(name):
+        if name == "s":
+            return one + 1, one + 2
+        return (one + 1, one + 4 + tu.index(name), one + 3) + ((one + 4 + len(tu),) if gap else ())
 
-    polys, factors, chain = [], [], iter(range(len(chains)))
+    polys, factors = [], []
     for name, _, spec in channels:
         pieces = legs + [_propagator(name, masses)] if len(spec) == 4 else legs
         n = len(pieces)
@@ -311,8 +339,8 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
             factors.append(_grid(*(leg_terms(k) for pair in spec for k in pair)))
         else:
             g = _slash_chain(bases, spec, bases[4])
-            factors.append(_grid(leg_terms(spec[0]), propagator_terms(next(chain)),
-                                 leg_terms(spec[3]), (0,)))
+            factors.append(_grid(leg_terms(spec[0]), propagator_terms(name),
+                                 leg_terms(spec[3]), (one,)))
         # the power of s of each choice of rows, and the sum over each power
         order = np.indices([len(basis) for basis in pieces]).sum(axis=0).ravel()
         poly = (order == np.arange(order.max() + 1)[:, None]) @ g.reshape(order.size, -1)
@@ -328,32 +356,20 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
             poly = np.concatenate([poly, zero]) + np.concatenate([zero, poly])
         tensor[:, c, :poly.shape[1]] = poly
     # padding, which only a process with slash chains needs, reads the constant 1
-    weights = np.zeros((4, len(polys), k_max), dtype=np.intp)
+    weights = np.full((4, len(polys), k_max), one, dtype=np.intp)
     for c, factor in enumerate(factors):
         weights[:, c, :factor.shape[1]] = factor
     step, power = np.arange(degree)[:, None], np.arange(degree + 1)
-    sq1, sq2, sq3, sq4 = (x * x for x in masses)
-    # 2 sqrt(s) (E1 - E_q) = m1^2 - m2^2 -+ (m3^2 - m4^2), - for t, + for u
-    d_energy = {"t": (sq1 - sq2) - (sq3 - sq4), "u": (sq1 - sq2) + (sq3 - sq4)}
     return _Compiled(
         names=tuple(name for name, _, _ in channels),
         monomials=np.stack([np.where(step < degree - power, 0, 1),
                             np.where(step < power, 2, 1)], axis=1),
         tensor=np.ascontiguousarray(tensor.reshape(degree + 1, -1)),
+        weight_terms=weight_terms,
         weights=weights,
         invariants=tuple("stu".index(name) for name, _, _ in channels),
-        mass2=np.array([masses[spec[0]] ** 2 if len(spec) == 4 else 0.0
-                        for _, _, spec in channels]),
-        scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]),
-        m1=masses[0],
-        constants=np.array([1.0] + [m for _, m in chains] if chains else []),
-        legs=tuple(fermions),
-        leg_masses=np.array([masses[k] for k in fermions]),
-        offsets=np.array([masses[0] - m for _, m in chains]),
-        tu=np.array(tu, dtype=np.intp),
-        c1=np.array([d_energy[chains[i][0]] - 2.0 * chains[i][1] * chains[i][1] for i in tu]),
-        c2=np.array([2.0 * chains[i][1] for i in tu]),
-        gap=gap)
+        mass2=np.array([m1 * m1 if len(spec) == 4 else 0.0 for _, _, spec in channels]),
+        scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]))
 
 
 #: (process, None or a photon leg) -> its channels, plain or with that leg gauged
@@ -361,38 +377,6 @@ _COMPILED = {(process, gauge): _compile(process, gauge)
              for process, info in PROCESS_TABLE.items()
              for gauge in [None] + [k for k, spec in enumerate(info["in"] + info["out"])
                                     if spec.field == "photon"]}
-
-
-def _weight_terms(compiled: _Compiled, p, invariants) -> np.ndarray:
-    """The p-side weight terms (..., V) that `compiled.weights` indexes.
-
-    They are 1 and each slash chain's fermion mass m; sqrt(E + m) and then
-    |k| / sqrt(E + m) of each weight leg; sqrt(s) - m of each chain; then,
-    for t and u chains, c0 - m, |q| and, with unequal masses, p - |q|.
-    A chain's propagator slash(p1 +- leg momentum) + m has its time part
-    c0 g0-slash + m written as m (1 + g0) + (c0 - m) g0, so c0 and m, nearly
-    equal near rest, cancel in the exact projector 1 + g0: an s channel's
-    terms are m and sqrt(s) - m, a t or u channel's m, c0 - m, |q| and
-    p - |q|. c0 - m and p - |q| come from mass differences and sqrt(s) - m =
-    p^2/(E1 + m1) + (m1 - m) + E2, with no subtraction of nearly equal
-    numbers.
-    """
-    s, _, _, e1, e2, e3, e4, q = invariants
-    energies, momenta = (e1, e2, e3, e4), (p, p, q, q)
-    root = np.sqrt(_stack([energies[k] for k in compiled.legs]) + compiled.leg_masses)
-    legs = [root, _stack([momenta[k] for k in compiled.legs]) / root]
-    if not compiled.offsets.size:           # no slash chains
-        return np.concatenate(legs, axis=-1)
-    above = ((p * p / (e1 + compiled.m1))[..., None] + compiled.offsets) + e2[..., None]
-    terms = [np.full(root.shape[:-1] + compiled.constants.shape, compiled.constants),
-             *legs, above]
-    if compiled.tu.size:
-        terms += [(compiled.c1 - compiled.c2 * above[..., compiled.tu])
-                  / (2.0 * (e1 + e2))[..., None], q[..., None]]
-    if compiled.gap:            # s = (E1 + E2)^2
-        gap_s, gap_0 = compiled.gap
-        terms.append(((gap_s * s + gap_0) / (4.0 * s) / (p + q))[..., None])
-    return np.concatenate(terms, axis=-1)
 
 
 #: a leg's helicity signs (L, R) under mirror reflection in the scattering
@@ -442,7 +426,7 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     f = powers[..., 0, :] * powers[..., 1, :]
     g = (f[..., None, :] @ compiled.tensor)[..., 0, :]
     g = g.reshape(g.shape[:-1] + compiled.weights.shape[1:] + (16,))          # (..., C, K, 16)
-    w = _weight_terms(compiled, p, invariants)[..., compiled.weights]
+    w = compiled.weight_terms(p, invariants)[..., compiled.weights]
     w = (w[..., 0, :, :] * w[..., 1, :, :]) * (w[..., 2, :, :] * w[..., 3, :, :])
     value = (w[..., None, :] @ g)[..., 0, :]                                  # (..., C, 16)
     den = np.empty(shape + compiled.scale.shape)
