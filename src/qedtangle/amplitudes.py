@@ -48,7 +48,12 @@ one G = f @ T, one product giving every channel's p-side weights W (an
 index table into one vector of weight terms), one W @ G over the channel
 axis, and one multiply by each channel's sign e^2 / denominator; the total
 is the sum over the channel axis and the `channels` dict holds views into
-that array. The matmuls are stacked per item, so a point gives the same
+that array. A current pair's denominator is its invariant x. A slash
+chain's x - m1^2, with m1 the mass of leg 0 and of the chain's fermion, is
+(p1 +- k)^2 - m1^2 = +-2 |k| (m1^2/(E1 + p) + 2 p h^2), k the massless
+photon of leg 1, 2 or 3 and h = 1, sin(theta/2) or cos(theta/2) for s, t
+or u (`_CHAIN_DENOMINATORS`): x itself would lose its digits to m1^2 at
+low p. The matmuls are stacked per item, so a point gives the same
 bits at any batch size, zero-dimensional p and theta included (`amplitude`
 and `find_threshold` pass those, whose p-side arithmetic is numpy scalar
 math; squares and powers are products, never `**`, which is pow() on a
@@ -242,6 +247,12 @@ def _grid(*axes) -> np.ndarray:
     return np.array(list(itertools.product(*axes)), dtype=np.intp).T
 
 
+#: a slash chain's x - m1^2 = (p1 +- k)^2 - m1^2 = f |k| (m1^2/(E1 + p) + 2 p h^2),
+#: k the photon of leg 1, 2 or 3 for s, t or u, with no cancellation at low p:
+#: name -> (f, index of |k| = E_k into the invariants, index of h into (c, 1, s, 0))
+_CHAIN_DENOMINATORS = {"s": (2.0, 4, 1), "t": (-2.0, 5, 2), "u": (-2.0, 6, 0)}
+
+
 @dataclass(frozen=True)
 class _Compiled:
     """A process's channels on one channel axis c: channel c's numerator is
@@ -254,8 +265,9 @@ class _Compiled:
     tensor: np.ndarray        # (D + 1, C * K * 16)
     weight_terms: Callable    # (p, invariants) -> the p-side weight terms (..., V)
     weights: np.ndarray       # (4, C, K) indices into `weight_terms`; W = (w0 w1)(w2 w3)
-    invariants: tuple         # each channel's invariant, as an index into (s, t, u)
-    mass2: np.ndarray         # (C,) propagator mass^2 subtracted from the invariant
+    denominators: tuple       # per channel, (0, x, _) for two currents or a chain's
+                              # `_CHAIN_DENOMINATORS` (f, k, h); x and k index the invariants
+    m1: float                 # mass of leg 0, the slash chains' fermion
     scale: np.ndarray         # (C,) sign e^2
 
 
@@ -290,8 +302,10 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
     channels = info["channels"]
     m1 = masses[0]
     for name, _, spec in channels:
-        if len(spec) == 4 and masses[spec[0]] != m1:
-            raise ValueError(f"{process.value}: the {name} chain's fermion is not leg 0's mass")
+        photon = "stu".index(name) + 1          # the leg the propagator adds or takes
+        if len(spec) == 4 and (masses[spec[0]] != m1 or masses[photon] != 0.0):
+            raise ValueError(f"{process.value}: the {name} chain needs leg 0's fermion mass "
+                             f"and a massless leg {photon}")
     fermions = [k for k, spec in enumerate(specs) if spec.field != "photon"]
     chains = [name for name, _, spec in channels if len(spec) == 4]
     tu = sorted(set(chains) - {"s"})
@@ -367,8 +381,9 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
         tensor=np.ascontiguousarray(tensor.reshape(degree + 1, -1)),
         weight_terms=weight_terms,
         weights=weights,
-        invariants=tuple("stu".index(name) for name, _, _ in channels),
-        mass2=np.array([m1 * m1 if len(spec) == 4 else 0.0 for _, _, spec in channels]),
+        denominators=tuple(_CHAIN_DENOMINATORS[name] if len(spec) == 4
+                           else (0.0, "stu".index(name), None) for name, _, spec in channels),
+        m1=m1,
         scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]))
 
 
@@ -421,8 +436,8 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     if invariants is None:
         invariants = mandelstam_batch(process, p, theta)
     half = theta[..., None] * _HALF
-    powers = np.concatenate([np.cos(half), np.sin(half)], axis=-1)[..., compiled.monomials]
-    powers = powers.prod(axis=-3)                                             # (..., 2, D + 1)
+    trig = np.concatenate([np.cos(half), np.sin(half)], axis=-1)              # (c, 1, s, 0)
+    powers = trig[..., compiled.monomials].prod(axis=-3)                      # (..., 2, D + 1)
     f = powers[..., 0, :] * powers[..., 1, :]
     g = (f[..., None, :] @ compiled.tensor)[..., 0, :]
     g = g.reshape(g.shape[:-1] + compiled.weights.shape[1:] + (16,))          # (..., C, K, 16)
@@ -430,9 +445,13 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     w = (w[..., 0, :, :] * w[..., 1, :, :]) * (w[..., 2, :, :] * w[..., 3, :, :])
     value = (w[..., None, :] @ g)[..., 0, :]                                  # (..., C, 16)
     den = np.empty(shape + compiled.scale.shape)
-    for c, index in enumerate(compiled.invariants):
-        den[..., c] = invariants[index]
-    den -= compiled.mass2
+    for c, (factor, index, h) in enumerate(compiled.denominators):
+        if factor:
+            h = trig[..., h]
+            den[..., c] = factor * invariants[index] * (
+                compiled.m1 * compiled.m1 / (invariants[3] + p) + 2.0 * p * (h * h))
+        else:
+            den[..., c] = invariants[index]
     divergent = (np.abs(den) < (POLE_RTOL * invariants[0])[..., None]).any(axis=-1)
     # points on a pole give inf/nan here; the divergent mask flags them
     with np.errstate(divide="ignore", invalid="ignore"):

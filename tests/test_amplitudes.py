@@ -171,6 +171,17 @@ def test_gauge_takes_only_a_photon_leg():
             helicity_amplitudes_batch(proc, 1.0, 1.0, gauge=leg)
 
 
+def test_slash_chains_need_leg_0s_mass_and_a_massless_photon(monkeypatch):
+    # a chain's denominator x - m1^2 = +-2 |k| (m1^2/(E1 + p) + 2 p h^2) holds
+    # for a propagator around leg 0's fermion that adds or takes a massless leg
+    from qedtangle import amplitudes
+    for proc, chain in ((ProcessKind.ELECTRON_MUON, ("t", 1.0, (3, 1, 2, 0))),
+                        (ProcessKind.MOLLER, ("s", 1.0, (2, 1, 3, 0)))):
+        monkeypatch.setitem(PROCESS_TABLE, proc, {**PROCESS_TABLE[proc], "channels": (chain,)})
+        with pytest.raises(ValueError, match="chain needs leg 0's fermion mass"):
+            amplitudes._compile(proc)
+
+
 def test_crossing_electron_muon_vs_muon_pair():
     # single-photon-exchange processes related by s <-> t crossing at the
     # level of the closed-form spin sums

@@ -216,6 +216,8 @@ def test_xsec_command_compton_at_low_p(capsys):
     rc = main(["xsec", "--process", "compton", "--p", "1e-5", "--theta", "1.0"])
     out = capsys.readouterr().out
     assert rc == 0, out
+    # and so does the engine, down to its last bits
+    assert float(out.split("relative difference")[1].split(":")[1]) <= 1e-15, out
 
 
 def test_audit_command(capsys):

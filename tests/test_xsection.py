@@ -100,11 +100,12 @@ def test_moller_region_boundary_peak():
     assert not xsection.moller_entangled_region(1e-4, math.pi / 6)
 
 
-@pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3])
+@pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-4, 1e-3])
 def test_compton_engine_matches_kappa_form_at_low_p(p):
     # kappa = p sqrt(s), kappa' = p (m^2/(E1 + p) + 2 p cos^2(theta/2)) and
     # kappa' - kappa = -2 p^2 sin^2(theta/2) carry no cancellation, unlike
-    # (s - m^2)/2, (m^2 - u)/2 and their difference
+    # (s - m^2)/2, (m^2 - u)/2 and their difference; the engine's slash-chain
+    # denominators take the same form
     theta = np.linspace(-2 * math.pi, 4 * math.pi, 241)
     total, _, _ = helicity_amplitudes_batch(ProcessKind.COMPTON, p, theta)
     e1 = math.hypot(p, ME)
@@ -112,11 +113,11 @@ def test_compton_engine_matches_kappa_form_at_low_p(p):
     kb = p * (ME ** 2 / (e1 + p) + 2 * p * np.cos(0.5 * theta) ** 2)
     want = xsection.compton_msq_summed(ka, kb, -2 * p ** 2 * np.sin(0.5 * theta) ** 2, ME, E2)
     got = np.sum(total ** 2, axis=(1, 2))
-    assert np.max(np.abs(got - want) / want) <= 1e-10
+    assert np.max(np.abs(got - want) / want) <= 1e-14
     # the point oracle takes the same kappa form
     for i in range(0, theta.size, 40):
         kin = build_kinematics(ProcessKind.COMPTON, p, float(theta[i]))
-        assert abs(xsection.msq_oracle(kin) / got[i] - 1.0) <= 1e-10
+        assert abs(xsection.msq_oracle(kin) / got[i] - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("p", [1e-5, 1e-4, 1e-3])
