@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+import itertools
 import logging
 import math
 import operator
@@ -371,12 +372,21 @@ def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
     # pos = -1 (image below every key) reads the largest key, which cannot match
     pos = np.searchsorted(key[order], want, side="right") - 1
     hit = key[order[pos]] == want
-    partners = order[pos[hit]]
-    ok = res._grid("status") == _OK
-    both = ok[hit] & ok[partners]
-    pairs = int(both.sum())
-    worst = float(np.max([np.abs(res._grid(name)[hit] - res._grid(name)[partners])[both]
-                          for name in _MEASURES], initial=0.0))
+    rows, partners = np.flatnonzero(hit), order[pos[hit]]
+    status = res._grid("status")
+    pairs, worst = 0, 0.0
+    # row pairs in blocks of at most CHUNK_POINTS points, so no temporary spans
+    # the grid: whole rows when a row fits, else single rows split along p
+    width = res.p_grid.size
+    step = max(1, CHUNK_POINTS // width)
+    for r, j in itertools.product(range(0, rows.size, step), range(0, width, CHUNK_POINTS)):
+        a = rows[r:r + step], slice(j, j + CHUNK_POINTS)
+        b = partners[r:r + step], a[1]
+        both = (status[a] == _OK) & (status[b] == _OK)
+        pairs += int(both.sum())
+        for name in _MEASURES:
+            grid = res._grid(name)
+            worst = max(worst, float(np.max(np.abs(grid[a] - grid[b]), where=both, initial=0.0)))
     log.info("symmetry audit %s: worst deviation %.3e over %d pairs", label, worst, pairs)
     if pairs and worst > SYMMETRY_AUDIT_TOL:
         return [f"symmetry audit {label}: worst deviation {worst:.3e} "
