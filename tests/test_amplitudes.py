@@ -7,7 +7,7 @@ from qedtangle.amplitudes import amplitude, helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import DivergentKinematicsError
 from qedtangle.kinematics import (PROCESS_TABLE, ProcessKind, build_kinematics,
-                                  mandelstam_batch, process_masses)
+                                  mandelstam_batch, process_masses, threshold_momentum)
 from qedtangle.qstate import evolve, unpolarized
 from qedtangle.entanglement import analyze
 from qedtangle import xsection
@@ -461,3 +461,52 @@ def test_point_engine_gives_the_batch_bits(proc):
         for name, mat in channels.items():
             assert np.array_equal(point[1][name], mat[i])
             assert np.array_equal(single.channels[name], mat[i])
+
+
+def _weight_terms_to_40_digits(proc, p):
+    """The weight terms of `proc` at momentum p, in the order `_compile`
+    documents, each from its definition at 40 digits."""
+    import mpmath
+    info = PROCESS_TABLE[proc]
+    specs = info["in"] + info["out"]
+    chains = sorted({name for name, _, spec in info["channels"] if len(spec) == 4})
+    tu = [name for name in chains if name != "s"]
+    with mpmath.workdps(40):
+        masses = [mpmath.mpf(m) for m in process_masses(proc)]
+        m1, m2, m3, m4 = masses
+        p = mpmath.mpf(p)
+        e1, e2 = mpmath.sqrt(p * p + m1 * m1), mpmath.sqrt(p * p + m2 * m2)
+        rs = e1 + e2
+        q = mpmath.sqrt((rs * rs - (m3 + m4) ** 2) * (rs * rs - (m3 - m4) ** 2)) / (2 * rs)
+        energies = [e1, e2, mpmath.sqrt(q * q + m3 * m3), mpmath.sqrt(q * q + m4 * m4)]
+        momenta = [p, p, q, q]
+        fermions = [k for k, spec in enumerate(specs) if spec.field != "photon"]
+        roots = [mpmath.sqrt(energies[k] + masses[k]) for k in fermions]
+        terms = roots + [momenta[k] / root for k, root in zip(fermions, roots)]
+        if chains:
+            # 1, m1, sqrt(s) - m1, |q|, then c0 - m1 with c0 = E1 - E3 (t) or E1 - E4 (u)
+            terms += [mpmath.mpf(1), m1, rs - m1, q]
+            terms += [e1 - energies[2 if name == "t" else 3] - m1 for name in tu]
+            if tu and sorted(masses[:2]) != sorted(masses[2:]):
+                terms.append(p - q)
+        return terms
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_weight_terms_against_mpmath(proc):
+    # every p-side weight term keeps its digits from 1e-6 MeV to 1e4 MeV,
+    # near rest included, where sqrt(s) - m1, c0 - m1 and p - |q| would cancel
+    # if formed as differences. The muon pair starts at 1.01 times its
+    # threshold: closer in, |q| itself carries the float64 rounding of
+    # sqrt(s) - m3 - m4 magnified by p / (p - threshold)
+    from qedtangle import amplitudes
+    import mpmath
+    lo = 1e-6 if proc is not ProcessKind.MUON_PAIR else 1.01 * threshold_momentum(proc)
+    p = np.geomspace(lo, 1e4, 40)
+    terms = amplitudes._COMPILED[(proc, None)].weight_terms(p, mandelstam_batch(proc, p, 1.0))
+    for i, p_i in enumerate(p):
+        want = _weight_terms_to_40_digits(proc, p_i)
+        assert terms.shape[-1] == len(want)
+        with mpmath.workdps(40):
+            worst = max(abs((mpmath.mpf(got) - w) / w) for got, w in zip(terms[i], want))
+        assert worst <= 2e-15, (p_i, worst)
