@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qedtangle import qstate
 from qedtangle.amplitudes import amplitude
@@ -66,6 +67,37 @@ def test_trace_mode_runs_on_queries(monkeypatch):
     assert isinstance(layers["entanglement.fragile"], int)
     evals = sum(rec["evals"] for rec in records if rec["kind"] == "bisect")
     assert layers["scan.find_threshold.evals"] == evals > 0
+
+
+@pytest.mark.parametrize("cfg, fragile", [
+    # the mirror-block spectra, on one thread
+    (dict(process=ProcessKind.MOLLER, p_steps=80, theta_steps=60), 0),
+    # LAPACK spectra of every coherence, on the thread pool
+    (dict(process=ProcessKind.COMPTON, initial="werner", p_min=0.05, p_max=3.0,
+          p_steps=90, theta_steps=100, jobs=2), 6),
+])
+def test_traced_scan_counts_what_the_scan_did(monkeypatch, cfg, fragile):
+    # the tracer counts an engine call's points as np.size of its p argument,
+    # which the scan passes as a broadcast view over each chunk's grid, and
+    # reads measures_batch's tolerance by position, which holds while
+    # _evaluate passes `mirror` by keyword
+    from qedtangle.constants import DEFAULT
+    from qedtangle.scan import STATUSES, ScanConfig, run_scan
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tracer = _load("tracer")
+    importlib.import_module("qedtangle.cli")     # every traced module is loaded, as in child.py
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        result = run_scan(ScanConfig(**cfg))
+    finally:
+        spans.uninstall()
+    layers = tracer.layer_metrics(spans.spans, cfg.get("jobs", 1))
+    live = result.status != STATUSES.index("below-threshold")
+    assert layers["amplitudes.helicity_amplitudes_batch.points"] == live.sum() == result.status.size
+    ok = result.status == STATUSES.index("ok")
+    assert layers["entanglement.fragile"] == np.sum(np.abs(result.min_pt_eig[ok]) <= DEFAULT.alpha3)
+    assert layers["entanglement.fragile"] == fragile
 
 
 def test_bisection_engine_calls_match_the_replay(monkeypatch):
