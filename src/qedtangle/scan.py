@@ -380,8 +380,8 @@ def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
     width = res.p_grid.size
     step = max(1, CHUNK_POINTS // width)
     for r, j in itertools.product(range(0, rows.size, step), range(0, width, CHUNK_POINTS)):
-        a = rows[r:r + step], slice(j, j + CHUNK_POINTS)
-        b = partners[r:r + step], a[1]
+        cols = slice(j, j + CHUNK_POINTS)
+        a, b = (rows[r:r + step], cols), (partners[r:r + step], cols)
         both = (status[a] == _OK) & (status[b] == _OK)
         pairs += int(both.sum())
         for name in _MEASURES:
