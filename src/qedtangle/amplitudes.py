@@ -53,11 +53,12 @@ chain's x - m1^2, with m1 the mass of leg 0 and of the chain's fermion, is
 (p1 +- k)^2 - m1^2 = +-2 |k| (m1^2/(E1 + p) + 2 p h^2), k the massless
 photon of leg 1, 2 or 3 and h = 1, sin(theta/2) or cos(theta/2) for s, t
 or u (`_CHAIN_DENOMINATORS`): x itself would lose its digits to m1^2 at
-low p. The matmuls are stacked per item, so a point gives the same
-bits at any batch size, zero-dimensional p and theta included (`amplitude`
-and `find_threshold` pass those, whose p-side arithmetic is numpy scalar
-math; squares and powers are products, never `**`, which is pow() on a
-scalar). On a scan, theta is a column of grid rows and p a row of grid
+low p. m1^2/(E1 + p) and 2 p are formed once per call for all chains,
+and only in a process that has them. The matmuls are stacked per item, so
+a point gives the same bits at any batch size, zero-dimensional p and
+theta included (`amplitude` and `find_threshold` pass those, whose p-side
+arithmetic is numpy scalar math; squares and powers are products, never
+`**`, which is pow() on a scalar). On a scan, theta is a column of grid rows and p a row of grid
 momenta; a flat point list is the case where both have one entry per
 point, and the two give the same bits. An axis along which an argument is
 a broadcast view (stride 0) is evaluated once. Each photon leg also has a
@@ -267,7 +268,8 @@ class _Compiled:
     weights: np.ndarray       # (4, C, K) indices into `weight_terms`; W = (w0 w1)(w2 w3)
     denominators: tuple       # per channel, (0, x, _) for two currents or a chain's
                               # `_CHAIN_DENOMINATORS` (f, k, h); x and k index the invariants
-    m1: float                 # mass of leg 0, the slash chains' fermion
+    m1_sq: float | None       # m1^2, m1 the mass of leg 0, the slash chains' fermion;
+                              # None without slash chains
     scale: np.ndarray         # (C,) sign e^2
 
 
@@ -383,7 +385,7 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
         weights=weights,
         denominators=tuple(_CHAIN_DENOMINATORS[name] if len(spec) == 4
                            else (0.0, "stu".index(name), None) for name, _, spec in channels),
-        m1=m1,
+        m1_sq=m1 * m1 if chains else None,
         scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]))
 
 
@@ -445,11 +447,12 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     w = (w[..., 0, :, :] * w[..., 1, :, :]) * (w[..., 2, :, :] * w[..., 3, :, :])
     value = (w[..., None, :] @ g)[..., 0, :]                                  # (..., C, 16)
     den = np.empty(shape + compiled.scale.shape)
+    if compiled.m1_sq is not None:              # the slash chains' shared terms
+        low, two_p = compiled.m1_sq / (invariants[3] + p), 2.0 * p
     for c, (factor, index, h) in enumerate(compiled.denominators):
         if factor:
             h = trig[..., h]
-            den[..., c] = factor * invariants[index] * (
-                compiled.m1 * compiled.m1 / (invariants[3] + p) + 2.0 * p * (h * h))
+            den[..., c] = factor * invariants[index] * (low + two_p * (h * h))
         else:
             den[..., c] = invariants[index]
     divergent = (np.abs(den) < (POLE_RTOL * invariants[0])[..., None]).any(axis=-1)

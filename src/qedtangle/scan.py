@@ -6,9 +6,10 @@ so a default [0, 2 pi) range never lands on the exact forward/backward rays
 or on duplicate 0 / 2 pi rows. Rows are emitted theta-major: all p values
 for the first theta, then the next theta. A scan's result is a ScanResult
 of grid axes and numpy columns; points are evaluated in fixed chunks of at
-most CHUNK_POINTS, each a block of whole theta rows against the live p
-values (a longer row is split along p), which a thread pool shares out when
-jobs > 1, so results are deterministic and do not depend on jobs.
+most CHUNK_POINTS (`_chunks`), blocks of whole theta rows against the p
+values from the first with an outgoing momentum (a longer row is split
+along p), which a pool of `jobs` threads shares out; each chunk decides its
+points' statuses, so results are deterministic and do not depend on jobs.
 
 Spectra: mirror reflection in the scattering plane flips every helicity,
 and the engine obeys M = D_out XX M XX D_in (`amplitudes.MIRROR_SIGNS`).
@@ -31,15 +32,16 @@ rounded conversion instead, so every byte is that of f"{v:.17g}".
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
 propagator denominators still vanish are reported with status "divergent"
-and empty measures. Momenta at which `kinematics._com_energies` gives no
-outgoing momentum (a NaN q) are reported as "below-threshold"; pure initial
-states can hit zero-flux points, reported as status "unfilterable".
+and empty measures. Points with NaN engine amplitudes, where
+`kinematics._com_energies` gives no outgoing momentum (a NaN q), are
+"below-threshold", and p below the first with one are not evaluated; pure
+initial states can hit zero-flux points, reported as "unfilterable". The
+first status that holds wins: divergent, below-threshold, unfilterable.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import itertools
 import logging
 import math
 import operator
@@ -258,37 +260,41 @@ def _mirror(process: ProcessKind, rho_in: np.ndarray) -> np.ndarray | None:
 
 def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
               rho_in: np.ndarray, mirror: np.ndarray | None) -> dict:
-    """Measures and status flags, flattened, for p and theta broadcast together;
-    `mirror` is `_mirror(process, rho_in)`."""
+    """Every scan column for p and theta broadcast together, in their shape;
+    `mirror` is `_mirror(process, rho_in)`. Measures are NaN and flags False
+    off the ok points; statuses take `find_threshold`'s order."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
-    amps, divergent = amps.reshape(-1, 4, 4), divergent.ravel()
-    amps = np.where(divergent[:, None, None], 0.0, amps)
-    rho, flux_ok = evolve_batch(amps, rho_in)
-    bad = divergent | ~flux_ok
-    safe = np.where(bad[:, None, None], np.eye(4) / 4.0, rho)
-    res = measures_batch(safe, mirror=mirror)
-    res["divergent"] = divergent
-    res["unfilterable"] = ~flux_ok & ~divergent
-    return res
+    amps = amps.reshape(-1, 4, 4)
+    status = np.where(divergent.ravel(), _DIVERGENT,
+                      np.where(np.isnan(amps).any(axis=(1, 2)), _BELOW, _OK)).astype(np.int8)
+    rho, flux_ok = evolve_batch(np.where((status != _OK)[:, None, None], 0.0, amps), rho_in)
+    status[(status == _OK) & ~flux_ok] = _UNFILTERABLE
+    ok = status == _OK
+    res = measures_batch(np.where(ok[:, None, None], rho, np.eye(4) / 4.0), mirror=mirror)
+    columns = {name: np.where(ok, res[name], math.nan) for name in _MEASURES}
+    columns.update((name, res[name] & ok) for name in _FLAGS)
+    columns["status"] = status
+    return {name: column.reshape(divergent.shape) for name, column in columns.items()}
 
 
-def _chunks(n_theta: int, live: np.ndarray) -> list[tuple[slice, np.ndarray]]:
-    """(theta rows, live p columns) blocks of at most CHUNK_POINTS points:
-    whole rows when a row fits, else single rows split along p."""
-    if live.size == 0:
-        return []
-    step = max(1, CHUNK_POINTS // live.size)
-    return [(slice(r, r + step), live[j:j + CHUNK_POINTS])
-            for r in range(0, n_theta, step) for j in range(0, live.size, CHUNK_POINTS)]
+def _chunks(n_rows: int, cols: range):
+    """(row slice, column slice) blocks of at most CHUNK_POINTS points over
+    rows 0..n_rows and `cols`: whole rows when a row fits, else single rows
+    split along p."""
+    step = max(1, CHUNK_POINTS // max(len(cols), 1))
+    for r in range(0, n_rows, step):
+        for j in range(cols.start, cols.stop, CHUNK_POINTS):
+            yield slice(r, r + step), slice(j, min(j + CHUNK_POINTS, cols.stop))
 
 
 def run_scan(cfg: ScanConfig) -> ScanResult:
     """Evaluate the full grid in chunks of CHUNK_POINTS; theta-major columns.
 
-    A chunk is a block of whole theta rows against the live p values (a row
-    longer than CHUNK_POINTS is split along p), so the amplitude engine
-    contracts spinors once per angle. With ``jobs > 1`` the same chunks are
-    spread over a thread pool, so the result does not depend on ``jobs``.
+    A chunk is a block of whole theta rows against the p values from the
+    first with an outgoing momentum (a row longer than CHUNK_POINTS is split
+    along p), so the amplitude engine contracts spinors once per angle. A
+    thread pool of ``jobs`` workers takes the chunks, so the result does not
+    depend on ``jobs``.
     """
     cfg.validate()
     init = parse_initial(cfg.initial)
@@ -308,31 +314,23 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
                         *(np.zeros(n, dtype=bool) for _ in _FLAGS),
                         np.full(n, _BELOW, dtype=np.int8))
 
-    # below threshold, as build_kinematics and the engine decide it: q is NaN
-    live = np.flatnonzero(~np.isnan(_com_energies(cfg.process, p_grid)[-1]))
+    # a bound on work, not the status rule: the p below the first with an
+    # outgoing momentum (q not NaN) are left below threshold unevaluated
+    live = ~np.isnan(_com_energies(cfg.process, p_grid)[-1])
+    first = int(live.argmax()) if live.any() else p_grid.size
 
-    def fill(chunk: tuple[slice, np.ndarray]) -> None:
-        block, cols = chunk
-        theta = theta_grid[block]
+    def fill(block: tuple[slice, slice]) -> None:
+        rows, cols = block
+        theta, p = theta_grid[rows, None], p_grid[cols]
         # p as a broadcast view: one entry per grid point, stored once
-        res = _evaluate(cfg.process, np.broadcast_to(p_grid[cols], (theta.size, cols.size)),
-                        theta[:, None], rho_in, mirror)
-        code = np.where(res["divergent"], _DIVERGENT,
-                        np.where(res["unfilterable"], _UNFILTERABLE, _OK)).reshape(theta.size, -1)
-        ok = code == _OK
-        result._grid("status")[block, cols] = code
-        for name in _MEASURES:
-            result._grid(name)[block, cols] = np.where(ok, res[name].reshape(ok.shape), math.nan)
-        for name in _FLAGS:
-            result._grid(name)[block, cols] = res[name].reshape(ok.shape) & ok
+        columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta,
+                            rho_in, mirror)
+        for name, column in columns.items():
+            result._grid(name)[block] = column
 
-    chunks = _chunks(theta_grid.size, live)
-    if cfg.jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            list(pool.map(fill, chunks))        # re-raises a worker's exception
-    else:
-        for chunk in chunks:
-            fill(chunk)
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        # list() re-raises a worker's exception
+        list(pool.map(fill, _chunks(theta_grid.size, range(first, p_grid.size))))
 
     result.warnings.extend(symmetry_audit(result, cfg.process))
     for warning in result.warnings:
@@ -375,13 +373,9 @@ def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
     rows, partners = np.flatnonzero(hit), order[pos[hit]]
     status = res._grid("status")
     pairs, worst = 0, 0.0
-    # row pairs in blocks of at most CHUNK_POINTS points, so no temporary spans
-    # the grid: whole rows when a row fits, else single rows split along p
-    width = res.p_grid.size
-    step = max(1, CHUNK_POINTS // width)
-    for r, j in itertools.product(range(0, rows.size, step), range(0, width, CHUNK_POINTS)):
-        cols = slice(j, j + CHUNK_POINTS)
-        a, b = (rows[r:r + step], cols), (partners[r:r + step], cols)
+    # row pairs in `_chunks` blocks, so no temporary spans the grid
+    for block, cols in _chunks(rows.size, range(res.p_grid.size)):
+        a, b = (rows[block], cols), (partners[block], cols)
         both = (status[a] == _OK) & (status[b] == _OK)
         pairs += int(both.sum())
         for name in _MEASURES:

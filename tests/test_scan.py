@@ -8,10 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qedtangle.amplitudes import amplitude
 from qedtangle.constants import DEFAULT
-from qedtangle.errors import (DivergentKinematicsError, InvalidConfigError,
+from qedtangle.errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                               UnfilterableStateError)
-from qedtangle.kinematics import ProcessKind, mandelstam_batch, threshold_momentum
+from qedtangle.kinematics import (ProcessKind, build_kinematics, mandelstam_batch,
+                                  threshold_momentum)
+from qedtangle.qstate import evolve
 from qedtangle import scan
 from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, STATUSES, ScanConfig, ScanResult,
                             emit_csv, emit_plot_script, find_threshold,
@@ -356,6 +359,97 @@ def test_long_p_rows_split_into_bounded_chunks(monkeypatch, tmp_path):
     emit_csv(result, tmp_path / "jobs1.csv")
     emit_csv(run_scan(ScanConfig(**LONG_ROW, jobs=2)), tmp_path / "jobs2.csv")
     assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
+
+
+#: grids that together hold every status: a muon pair straddling its
+#: threshold, a pure lr pair annihilating through theta = pi (no outgoing
+#: flux there) and Moller on the theta = 0 pole ray; the p ends are seeded
+STATUS_GRIDS = {
+    "muon-pair-threshold": (
+        dict(process=ProcessKind.MUON_PAIR, p_min=0.9 * _THR_MU, p_max=1.2 * _THR_MU,
+             p_steps=40, theta_steps=6),
+        {"ok", "below-threshold"}),
+    "annihilation-lr-backward": (
+        dict(process=ProcessKind.ANNIHILATION, initial="lr", p_min=0.01, p_max=3.0, p_steps=30,
+             theta_min=math.pi - 0.5, theta_max=math.pi + 0.5, theta_steps=5),
+        {"ok", "unfilterable"}),
+    "moller-forward": (
+        dict(process=ProcessKind.MOLLER, p_min=0.01, p_max=3.0, p_steps=30,
+             theta_min=0.0, theta_max=0.0, theta_steps=1),
+        {"divergent"}),
+}
+
+
+def _point_status(process, initial, p, theta) -> str:
+    """The status of (p, theta) on the point path: ok, or the error it raises."""
+    try:
+        evolve(amplitude(build_kinematics(process, p, theta)), parse_initial(initial))
+    except BelowThresholdError:
+        return "below-threshold"
+    except DivergentKinematicsError:
+        return "divergent"
+    except UnfilterableStateError:
+        return "unfilterable"
+    return "ok"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed, grid", enumerate(sorted(STATUS_GRIDS)))
+def test_scan_status_matches_the_point_path(seed, grid, jobs):
+    base, statuses = STATUS_GRIDS[grid]
+    low, high = np.random.default_rng(seed).uniform(0.98, 1.02, 2)
+    cfg = ScanConfig(**{**base, "p_min": low * base["p_min"], "p_max": high * base["p_max"]},
+                     jobs=jobs)
+    result = run_scan(cfg)
+    rows = list(result)
+    assert {r.status for r in rows} == statuses
+    sample = np.random.default_rng(seed).choice(len(rows), min(len(rows), 40), replace=False)
+    for i in sample:
+        assert rows[i].status == _point_status(cfg.process, cfg.initial, rows[i].p,
+                                               rows[i].theta), rows[i]
+    # one chunk over the whole grid, the below-threshold prefix included,
+    # decides the statuses the scan reports
+    rho_in = parse_initial(cfg.initial).density.entries
+    columns = scan._evaluate(cfg.process, result.p_grid, result.theta_grid[:, None], rho_in,
+                             scan._mirror(cfg.process, rho_in))
+    assert np.array_equal(columns["status"].ravel(), result.status)
+
+
+def test_grid_below_threshold_makes_no_engine_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", lambda *args: calls.append(args))
+    result = run_scan(ScanConfig(process=ProcessKind.MUON_PAIR, p_min=1.0,
+                                 p_max=0.99 * _THR_MU, p_steps=30, theta_steps=4))
+    assert calls == []
+    assert {r.status for r in result} == {"below-threshold"}
+
+
+def test_threshold_inside_split_rows_gives_identical_csv_for_any_jobs(monkeypatch, tmp_path):
+    # the rows from the first p above threshold are longer than a chunk, so
+    # each is split along p in two
+    base = dict(process=ProcessKind.MUON_PAIR, p_min=0.9 * _THR_MU, p_max=2.0 * _THR_MU,
+                p_steps=CHUNK_POINTS + 2000, theta_steps=3)
+    points = []
+
+    def counting(process, p, theta, *args, **kwargs):
+        points.append(np.size(p))
+        return amplitudes_batch(process, p, theta, *args, **kwargs)
+
+    amplitudes_batch = scan.helicity_amplitudes_batch
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", counting)
+    want = None
+    for jobs in (1, 2, 3):
+        points.clear()
+        result = run_scan(ScanConfig(**base, jobs=jobs))
+        below = result.status == STATUSES.index("below-threshold")
+        row = below[:base["p_steps"]]                # every row straddles the threshold
+        assert 0 < row.sum() and below.sum() == 3 * row.sum()
+        assert len(points) == 6 and max(points) <= CHUNK_POINTS
+        assert sum(points) == np.sum(~below)        # the prefix is never evaluated
+        emit_csv(result, tmp_path / "scan.csv")
+        got = (tmp_path / "scan.csv").read_bytes()
+        assert want is None or got == want
+        want = got
 
 
 def test_scan_result_row_views():
