@@ -265,10 +265,12 @@ def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     off the ok points; statuses take `find_threshold`'s order."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
     amps = amps.reshape(-1, 4, 4)
+    rho, flux_ok = evolve_batch(np.where(divergent.reshape(-1, 1, 1), 0.0, amps), rho_in)
     status = np.where(divergent.ravel(), _DIVERGENT,
-                      np.where(np.isnan(amps).any(axis=(1, 2)), _BELOW, _OK)).astype(np.int8)
-    rho, flux_ok = evolve_batch(np.where((status != _OK)[:, None, None], 0.0, amps), rho_in)
-    status[(status == _OK) & ~flux_ok] = _UNFILTERABLE
+                      np.where(flux_ok, _OK, _UNFILTERABLE)).astype(np.int8)
+    # NaN amplitudes, below threshold, fail the flux test too: only those points are searched
+    dead = np.flatnonzero(status == _UNFILTERABLE)
+    status[dead[np.isnan(amps[dead]).any(axis=(1, 2))]] = _BELOW
     ok = status == _OK
     res = measures_batch(np.where(ok[:, None, None], rho, np.eye(4) / 4.0), mirror=mirror)
     columns = {name: np.where(ok, res[name], math.nan) for name in _MEASURES}
