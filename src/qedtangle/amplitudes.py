@@ -47,12 +47,13 @@ then forms the invariants, the powers of c and s once per distinct angle,
 one G = f @ T, one product giving every channel's p-side weights W (an
 index table into one vector of weight terms), one W @ G over the channel
 axis, and one multiply by each channel's sign e^2 / denominator; the total
-is the sum over the channel axis and the `channels` dict holds views into
-that array. A current pair's denominator is its invariant x. A slash
-chain's x - m1^2, with m1 the mass of leg 0 and of the chain's fermion, is
-(p1 +- k)^2 - m1^2 = +-2 |k| (m1^2/(E1 + p) + 2 p h^2), k the massless
-photon of leg 1, 2 or 3 and h = 1, sin(theta/2) or cos(theta/2) for s, t
-or u (`_CHAIN_DENOMINATORS`): x itself would lose its digits to m1^2 at
+is channel 0 + channel 1 (a copy of a single-channel process's one
+channel) and the `channels` dict holds views into that array. A current
+pair's denominator is its invariant x. A slash chain's x - m1^2, with m1
+the mass of leg 0 and of the chain's fermion, is (p1 +- k)^2 - m1^2 =
++-2 |k| (m1^2/(E1 + p) + 2 p h^2), k the massless photon of leg 1, 2 or 3
+and h = 1, sin(theta/2) or cos(theta/2) for s, t or u
+(`_CHAIN_DENOMINATORS`): x itself would lose its digits to m1^2 at
 low p. m1^2/(E1 + p) and 2 p are formed once per call for all chains,
 and only in a process that has them. The matmuls are stacked per item, so
 a point gives the same bits at any batch size, zero-dimensional p and
@@ -302,6 +303,8 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
     specs = info["in"] + info["out"]
     legs = [_leg(k, spec, k == gauge) for k, spec in enumerate(specs)]
     channels = info["channels"]
+    if not 1 <= len(channels) <= 2:
+        raise ValueError(f"{process.value}: the engine combines one or two channels")
     m1 = masses[0]
     for name, _, spec in channels:
         photon = "stu".index(name) + 1          # the leg the propagator adds or takes
@@ -455,12 +458,20 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
             den[..., c] = factor * invariants[index] * (low + two_p * (h * h))
         else:
             den[..., c] = invariants[index]
-    divergent = (np.abs(den) < (POLE_RTOL * invariants[0])[..., None]).any(axis=-1)
+    near = np.abs(den) < (POLE_RTOL * invariants[0])[..., None]
     # points on a pole give inf/nan here; the divergent mask flags them
     with np.errstate(divide="ignore", invalid="ignore"):
         channels = ((compiled.scale / den)[..., None] * value).reshape(den.shape + (4, 4))
-    return (channels.sum(axis=-3),
-            {name: channels[..., c, :, :] for c, name in enumerate(compiled.names)}, divergent)
+    views = [channels[..., c, :, :] for c in range(len(compiled.names))]
+    # one or two channels, combined elementwise. A lone channel is copied as
+    # channel + 0, which turns -0 into +0 as a sum over the axis would, so
+    # the total never aliases a channel view; [()] makes a zero-dimensional
+    # mask a numpy bool
+    if len(views) == 2:
+        total, divergent = views[0] + views[1], near[..., 0] | near[..., 1]
+    else:
+        total, divergent = views[0] + 0.0, near[..., 0][()]
+    return total, dict(zip(compiled.names, views)), divergent
 
 
 def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:

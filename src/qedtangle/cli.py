@@ -27,8 +27,8 @@ from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
 from .kinematics import PROCESS_TABLE, ProcessKind, build_kinematics, mandelstam_batch
 from .linalg import hermitian_eigenvalues_batch
 from .qstate import evolve
-from .scan import (_SYMMETRIES, ScanConfig, cross_section_check, emit_csv,
-                   emit_plot_script, find_threshold, parse_initial, parse_process, run_scan)
+from .scan import (_SYMMETRIES, ScanConfig, cross_section_check, emit_plot_script,
+                   find_threshold, parse_initial, parse_process, run_scan)
 from .xsection import dsigma_domega_oracle, msq_oracle
 
 log = logging.getLogger(__name__)
@@ -94,8 +94,7 @@ def _cmd_scan(args) -> int:
     cfg = _build_scan_config(args)
     if cfg.out is None:
         raise InvalidConfigError("scan requires --out (or 'out' in the config file)")
-    rows = run_scan(cfg)
-    emit_csv(rows, cfg.out)
+    rows = run_scan(cfg)            # streams the CSV to cfg.out
     print(f"wrote {len(rows)} rows to {cfg.out}")
     if args.plot_script:
         emit_plot_script(rows, args.plot_script, cfg.out)

@@ -21,8 +21,13 @@ transpose commute with A = D_out XX, and both spectra come from closed-form
 2 x 2 blocks (`entanglement.mirror_spectra`). Every other input (pure
 states, asymmetric `diag:`, Compton `werner`) keeps LAPACK's eigvalsh.
 
-CSV text: `emit_csv` writes each chunk of CHUNK_POINTS lines as one uint8
-slab of NUL-padded fields side by side, with the NUL bytes dropped. Floats
+CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into its
+lines, the first block of a row with the row's unevaluated lines before
+it. `run_scan` given `ScanConfig.out` streams the CSV: each worker formats
+the chunk it evaluated and the caller writes the chunks in grid order;
+`emit_csv` walks the same blocks over a finished ScanResult. Both write the
+same bytes. Lines are formatted CHUNK_POINTS at a time as one uint8 slab
+of NUL-padded fields side by side, with the NUL bytes dropped. Floats
 come from `_text17`, an exact vectorised '%.17g': the 17 significant digits
 are the integer nearest |v| 10^(16-e), formed with Dekker's error-free
 product against a double-double power of ten (Numer. Math. 18, 224 (1971)).
@@ -41,10 +46,13 @@ first status that holds wins: divergent, below-threshold, unfilterable.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass, field
 import logging
 import math
 import operator
+import os
+import stat
 
 import numpy as np
 
@@ -264,28 +272,35 @@ def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
     `mirror` is `_mirror(process, rho_in)`. Measures are NaN and flags False
     off the ok points; statuses take `find_threshold`'s order."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
+    shape, divergent = divergent.shape, divergent.ravel()
     amps = amps.reshape(-1, 4, 4)
-    rho, flux_ok = evolve_batch(np.where(divergent.reshape(-1, 1, 1), 0.0, amps), rho_in)
-    status = np.where(divergent.ravel(), _DIVERGENT,
-                      np.where(flux_ok, _OK, _UNFILTERABLE)).astype(np.int8)
+    # each mask below is skipped where it would change nothing
+    rho, flux_ok = evolve_batch(np.where(divergent[:, None, None], 0.0, amps)
+                                if divergent.any() else amps, rho_in)
+    status = np.where(divergent, _DIVERGENT, np.where(flux_ok, _OK, _UNFILTERABLE)).astype(np.int8)
     # NaN amplitudes, below threshold, fail the flux test too: only those points are searched
     dead = np.flatnonzero(status == _UNFILTERABLE)
     status[dead[np.isnan(amps[dead]).any(axis=(1, 2))]] = _BELOW
     ok = status == _OK
-    res = measures_batch(np.where(ok[:, None, None], rho, np.eye(4) / 4.0), mirror=mirror)
-    columns = {name: np.where(ok, res[name], math.nan) for name in _MEASURES}
-    columns.update((name, res[name] & ok) for name in _FLAGS)
+    if ok.all():
+        res = measures_batch(rho, mirror=mirror)
+        columns = {name: res[name] for name in _MEASURES + _FLAGS}
+    else:
+        res = measures_batch(np.where(ok[:, None, None], rho, np.eye(4) / 4.0), mirror=mirror)
+        columns = {name: np.where(ok, res[name], math.nan) for name in _MEASURES}
+        columns.update((name, res[name] & ok) for name in _FLAGS)
     columns["status"] = status
-    return {name: column.reshape(divergent.shape) for name, column in columns.items()}
+    return {name: column.reshape(shape) for name, column in columns.items()}
 
 
 def _chunks(n_rows: int, cols: range):
     """(row slice, column slice) blocks of at most CHUNK_POINTS points over
     rows 0..n_rows and `cols`: whole rows when a row fits, else single rows
-    split along p."""
+    split along p. An empty `cols` gives blocks of whole rows with no
+    columns, so a walk over the blocks still visits every row."""
     step = max(1, CHUNK_POINTS // max(len(cols), 1))
     for r in range(0, n_rows, step):
-        for j in range(cols.start, cols.stop, CHUNK_POINTS):
+        for j in range(cols.start, cols.stop, CHUNK_POINTS) or (cols.start,):
             yield slice(r, r + step), slice(j, min(j + CHUNK_POINTS, cols.stop))
 
 
@@ -297,6 +312,12 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     along p), so the amplitude engine contracts spinors once per angle. A
     thread pool of ``jobs`` workers takes the chunks, so the result does not
     depend on ``jobs``.
+
+    With ``cfg.out`` set, the scan streams its CSV there, with the bytes of
+    `emit_csv`: the worker that evaluates a chunk also formats its lines,
+    the first chunk of a row with the row's unevaluated lines before it,
+    and the caller writes the chunks in grid order as they arrive. A scan
+    that raises removes the file it was writing if that is a regular file.
     """
     cfg.validate()
     init = parse_initial(cfg.initial)
@@ -321,20 +342,26 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     live = ~np.isnan(_com_energies(cfg.process, p_grid)[-1])
     first = int(live.argmax()) if live.any() else p_grid.size
 
-    def fill(block: tuple[slice, slice]) -> None:
+    block_text = None if cfg.out is None else _csv_blocks(result, first)
+
+    def fill(block: tuple[slice, slice]) -> bytes | None:
         rows, cols = block
-        theta, p = theta_grid[rows, None], p_grid[cols]
-        # p as a broadcast view: one entry per grid point, stored once
-        columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta,
-                            rho_in, mirror)
-        for name, column in columns.items():
-            result._grid(name)[block] = column
+        if cols.start < cols.stop:
+            theta, p = theta_grid[rows, None], p_grid[cols]
+            # p as a broadcast view: one entry per grid point, stored once
+            columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta,
+                                rho_in, mirror)
+            for name, column in columns.items():
+                result._grid(name)[block] = column
+        return None if block_text is None else block_text(block)
 
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        # list() re-raises a worker's exception
-        list(pool.map(fill, _chunks(theta_grid.size, range(first, p_grid.size))))
-
-    result.warnings.extend(symmetry_audit(result, cfg.process))
+    with _csv_file(cfg.out) as fh:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            # in grid order; reading a result re-raises its worker's exception
+            for lines in pool.map(fill, _chunks(theta_grid.size, range(first, p_grid.size))):
+                if fh is not None:
+                    fh.write(lines)
+        result.warnings.extend(symmetry_audit(result, cfg.process))
     for warning in result.warnings:
         log.warning("%s", warning)
     return result
@@ -593,38 +620,79 @@ _STATUS_TEXT = np.array([f"{name}\n".encode() for name in STATUSES]).view(np.uin
 _COMMA = np.array([[ord(",")]], np.uint8)
 
 
-def emit_csv(res: ScanResult, path) -> None:
-    """Fixed-column CSV, 17 significant digits, '\\n' line endings.
-
-    Non-ok rows get empty measure and flag fields. Written CHUNK_POINTS
-    lines at a time: each chunk is a uint8 slab of NUL-padded fields side by
-    side (`_text17`), written with its NUL bytes dropped.
-    """
+def _csv_blocks(res: ScanResult, first: int):
+    """block_text(block), the CSV text of a `_chunks` block of `res` over the
+    p from `first`: the block's lines and, for a row's first block, the
+    row's lines before `first` too, so the blocks in order give every line
+    once. A block's lines are formatted CHUNK_POINTS at a time, each part
+    one uint8 slab of NUL-padded fields side by side (`_text17`) with its
+    NUL bytes dropped."""
     # p and theta repeat along the grid: each axis value is formatted once
     p_text, theta_text = _text17(res.p_grid), _text17(res.theta_grid)
     prefix = np.frombuffer(f"{res.process},{res.initial},".encode(), np.uint8)[None]
-    with open(path, "wb") as fh:
-        fh.write(f"{CSV_HEADER}\n".encode())
-        for start in range(0, len(res), CHUNK_POINTS):
-            part = slice(start, start + CHUNK_POINTS)
-            status = res.status[part]
-            ok = status == _OK
-            n = status.size
-            row, col = np.divmod(np.arange(start, start + n), res.p_grid.size)
-            fields = [prefix, np.take(p_text, col, axis=0), _COMMA,
-                      np.take(theta_text, row, axis=0), _COMMA]
-            for name in _MEASURES:
-                text = _text17(getattr(res, name)[part][ok])
-                if text.shape[0] < n:           # the non-ok lines get empty fields
-                    spread = np.zeros((n, text.shape[1]), np.uint8)
-                    spread[ok] = text
-                    text = spread
-                fields += [text, _COMMA]
-            fields += [np.take(_FLAG_TEXT, np.where(ok, getattr(res, name)[part], 2), axis=0)
-                       for name in _FLAGS]
-            fields.append(np.take(_STATUS_TEXT, status, axis=0))
-            slab = np.concatenate([np.broadcast_to(f, (n, f.shape[1])) for f in fields], axis=1)
-            fh.write(slab.tobytes().translate(None, b"\0"))
+    n_rows, n_p = res.theta_grid.size, res.p_grid.size
+
+    def lines(start: int, stop: int) -> bytes:
+        status = res.status[start:stop]
+        ok = status == _OK
+        n = status.size
+        row, col = np.divmod(np.arange(start, stop), n_p)
+        fields = [prefix, np.take(p_text, col, axis=0), _COMMA,
+                  np.take(theta_text, row, axis=0), _COMMA]
+        for name in _MEASURES:
+            text = _text17(getattr(res, name)[start:stop][ok])
+            if text.shape[0] < n:           # the non-ok lines get empty fields
+                spread = np.zeros((n, text.shape[1]), np.uint8)
+                spread[ok] = text
+                text = spread
+            fields += [text, _COMMA]
+        fields += [np.take(_FLAG_TEXT, np.where(ok, getattr(res, name)[start:stop], 2), axis=0)
+                   for name in _FLAGS]
+        fields.append(np.take(_STATUS_TEXT, status, axis=0))
+        slab = np.concatenate([np.broadcast_to(f, (n, f.shape[1])) for f in fields], axis=1)
+        return slab.tobytes().translate(None, b"\0")
+
+    def block_text(block: tuple[slice, slice]) -> bytes:
+        rows, cols = block
+        # a block is whole rows, or one row's columns, so its lines are contiguous
+        start = rows.start * n_p + (0 if cols.start == first else cols.start)
+        stop = (min(rows.stop, n_rows) - 1) * n_p + cols.stop
+        return b"".join(lines(i, min(i + CHUNK_POINTS, stop))
+                        for i in range(start, stop, CHUNK_POINTS))
+
+    return block_text
+
+
+@contextlib.contextmanager
+def _csv_file(path):
+    """The file at `path` with the CSV header written, or None for no path.
+    If the block raises, the file is closed and, if it is a regular file,
+    removed; a device such as /dev/null is left alone."""
+    if path is None:
+        yield None
+        return
+    fh = open(path, "wb")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            fh.write(f"{CSV_HEADER}\n".encode())
+            yield fh
+    except BaseException:
+        if regular:
+            os.unlink(path)
+        raise
+
+
+def emit_csv(res: ScanResult, path) -> None:
+    """Fixed-column CSV, 17 significant digits, '\\n' line endings.
+
+    Non-ok rows get empty measure and flag fields. The lines are formatted
+    by `_chunks` block of the whole grid, as `run_scan` streams them.
+    """
+    block_text = _csv_blocks(res, 0)
+    with _csv_file(path) as fh:
+        for block in _chunks(res.theta_grid.size, range(res.p_grid.size)):
+            fh.write(block_text(block))
 
 
 _FLAG_VALUES = {"true": True, "false": False, "": None}

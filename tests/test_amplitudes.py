@@ -40,6 +40,14 @@ def test_channel_sum_and_finiteness(proc):
     total = sum(amp.channels.values())
     assert np.allclose(total, amp.entries)
     assert np.all(np.isfinite(amp.entries.view(float)))
+    # on a grid through the pole rays, where electron-muon's lone channel
+    # holds -0 entries at theta = 0, the total has the bits of a sum over
+    # the channel axis (-0 turned +0) and shares no memory with the channels
+    p = np.geomspace(0.01, 1e3, 30) + (110.0 if proc is ProcessKind.MUON_PAIR else 0.0)
+    total, channels, _ = helicity_amplitudes_batch(proc, p, np.linspace(0.0, 2 * math.pi, 9)[:, None])
+    stacked = np.stack(list(channels.values()), axis=-3)
+    assert total.tobytes() == stacked.sum(axis=-3).tobytes()
+    assert not any(np.shares_memory(total, view) for view in channels.values())
 
 
 def test_channel_counts():

@@ -252,6 +252,7 @@ def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
                "--theta-steps", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()        # no partial CSV is left behind
 
 
 def test_scan_log_grid_flag(tmp_path):

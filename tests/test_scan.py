@@ -269,23 +269,27 @@ def test_jobs_give_identical_csv_over_many_chunks(grid, tmp_path):
     rows = list(result)
     assert {r.status for r in rows} == statuses
     assert sum(r.status != "below-threshold" for r in rows) > 2 * CHUNK_POINTS
-    emit_csv(result, tmp_path / "jobs1.csv")
-    want = (tmp_path / "jobs1.csv").read_bytes()
+    emit_csv(result, tmp_path / "result.csv")
+    want = (tmp_path / "result.csv").read_bytes()
     # workers write disjoint parts of shared columns; switch threads often
-    # so that a lost or misplaced write would show in the bytes
+    # so that a lost or misplaced write would show in the bytes. A scan
+    # given `out` streams the CSV that emit_csv writes from its result
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for jobs in (2, 3):
-            emit_csv(run_scan(ScanConfig(**base, jobs=jobs)), tmp_path / f"jobs{jobs}.csv")
+        for jobs in (1, 2, 3):
+            streamed = tmp_path / f"streamed{jobs}.csv"
+            emit_csv(run_scan(ScanConfig(**base, jobs=jobs, out=str(streamed))),
+                     tmp_path / f"jobs{jobs}.csv")
             assert (tmp_path / f"jobs{jobs}.csv").read_bytes() == want
+            assert streamed.read_bytes() == want
     finally:
         sys.setswitchinterval(interval)
     # the columnar writer and a plain writer of the row views give the same
     # bytes; parsing them back gives the row views
     _reference_csv(rows, tmp_path / "reference.csv")
     assert (tmp_path / "reference.csv").read_bytes() == want
-    assert parse_csv(tmp_path / "jobs1.csv") == rows
+    assert parse_csv(tmp_path / "result.csv") == rows
 
 
 def test_csv_writer_matches_reference_for_every_status(tmp_path):
@@ -361,6 +365,29 @@ def test_long_p_rows_split_into_bounded_chunks(monkeypatch, tmp_path):
     assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
 
 
+def test_failed_scan_removes_its_csv_but_never_a_device(monkeypatch, tmp_path):
+    # the second of two chunks raises after the first chunk's lines are written
+    evaluate, calls = scan._evaluate, []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return evaluate(*args)
+
+    monkeypatch.setattr(scan, "_evaluate", fail_second)
+    two_chunks = dict(process=ProcessKind.MOLLER, p_steps=CHUNK_POINTS, theta_steps=2)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_scan(ScanConfig(**two_chunks, out=str(tmp_path / "x.csv")))
+    assert len(calls) == 2 and not (tmp_path / "x.csv").exists()
+    unlinked = []
+    monkeypatch.setattr(scan.os, "unlink", unlinked.append)
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        run_scan(ScanConfig(**two_chunks, out=os.devnull))
+    assert len(calls) == 2 and unlinked == []
+
+
 #: grids that together hold every status: a muon pair straddling its
 #: threshold, a pure lr pair annihilating through theta = pi (no outgoing
 #: flux there) and Moller on the theta = 0 pole ray; the p ends are seeded
@@ -377,6 +404,10 @@ STATUS_GRIDS = {
         dict(process=ProcessKind.MOLLER, p_min=0.01, p_max=3.0, p_steps=30,
              theta_min=0.0, theta_max=0.0, theta_steps=1),
         {"divergent"}),
+    "single-point-bhabha": (
+        dict(process=ProcessKind.BHABHA, p_min=0.5, p_max=0.5, p_steps=1,
+             theta_min=1.0, theta_max=1.0, theta_steps=1),
+        {"ok"}),
 }
 
 
@@ -395,12 +426,14 @@ def _point_status(process, initial, p, theta) -> str:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("seed, grid", enumerate(sorted(STATUS_GRIDS)))
-def test_scan_status_matches_the_point_path(seed, grid, jobs):
+def test_scan_status_matches_the_point_path(seed, grid, jobs, tmp_path):
     base, statuses = STATUS_GRIDS[grid]
     low, high = np.random.default_rng(seed).uniform(0.98, 1.02, 2)
     cfg = ScanConfig(**{**base, "p_min": low * base["p_min"], "p_max": high * base["p_max"]},
-                     jobs=jobs)
+                     jobs=jobs, out=str(tmp_path / "streamed.csv"))
     result = run_scan(cfg)
+    emit_csv(result, tmp_path / "result.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "result.csv").read_bytes()
     rows = list(result)
     assert {r.status for r in rows} == statuses
     sample = np.random.default_rng(seed).choice(len(rows), min(len(rows), 40), replace=False)
@@ -415,13 +448,20 @@ def test_scan_status_matches_the_point_path(seed, grid, jobs):
     assert np.array_equal(columns["status"].ravel(), result.status)
 
 
-def test_grid_below_threshold_makes_no_engine_call(monkeypatch):
+def test_grid_below_threshold_makes_no_engine_call(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(scan, "helicity_amplitudes_batch", lambda *args: calls.append(args))
-    result = run_scan(ScanConfig(process=ProcessKind.MUON_PAIR, p_min=1.0,
-                                 p_max=0.99 * _THR_MU, p_steps=30, theta_steps=4))
-    assert calls == []
-    assert {r.status for r in result} == {"below-threshold"}
+    for jobs in (1, 2, 3):
+        # every row is written, though no p is evaluated
+        result = run_scan(ScanConfig(process=ProcessKind.MUON_PAIR, p_min=1.0,
+                                     p_max=0.99 * _THR_MU, p_steps=30, theta_steps=4,
+                                     jobs=jobs, out=str(tmp_path / "streamed.csv")))
+        assert calls == []
+        assert {r.status for r in result} == {"below-threshold"}
+        emit_csv(result, tmp_path / "result.csv")
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "result.csv").read_bytes()
+        assert streamed.count(b"\n") == 1 + 4 * 30
 
 
 def test_threshold_inside_split_rows_gives_identical_csv_for_any_jobs(monkeypatch, tmp_path):
@@ -440,7 +480,7 @@ def test_threshold_inside_split_rows_gives_identical_csv_for_any_jobs(monkeypatc
     want = None
     for jobs in (1, 2, 3):
         points.clear()
-        result = run_scan(ScanConfig(**base, jobs=jobs))
+        result = run_scan(ScanConfig(**base, jobs=jobs, out=str(tmp_path / "streamed.csv")))
         below = result.status == STATUSES.index("below-threshold")
         row = below[:base["p_steps"]]                # every row straddles the threshold
         assert 0 < row.sum() and below.sum() == 3 * row.sum()
@@ -448,6 +488,7 @@ def test_threshold_inside_split_rows_gives_identical_csv_for_any_jobs(monkeypatc
         assert sum(points) == np.sum(~below)        # the prefix is never evaluated
         emit_csv(result, tmp_path / "scan.csv")
         got = (tmp_path / "scan.csv").read_bytes()
+        assert (tmp_path / "streamed.csv").read_bytes() == got
         assert want is None or got == want
         want = got
 
