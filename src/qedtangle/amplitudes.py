@@ -57,11 +57,12 @@ and h = 1, sin(theta/2) or cos(theta/2) for s, t or u
 low p. m1^2/(E1 + p) and 2 p are formed once per call for all chains,
 and only in a process that has them. The matmuls are stacked per item, so
 a point gives the same bits at any batch size, zero-dimensional p and
-theta included (`amplitude` and `find_threshold` pass those, whose p-side
-arithmetic is numpy scalar math; squares and powers are products, never
-`**`, which is pow() on a scalar). On a scan, theta is a column of grid rows and p a row of grid
-momenta; a flat point list is the case where both have one entry per
-point, and the two give the same bits. An axis along which an argument is
+theta included (`amplitude` passes those, whose p-side arithmetic is numpy
+scalar math; squares and powers are products, never `**`, which is pow()
+on a scalar). On a scan, theta is a column of grid rows and p a row of grid
+momenta; `find_threshold` passes a p vector against a zero-dimensional
+theta; a flat point list is the case where both have one entry per point,
+and all of them give the same bits. An axis along which an argument is
 a broadcast view (stride 0) is evaluated once. Each photon leg also has a
 gauge variant, compiled at import: its polarization vectors replaced by its
 direction k / E = (1, khat), on the same monomials. The p side is laid out

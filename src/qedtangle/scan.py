@@ -42,6 +42,8 @@ and empty measures. Points with NaN engine amplitudes, where
 "below-threshold", and p below the first with one are not evaluated; pure
 initial states can hit zero-flux points, reported as "unfilterable". The
 first status that holds wins: divergent, below-threshold, unfilterable.
+One state stage, `_states`, applies that rule for a scan's chunks
+(`_evaluate` adds the measure stage) and for `find_threshold`'s bisection.
 """
 from __future__ import annotations
 
@@ -266,30 +268,44 @@ def _mirror(process: ProcessKind, rho_in: np.ndarray) -> np.ndarray | None:
     return d_out if np.array_equal(flipped, rho_in) else None
 
 
-def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-              rho_in: np.ndarray, mirror: np.ndarray | None) -> dict:
-    """Every scan column for p and theta broadcast together, in their shape;
-    `mirror` is `_mirror(process, rho_in)`. Measures are NaN and flags False
-    off the ok points; statuses take `find_threshold`'s order."""
+def _states(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
+            rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state stage: (rho (N, 4, 4), status (N,)) over p and theta
+    broadcast together and flattened. Statuses take the module docstring's
+    order; rho is the maximally mixed state off the ok points, so no
+    divergent or NaN state reaches an eigensolve."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
-    shape, divergent = divergent.shape, divergent.ravel()
+    divergent = divergent.ravel()
     amps = amps.reshape(-1, 4, 4)
     # each mask below is skipped where it would change nothing
     rho, flux_ok = evolve_batch(np.where(divergent[:, None, None], 0.0, amps)
                                 if divergent.any() else amps, rho_in)
     status = np.where(divergent, _DIVERGENT, np.where(flux_ok, _OK, _UNFILTERABLE)).astype(np.int8)
-    # NaN amplitudes, below threshold, fail the flux test too: only those points are searched
-    dead = np.flatnonzero(status == _UNFILTERABLE)
-    status[dead[np.isnan(amps[dead]).any(axis=(1, 2))]] = _BELOW
+    ok = status == _OK
+    if not ok.all():
+        # NaN amplitudes, below threshold, fail the flux test too: only those points are searched
+        dead = np.flatnonzero(status == _UNFILTERABLE)
+        status[dead[np.isnan(amps[dead]).any(axis=(1, 2))]] = _BELOW
+        rho = np.where(ok[:, None, None], rho, np.eye(4) / 4.0)
+    return rho, status
+
+
+def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
+              rho_in: np.ndarray, mirror: np.ndarray | None) -> dict:
+    """Every scan column for p and theta broadcast together, in their shape:
+    the state stage `_states`, then the measure stage. `mirror` is
+    `_mirror(process, rho_in)`. Measures are NaN and flags False off the ok
+    points."""
+    rho, status = _states(process, p, theta, rho_in)
+    res = measures_batch(rho, mirror=mirror)
     ok = status == _OK
     if ok.all():
-        res = measures_batch(rho, mirror=mirror)
         columns = {name: res[name] for name in _MEASURES + _FLAGS}
     else:
-        res = measures_batch(np.where(ok[:, None, None], rho, np.eye(4) / 4.0), mirror=mirror)
         columns = {name: np.where(ok, res[name], math.nan) for name in _MEASURES}
         columns.update((name, res[name] & ok) for name in _FLAGS)
     columns["status"] = status
+    shape = np.broadcast_shapes(np.shape(p), np.shape(theta))
     return {name: column.reshape(shape) for name, column in columns.items()}
 
 
@@ -420,47 +436,91 @@ def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
 # ---------------------------------------------------------------------------
 # threshold bisection
 
+#: Bisection levels per engine call: one call evaluates the midpoints of the
+#: next BISECT_LEVELS levels, 2^L - 1 points, and the walk then takes L steps.
+#: A constant, chosen by timing the benchmark's Moller bisections: a call
+#: costs about 100 us at 1 point and 155 us at 31, so 4 and 5 levels tie,
+#: and 3 or 6 are slower.
+BISECT_LEVELS = 5
+
+#: non-ok status -> (error class, message) of `find_threshold`
+_STATUS_ERRORS = {
+    _DIVERGENT: (DivergentKinematicsError, "{at} p={p} sits on a propagator pole"),
+    _BELOW: (BelowThresholdError, "{process}: {at} p={p} below threshold"),
+    _UNFILTERABLE: (UnfilterableStateError, "no outgoing flux at {at} p={p}"),
+}
+
+
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """The midpoints of the next BISECT_LEVELS bisection levels of [lo, hi],
+    in heap order: entry 0 is the midpoint of [lo, hi], and entry k's lower
+    and upper halves have theirs at 2k + 1 and 2k + 2. Each is 0.5 * (a + b)
+    of the ends a sequential bisection would hold there, so it has its bits."""
+    tree = [0.0] * (2 ** BISECT_LEVELS - 1)
+    ends = [(lo, hi)]                   # entry k's interval; its halves go to 2k + 1, 2k + 2
+    for k in range(len(tree)):
+        a, b = ends[k]
+        mid = tree[k] = 0.5 * (a + b)
+        ends += [(a, mid), (mid, b)]
+    return tree
+
+
 def find_threshold(process: ProcessKind, initial: str, theta: float,
                    p_bracket: tuple[float, float]) -> float:
     """Bisect the p where the minimum PT eigenvalue changes sign.
 
     Raises InvalidKinematicsError for a non-finite theta, InvalidConfigError
     for a bracket that is not 0 < lo < hi < inf or does not straddle a sign
-    change, and at a bracket point the errors of the point path:
-    DivergentKinematicsError on a propagator pole, BelowThresholdError below
-    threshold, UnfilterableStateError with no outgoing flux. Converges to
-    relative width 1e-6.
+    change, and at a bracket point or a bisection midpoint the errors of the
+    point path: DivergentKinematicsError on a propagator pole,
+    BelowThresholdError below threshold, UnfilterableStateError with no
+    outgoing flux. Converges to relative width 1e-6.
+
+    Each engine call runs the scan's state stage (`_states`) on the
+    midpoints of the next BISECT_LEVELS levels (`_midpoint_tree`), the first
+    call on the bracket ends too, and the loop walks that tree as a
+    sequential bisection would, midpoint for midpoint. Only the status of a
+    point the walk visits can raise; the bracket ends are checked first.
     """
     rho_in = parse_initial(initial).density.entries
-
-    def min_eig(p: float) -> float:
-        amps, _, div = helicity_amplitudes_batch(process, np.asarray(p), np.asarray(theta))
-        if div:
-            raise DivergentKinematicsError(f"bracket point p={p} sits on a propagator pole")
-        if np.isnan(amps).any():        # the engine's below-threshold points
-            raise BelowThresholdError(f"{process.value}: bracket point p={p} below threshold")
-        rho, ok = evolve_batch(amps[None], rho_in)
-        if not bool(ok[0]):
-            raise UnfilterableStateError(f"no outgoing flux at bracket point p={p}")
-        # only the sign matters: the PT spectrum alone, as `measures_batch` forms it
-        return float(hermitian_eigenvalues_batch(partial_transpose(rho))[0, 0])
-
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
     if not 0 < lo < hi < math.inf:
         raise InvalidConfigError(f"bad bracket {p_bracket}")
     if not math.isfinite(theta):
         raise InvalidKinematicsError(f"non-finite theta={theta}")
-    f_lo, f_hi = min_eig(lo), min_eig(hi)
+
+    def min_eigs(p: list[float]) -> tuple[list[float], list[int]]:
+        rho, status = _states(process, np.array(p), np.asarray(theta), rho_in)
+        # only the sign matters: the PT spectrum alone, as `measures_batch` forms it
+        return hermitian_eigenvalues_batch(partial_transpose(rho))[:, 0].tolist(), status.tolist()
+
+    def check(status: int, at: str, p: float) -> None:
+        if status != _OK:
+            error, text = _STATUS_ERRORS[status]
+            raise error(text.format(at=at, p=p, process=process.value))
+
+    mids = _midpoint_tree(lo, hi)
+    f, status = min_eigs([lo, hi, *mids])
+    check(status[0], "bracket point", lo)
+    check(status[1], "bracket point", hi)
+    f_lo, f_hi = f[0], f[1]
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise InvalidConfigError(
             f"no sign change of min PT eigenvalue across bracket "
             f"[{lo}, {hi}]: {f_lo:.3e} vs {f_hi:.3e}")
+    f, status = f[2:], status[2:]
+    node = 0
     while (hi - lo) > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if (min_eig(mid) < 0.0) == (f_lo < 0.0):
-            lo = mid
+        if node >= len(mids):
+            mids = _midpoint_tree(lo, hi)
+            f, status = min_eigs(mids)
+            node = 0
+        mid = mids[node]
+        check(status[node], "bisection midpoint", mid)
+        if (f[node] < 0.0) == (f_lo < 0.0):
+            lo, node = mid, 2 * node + 2
         else:
-            hi = mid
+            hi, node = mid, 2 * node + 1
     return 0.5 * (lo + hi)
 
 

@@ -7,6 +7,7 @@ perfbench's self-test.
 """
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 import subprocess
 import sys
@@ -65,8 +66,9 @@ def test_trace_mode_runs_on_queries(monkeypatch):
     assert not [rec["error"] for rec in records if "error" in rec]
     layers = tracer.layer_metrics(spans.spans, 1)
     assert isinstance(layers["entanglement.fragile"], int)
-    evals = sum(rec["evals"] for rec in records if rec["kind"] == "bisect")
-    assert layers["scan.find_threshold.evals"] == evals > 0
+    # the tracer counts find_threshold's engine calls, several levels per call
+    calls = sum(_engine_calls(rec["evals"]) for rec in records if rec["kind"] == "bisect")
+    assert layers["scan.find_threshold.evals"] == calls > 0
 
 
 @pytest.mark.parametrize("cfg, fragile", [
@@ -100,9 +102,26 @@ def test_traced_scan_counts_what_the_scan_did(monkeypatch, cfg, fragile):
     assert layers["entanglement.fragile"] == fragile
 
 
-def test_bisection_engine_calls_match_the_replay(monkeypatch):
-    # one engine call per bisection evaluation, bracket ends included, which
-    # is what perfbench's `bisection_evals` replays from (lo, hi, p*)
+def _engine_calls(evals: int) -> int:
+    """Engine calls of a bisection that `bisection_evals` counts as `evals`
+    points: the first carries the bracket ends and the next BISECT_LEVELS
+    levels' midpoints, each later one the next BISECT_LEVELS levels'."""
+    from qedtangle.scan import BISECT_LEVELS
+    return max(1, math.ceil((evals - 2) / BISECT_LEVELS))
+
+
+def _replay(lo: float, hi: float, p_star: float):
+    """The midpoints `workloads.bisection_evals` steps through, in order."""
+    while (hi - lo) > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        yield mid
+        lo, hi = (mid, hi) if mid < p_star else (lo, mid)
+
+
+def test_bisection_walk_matches_the_replay(monkeypatch):
+    # perfbench's `bisection_evals` replays the midpoints from (lo, hi, p*);
+    # each engine call holds the midpoints of the next BISECT_LEVELS levels,
+    # and the walk through them must be that replay, point for point
     from qedtangle import scan
     from qedtangle.kinematics import ProcessKind
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -111,18 +130,31 @@ def test_bisection_engine_calls_match_the_replay(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(np.asarray(args[1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scan, "helicity_amplitudes_batch", counting)
     ops = [op for op in workloads.query_stream(1, 0) if op["kind"] == "bisect"]
     assert len(ops) == workloads.BISECTIONS_PER_PASS
+    tree = 2 ** scan.BISECT_LEVELS - 1
     for op in ops:
         calls.clear()
         p_star = scan.find_threshold(ProcessKind.MOLLER, "unpolarized", op["theta"],
                                      (op["lo"], op["hi"]))
-        assert len(calls) == workloads.bisection_evals(op["lo"], op["hi"], p_star)
-        assert all(p.size == 1 for p in calls)
+        replay = list(_replay(op["lo"], op["hi"], p_star))
+        evals = workloads.bisection_evals(op["lo"], op["hi"], p_star)
+        assert len(replay) == evals - 2
+        assert len(calls) == _engine_calls(evals)
+        assert calls[0][:2].tolist() == [op["lo"], op["hi"]]
+        trees = [calls[0][2:], *calls[1:]]
+        assert [t.shape for t in trees] == [(tree,)] * len(trees)
+        walked = []
+        for t in trees:
+            node = 0
+            while node < tree and len(walked) < len(replay):
+                walked.append(t[node].item())
+                node = 2 * node + (2 if t[node] < p_star else 1)
+        assert walked == replay
 
 
 def _point_report(op: dict, init):
