@@ -170,7 +170,8 @@ def test_off_path_points_cannot_raise(monkeypatch):
     _poisoned_engine(monkeypatch, visited[5])
     got = _outcome(find_threshold, *args)
     assert got == _outcome(sequential_threshold, *args)
-    assert got == (BelowThresholdError, f"moller: bisection midpoint p={visited[5]} below threshold")
+    assert got == (BelowThresholdError,
+                   f"moller: bisection midpoint p={visited[5]} below threshold")
     # at a bracket end, bracket wording
     _poisoned_engine(monkeypatch, visited[1])
     got = _outcome(find_threshold, *args)
