@@ -10,18 +10,24 @@ phase conventions move weight between phi+/phi- and psi+/psi- freely.
 The verdict is the Peres-Horodecki test, necessary and sufficient for two
 qubits: a state is entangled iff min(PT eigenvalues) < -PPT_TOL, a fixed
 numerical zero, decided in `_measures` alone.
+
+Spectra come from LAPACK's eigvalsh on 4 x 4 states, or, for a batch of
+mirror-invariant states held as their two 2 x 2 blocks
+(`qstate.MirrorState`), in closed form from the blocks (`block_spectra`):
+each block [[a, b], [b*, d]] has eigenvalues (a + d)/2 -+ sqrt(((a - d)/2)^2
++ |b|^2), and the partial transpose's blocks are formed from the state's.
+Both feed `_measures`, through `measures_batch`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
 
 from .constants import DEFAULT
 from .linalg import hermitian_eigenvalues_batch, hermitian_part
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, MirrorState
 
 PPT_TOL = 1e-10
 
@@ -129,40 +135,56 @@ def analyze(rho) -> EntanglementReport:
     )
 
 
-def mirror_spectra(h: np.ndarray, signs) -> np.ndarray:
-    """Ascending eigenvalues (..., 4) of Hermitian h (..., 4, 4) that commute
-    with A = diag(signs) XX, XX = sigma_x (x) sigma_x, where A^2 = +-1.
+def _block_eigenvalues(a, d, b_squared) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) eigenvalues of [[a, b], [b*, d]] with a, d real: the
+    midpoint (a + d)/2 -+ sqrt(((a - d)/2)^2 + |b|^2). A state's entries are
+    at most 1, so the squares cannot overflow: np.hypot is not needed, and
+    costs several times as much."""
+    half = 0.5 * (a - d)
+    mid, radius = 0.5 * (a + d), np.sqrt(half * half + b_squared)
+    return mid - radius, mid + radius
 
-    A swaps e0 <-> e3 and e1 <-> e2 up to the signs d. Its eigenspace of
-    eigenvalue lam (+-1 when A^2 = 1, +-i when A^2 = -1) is spanned by
-    (e0 + lam d0 e3)/sqrt2 and (e1 + lam d1 e2)/sqrt2, so h is two 2 x 2
-    blocks [[a, b], [b*, d]] in that basis, with eigenvalues
-    (a + d)/2 -+ hypot((a - d)/2, |b|). With A^2 = -1 the blocks of a real h
-    are complex conjugates, so the spectrum is doubly degenerate.
+
+def _merged(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The two blocks' sorted pairs (lower[k], upper[k]), k = 0, 1, merged into
+    one ascending (N, 4) spectrum by minima and maxima."""
+    inner_lo, inner_hi = np.maximum(*lower), np.minimum(*upper)
+    return np.stack([np.minimum(*lower), np.minimum(inner_lo, inner_hi),
+                     np.maximum(inner_lo, inner_hi), np.maximum(*upper)], axis=-1)
+
+
+def block_spectra(state: MirrorState) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra (N, 4) of rho^T_B and of rho for a MirrorState.
+
+    rho's spectrum is that of its two blocks [[y, x], [x*, z]]. rho^T_B
+    commutes with A_out too, and with ybar = (y_+ + y_-)/2,
+    dy = (y_+ - y_-)/2 (zbar, dz, xbar, dx likewise) and s = d_out[0] d_out[1]
+    its block mu = +-1 (lam = +-1 or +-i alike) is
+    [[ybar + mu s dz, xbar* + mu dx], [c.c., zbar + mu s dy]], whose
+    off-diagonal has modulus hypot(Re x_mu, Im x_-mu): x_mu for real x.
+    With lam = +-i a real state's blocks are complex conjugates, so both
+    spectra are doubly degenerate.
     """
-    d0, d1, _, d3 = signs
-    h00, h11, h22, h33 = (h[..., i, i].real for i in range(4))
-    outer, inner = 0.5 * (h00 + h33), 0.5 * (h11 + h22)
-    eigs = []
-    for lam in ((1.0, -1.0) if d0 * d3 > 0 else (1j, -1j)):
-        c, k = lam * d0, lam * d1
-        a = outer + (c * h[..., 0, 3]).real
-        d = inner + (k * h[..., 1, 2]).real
-        b = 0.5 * (h[..., 0, 1] + k * h[..., 0, 2] + np.conj(c) * (h[..., 3, 1] + k * h[..., 3, 2]))
-        mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
-        eigs += [mid - radius, mid + radius]
-    return np.sort(np.stack(eigs, axis=-1), axis=-1)
+    y, z, x = state.y, state.z, state.x
+    re_squared, im_squared = x.real * x.real, x.imag * x.imag      # zero for real x
+    nu = _merged(*_block_eigenvalues(y, z, re_squared + im_squared))
+    mu_s = np.array([[state.sign], [-state.sign]])
+    dy, dz = 0.5 * (y[0] - y[1]), 0.5 * (z[0] - z[1])
+    pt = _merged(*_block_eigenvalues(0.5 * (y[0] + y[1]) + mu_s * dz,
+                                     0.5 * (z[0] + z[1]) + mu_s * dy,
+                                     re_squared + im_squared[::-1]))
+    return pt, nu
 
 
-def measures_batch(rho: np.ndarray, mirror=None) -> dict:
-    """Vectorized scan measures for a batch (N,4,4) of states.
+def measures_batch(rho) -> dict:
+    """Vectorized scan measures for a batch of states: an (N,4,4) stack,
+    whose spectra come from LAPACK, or a MirrorState (`qstate.evolve_mirror`),
+    whose spectra come from `block_spectra`.
 
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
-    entangled, switching. `mirror`, when given, holds the signs d of a
-    symmetry A = diag(d) XX that every state and its partial transpose
-    commute with; both spectra then come from `mirror_spectra` rather than
-    LAPACK.
+    entangled, switching.
     """
-    spectra = (hermitian_eigenvalues_batch if mirror is None
-               else functools.partial(mirror_spectra, signs=mirror))
-    return _measures(spectra(partial_transpose(rho)), spectra(rho))
+    if isinstance(rho, MirrorState):
+        return _measures(*block_spectra(rho))
+    return _measures(hermitian_eigenvalues_batch(partial_transpose(rho)),
+                     hermitian_eigenvalues_batch(rho))

@@ -4,6 +4,17 @@ The basis is fixed to (LL, LR, RL, RR), first letter = particle 1. Evolution
 implements filtered scattering: rho_out = M rho_in M+ / Tr(M rho_in M+),
 the unique linear extension of the diagonal-mixture filtering formula to
 arbitrary input states. Overall constants and phases of M drop out.
+
+Mirror blocks: the engine obeys M = D_out XX M XX D_in
+(`amplitudes.MIRROR_SIGNS`), so M A_in = A_out M with A = D XX, and an input
+that commutes with A_in (a mirror-invariant one) gives an outgoing state
+that commutes with A_out. The eigenvalues of A are lam = +-1, or +-i when
+d0 d3 = -1 (Compton), and the eigenspace of lam is spanned by
+(e_b + lam d_b e_(3-b))/sqrt2, b = 0, 1. In those bases the state is two
+2 x 2 blocks: the input's R_lam (`mirror_blocks`, formed once) evolve as
+rho_lam = M_lam R_lam M_lam+ with M_lam[a, b] = M[a, b] + lam d_in[b] M[a, 3 - b],
+a, b in {0, 1}, and are normalised by sum_lam tr rho_lam (`evolve_mirror`).
+Rows 2 and 3 of M are mirror images of rows 0 and 1 and are never read.
 """
 from __future__ import annotations
 
@@ -144,3 +155,65 @@ def evolve_batch(amps: np.ndarray, rho_in: np.ndarray):
     out /= np.where(flux_ok, norm, 1.0)[:, None, None]
     out = 0.5 * (out + out.conj().swapaxes(1, 2))
     return out, flux_ok
+
+
+@dataclass(frozen=True)
+class MirrorState:
+    """A batch of mirror-invariant states as their two 2 x 2 blocks
+    [[y, x], [x*, z]] in the eigenbases of A_out = D_out XX (module
+    docstring): y, z real and x real or complex, each (2, N) with the block
+    of lam = +1 (or +i) first; `sign` is d_out[0] d_out[1]."""
+
+    y: np.ndarray
+    z: np.ndarray
+    x: np.ndarray
+    sign: float
+
+    def mixed_off(self, ok: np.ndarray) -> "MirrorState":
+        """The same states where `ok`, the maximally mixed one elsewhere."""
+        return MirrorState(np.where(ok, self.y, 0.25), np.where(ok, self.z, 0.25),
+                           np.where(ok, self.x, 0.0), self.sign)
+
+
+def _mirror_eigenvalues(d: np.ndarray) -> np.ndarray:
+    """The eigenvalues of A = diag(d) XX, whose square is d0 d3: +-1 or +-i."""
+    return np.array([1.0, -1.0]) if d[0] * d[3] > 0 else np.array([1j, -1j])
+
+
+def mirror_blocks(rho_in: np.ndarray, d_in: np.ndarray) -> np.ndarray:
+    """R_lam (2, 2, 2): the blocks of a mirror-invariant rho_in in the
+    eigenbases of A_in = D_in XX, lam = +1 (or +i) first."""
+    lam = _mirror_eigenvalues(d_in)
+    basis = np.zeros((2, 4, 2), lam.dtype)
+    basis[:, [0, 1], [0, 1]] = 1.0
+    basis[:, [3, 2], [0, 1]] = lam[:, None] * d_in[:2]
+    # the basis vectors without their 1/sqrt2, so an unpolarized input gives I/4 exactly
+    return 0.5 * (basis.conj().swapaxes(1, 2) @ rho_in @ basis)
+
+
+def evolve_mirror(amps: np.ndarray, r_in: np.ndarray, d_out: np.ndarray,
+                  d_in: np.ndarray) -> tuple[MirrorState, np.ndarray]:
+    """`evolve_batch` on the mirror blocks: (N,4,4) amplitudes, the input
+    blocks R_lam of `mirror_blocks` and the signs (D_out, D_in) of
+    `amplitudes.MIRROR_SIGNS` -> (MirrorState, flux-ok mask).
+
+    rho_lam = M_lam R_lam M_lam+, normalised by sum_lam tr rho_lam; the flux
+    test compares that trace with FLUX_TOL * sum_lam |M_lam|_F^2, which is
+    |M|_F^2. Rows with no outgoing flux are left unnormalized and flagged
+    False.
+    """
+    # rows 0 and 1 of M as (2, 4, N), copied once so every step below runs along N
+    rows = np.ascontiguousarray(np.moveaxis(amps[:, :2], 0, -1))
+    lam = _mirror_eigenvalues(d_in)[:, None, None, None]
+    m = rows[:, :2] + lam * (d_in[:2, None] * rows[:, 3:1:-1])       # M_lam[a, b], (2, 2, 2, N)
+    m_conj = m.conj() if np.iscomplexobj(m) else m
+    # (M_lam R_lam)[a, c], then rho_lam[a, a'] = sum_c (M_lam R_lam)[a, c] M_lam[a', c]*
+    t = m[:, :, :1] * r_in[:, None, 0, :, None] + m[:, :, 1:] * r_in[:, None, 1, :, None]
+    diagonal = (t * m_conj).sum(axis=2).real                        # (2, [y, z], N)
+    x = t[:, 0, 0] * m_conj[:, 1, 0] + t[:, 0, 1] * m_conj[:, 1, 1]
+    norm = diagonal.sum(axis=(0, 1))
+    flux_ok = norm > FLUX_TOL * (m * m_conj).real.sum(axis=(0, 1, 2))
+    scale = np.where(flux_ok, norm, 1.0)
+    diagonal /= scale
+    x /= scale
+    return MirrorState(diagonal[:, 0], diagonal[:, 1], x, float(d_out[0] * d_out[1])), flux_ok

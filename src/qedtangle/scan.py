@@ -17,9 +17,14 @@ and the engine obeys M = D_out XX M XX D_in (`amplitudes.MIRROR_SIGNS`).
 mirror-invariant, D_in XX rho_in XX D_in == rho_in. It is for
 `unpolarized`, for `diag:` with w1 = w4 and w2 = w3, and for `werner` in
 every process but Compton. Then every outgoing state and its partial
-transpose commute with A = D_out XX, and both spectra come from closed-form
-2 x 2 blocks (`entanglement.mirror_spectra`). Every other input (pure
-states, asymmetric `diag:`, Compton `werner`) keeps LAPACK's eigvalsh.
+transpose commute with A = D_out XX, and the scan never forms the 4 x 4
+state: `_mirror` forms the input's two 2 x 2 mirror blocks R_lam once, each
+chunk evolves them as rho_lam = M_lam R_lam M_lam+ from rows 0 and 1 of M
+(`qstate.evolve_mirror`), and both spectra, of the state and of its partial
+transpose, come in closed form from the six numbers of the two evolved
+blocks (`entanglement.block_spectra`), with no partial-transpose copy and no
+sort. Every other input (pure states, asymmetric `diag:`, Compton `werner`)
+and `find_threshold` keep the 4 x 4 state and LAPACK's eigvalsh.
 
 CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into its
 lines, the first block of a row with the row's unevaluated lines before
@@ -42,8 +47,9 @@ and empty measures. Points with NaN engine amplitudes, where
 "below-threshold", and p below the first with one are not evaluated; pure
 initial states can hit zero-flux points, reported as "unfilterable". The
 first status that holds wins: divergent, below-threshold, unfilterable.
-One state stage, `_states`, applies that rule for a scan's chunks
-(`_evaluate` adds the measure stage) and for `find_threshold`'s bisection.
+One state stage, `_states`, applies that rule (`_status`) for a scan's
+chunks on either state (`_evaluate` adds the measure stage) and for
+`find_threshold`'s bisection.
 """
 from __future__ import annotations
 
@@ -64,8 +70,8 @@ from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfi
                      InvalidKinematicsError, UnfilterableStateError)
 from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
 from .linalg import hermitian_eigenvalues_batch
-from .qstate import (InitialState, diagonal, evolve_batch, pure, unpolarized,
-                     werner_symmetric)
+from .qstate import (InitialState, diagonal, evolve_batch, evolve_mirror, mirror_blocks, pure,
+                     unpolarized, werner_symmetric)
 from .xsection import dsigma_domega_from_msq
 
 log = logging.getLogger(__name__)
@@ -261,43 +267,58 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
 
 
 def _mirror(process: ProcessKind, rho_in: np.ndarray) -> np.ndarray | None:
-    """D_out when rho_in is exactly mirror-invariant, D_in XX rho_in XX D_in
-    == rho_in, else None; see the module docstring."""
-    d_out, d_in = MIRROR_SIGNS[process]
+    """rho_in's blocks R_lam (`qstate.mirror_blocks`) when it is exactly
+    mirror-invariant, D_in XX rho_in XX D_in == rho_in, else None; see the
+    module docstring."""
+    d_in = MIRROR_SIGNS[process][1]
     flipped = d_in[:, None] * rho_in[::-1, ::-1] * d_in
-    return d_out if np.array_equal(flipped, rho_in) else None
+    return mirror_blocks(rho_in, d_in) if np.array_equal(flipped, rho_in) else None
 
 
-def _states(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-            rho_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state stage: (rho (N, 4, 4), status (N,)) over p and theta
-    broadcast together and flattened. Statuses take the module docstring's
-    order; rho is the maximally mixed state off the ok points, so no
-    divergent or NaN state reaches an eigensolve."""
+def _status(amps: np.ndarray, divergent: np.ndarray, flux_ok: np.ndarray) -> np.ndarray:
+    """Each point's status index in the module docstring's order: divergent,
+    then NaN amplitudes (below threshold), then no flux (unfilterable)."""
+    status = np.where(divergent, _DIVERGENT, np.where(flux_ok, _OK, _UNFILTERABLE)).astype(np.int8)
+    if not flux_ok.all():
+        # NaN amplitudes, below threshold, fail the flux test too: only those points are searched
+        dead = np.flatnonzero(status == _UNFILTERABLE)
+        status[dead[np.isnan(amps[dead]).any(axis=(1, 2))]] = _BELOW
+    return status
+
+
+def _states(process: ProcessKind, p: np.ndarray, theta: np.ndarray, rho_in: np.ndarray,
+            mirror: np.ndarray | None = None) -> tuple:
+    """The state stage: (state, status (N,)) over p and theta broadcast
+    together and flattened. The state is rho (N, 4, 4) from `evolve_batch`,
+    or, given `mirror` = `_mirror(process, rho_in)`, the MirrorState of
+    `evolve_mirror`. Statuses take the module docstring's order (`_status`);
+    the state is the maximally mixed one off the ok points, so no divergent
+    or NaN state reaches a spectrum."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
     divergent = divergent.ravel()
     amps = amps.reshape(-1, 4, 4)
     # each mask below is skipped where it would change nothing
-    rho, flux_ok = evolve_batch(np.where(divergent[:, None, None], 0.0, amps)
-                                if divergent.any() else amps, rho_in)
-    status = np.where(divergent, _DIVERGENT, np.where(flux_ok, _OK, _UNFILTERABLE)).astype(np.int8)
+    live = np.where(divergent[:, None, None], 0.0, amps) if divergent.any() else amps
+    if mirror is None:
+        state, flux_ok = evolve_batch(live, rho_in)
+    else:
+        state, flux_ok = evolve_mirror(live, mirror, *MIRROR_SIGNS[process])
+    status = _status(amps, divergent, flux_ok)
     ok = status == _OK
     if not ok.all():
-        # NaN amplitudes, below threshold, fail the flux test too: only those points are searched
-        dead = np.flatnonzero(status == _UNFILTERABLE)
-        status[dead[np.isnan(amps[dead]).any(axis=(1, 2))]] = _BELOW
-        rho = np.where(ok[:, None, None], rho, np.eye(4) / 4.0)
-    return rho, status
+        state = (np.where(ok[:, None, None], state, np.eye(4) / 4.0) if mirror is None
+                 else state.mixed_off(ok))
+    return state, status
 
 
 def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
               rho_in: np.ndarray, mirror: np.ndarray | None) -> dict:
     """Every scan column for p and theta broadcast together, in their shape:
-    the state stage `_states`, then the measure stage. `mirror` is
-    `_mirror(process, rho_in)`. Measures are NaN and flags False off the ok
-    points."""
-    rho, status = _states(process, p, theta, rho_in)
-    res = measures_batch(rho, mirror=mirror)
+    the state stage `_states`, on the mirror blocks when `mirror` =
+    `_mirror(process, rho_in)` is not None, then the measure stage. Measures
+    are NaN and flags False off the ok points."""
+    state, status = _states(process, p, theta, rho_in, mirror)
+    res = measures_batch(state)
     ok = status == _OK
     if ok.all():
         columns = {name: res[name] for name in _MEASURES + _FLAGS}

@@ -2,22 +2,23 @@
 
 The engine obeys M = D_out XX M XX D_in, XX = sigma_x (x) sigma_x, with the
 diagonal signs D of `amplitudes.MIRROR_SIGNS`. For a mirror-invariant input
-the outgoing state and its partial transpose commute with A = D_out XX, and
-a scan takes both spectra from `entanglement.mirror_spectra`; these tests
-check the relation, the block spectra against LAPACK, which scans take the
-block path, and the Compton consequence A^2 = -1.
+a scan evolves the input's two 2 x 2 mirror blocks (`qstate.evolve_mirror`)
+and takes both spectra from the evolved blocks (`entanglement.block_spectra`);
+these tests check the relation, the block spectra against LAPACK and a
+40-digit eigensolve of the 4 x 4 state, which scans take the block path, the
+statuses that path gives, and the Compton consequence A^2 = -1.
 """
 import math
 
 import numpy as np
 import pytest
 
-from qedtangle import entanglement
+from qedtangle import amplitudes, entanglement, scan
 from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
-from qedtangle.entanglement import mirror_spectra, partial_transpose
+from qedtangle.entanglement import block_spectra, partial_transpose
 from qedtangle.kinematics import ProcessKind, threshold_momentum
-from qedtangle.qstate import evolve_batch
-from qedtangle.scan import ScanConfig, emit_csv, parse_initial, run_scan
+from qedtangle.qstate import MirrorState, evolve_batch, evolve_mirror, mirror_blocks
+from qedtangle.scan import STATUSES, ScanConfig, emit_csv, parse_initial, run_scan
 
 FERMION_PAIR = [1.0, -1.0, -1.0, 1.0]
 
@@ -47,12 +48,58 @@ def invariant_inputs(rng, d_in, n, dtype=float):
     return rho / np.einsum('nii->n', rho).real[:, None, None]
 
 
-def outgoing_states(rng, process, rho_in):
-    """Engine output states for inputs (N,4,4) at N random points."""
-    p, theta = random_points(rng, process, len(rho_in))
-    amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
-    out = np.stack([evolve_batch(m[None], r)[0][0] for m, r in zip(amps, rho_in)])
-    return out[~divergent]
+def engine_points(rng, process, rho_in, points=random_points):
+    """(amplitudes, inputs) at one random point per input (N,4,4), the
+    divergent points dropped."""
+    amps, _, divergent = helicity_amplitudes_batch(process, *points(rng, process, len(rho_in)))
+    return amps[~divergent], rho_in[~divergent]
+
+
+def block_path(process, amps, rho_in):
+    """(PT spectrum, state spectrum), each (N, 4), on the scan's block path,
+    each point with its own input."""
+    d_out, d_in = MIRROR_SIGNS[process]
+    spectra = [block_spectra(evolve_mirror(m[None], mirror_blocks(r, d_in), d_out, d_in)[0])
+               for m, r in zip(amps, rho_in)]
+    return tuple(np.concatenate(s) for s in zip(*spectra))
+
+
+def lapack_path(amps, rho_in):
+    """(PT spectrum, state spectrum) of the 4 x 4 states from `evolve_batch`."""
+    rho = np.stack([evolve_batch(m[None], r)[0][0] for m, r in zip(amps, rho_in)])
+    return np.linalg.eigvalsh(partial_transpose(rho)), np.linalg.eigvalsh(rho)
+
+
+def spectra_to_40_digits(amps, rho_in):
+    """(PT spectrum, state spectrum) of M rho_in M+ / Tr(...), formed and
+    eigensolved at 40 digits from the same float64 M and rho_in."""
+    import mpmath
+    pt, nu = [], []
+    with mpmath.workdps(40):
+        for m, r in zip(amps, rho_in):
+            m = mpmath.matrix(m.tolist())
+            rho = m * mpmath.matrix(r.tolist()) * m.H
+            rho = (rho + rho.H) / (2 * sum(rho[i, i] for i in range(4)))
+            # (ij, kl) -> (il, kj): transpose on the second qubit
+            rho_tb = mpmath.matrix(4, 4)
+            for a in range(4):
+                for b in range(4):
+                    rho_tb[a, b] = rho[a - a % 2 + b % 2, b - b % 2 + a % 2]
+            for h, out in ((rho_tb, pt), (rho, nu)):
+                out.append(sorted(float(mpmath.re(x)) for x in mpmath.eighe(h, eigvals_only=True)))
+    return np.array(pt).reshape(-1, 4), np.array(nu).reshape(-1, 4)
+
+
+def assert_block_spectra_are_exact(process, amps, rho_in):
+    """Both block spectra against eigvalsh of the 4 x 4 states to 2^-51.
+    LAPACK's own error on these states reaches about 1.2e-15, so a point
+    that misses is held to a 40-digit eigensolve at 1e-15 instead."""
+    got = block_path(process, amps, rho_in)
+    lapack = lapack_path(amps, rho_in)
+    miss = np.max([np.max(np.abs(g - w), axis=1) for g, w in zip(got, lapack)], axis=0) > 2.0 ** -51
+    exact = spectra_to_40_digits(amps[miss], rho_in[miss])
+    for g, e in zip(got, exact):
+        assert np.max(np.abs(g[miss] - e), initial=0.0) <= 1e-15
 
 
 def test_mirror_signs_follow_the_legs():
@@ -76,44 +123,53 @@ def test_engine_obeys_the_mirror_relation(process):
     assert np.all(residual <= 1e-15 * scale)
 
 
-def spectra_to_40_digits(h):
-    """Ascending eigenvalues of each Hermitian (N, 4, 4) matrix, solved at 40 digits."""
-    import mpmath
-    with mpmath.workdps(40):
-        return np.array([sorted(float(x) for x in mpmath.eighe(mpmath.matrix(m.tolist()),
-                                                               eigvals_only=True))
-                         for m in h]).reshape(-1, 4)
-
-
 @pytest.mark.parametrize("process", list(ProcessKind))
 def test_block_spectra_match_eigvalsh(process):
-    """Real states, as every named input gives, against LAPACK to 2^-51.
-    LAPACK's own error on these states reaches about 1.2e-15, so a matrix
-    that misses is held to a 40-digit eigensolve at 1e-15 instead."""
+    """Real inputs, as every named input is: random invariant ones and the
+    unpolarized one."""
     rng = seeded(process)
-    d_out, d_in = MIRROR_SIGNS[process]
+    d_in = MIRROR_SIGNS[process][1]
     rho_in = np.concatenate([invariant_inputs(rng, d_in, 300),
-                             np.broadcast_to(np.eye(4) / 4.0, (100, 4, 4))])
-    rho = outgoing_states(rng, process, rho_in)
-    for h in (rho, partial_transpose(rho)):
-        got = mirror_spectra(h, d_out)
-        miss = np.max(np.abs(got - np.linalg.eigvalsh(h)), axis=1) > 2.0 ** -51
-        assert np.max(np.abs(got[miss] - spectra_to_40_digits(h[miss])), initial=0.0) <= 1e-15
+                             np.tile(np.eye(4) / 4.0, (100, 1, 1))])
+    assert_block_spectra_are_exact(process, *engine_points(rng, process, rho_in))
+
+
+def threshold_to_1e4(rng, process, n):
+    """p log-uniform in p - threshold from 1e-5 MeV to 1e4 MeV - threshold,
+    theta uniform in [-7, 14]."""
+    low = threshold_momentum(process)
+    return low + 10.0 ** rng.uniform(-5.0, math.log10(1e4 - low), n), rng.uniform(-7.0, 14.0, n)
+
+
+#: every named input that is mirror-invariant for the process, and a symmetric mixture
+INVARIANT_INPUTS = [(process, initial) for process in ProcessKind
+                    for initial in ("unpolarized", "werner", "diag:0.3,0.2,0.2,0.3")
+                    if not (process is ProcessKind.COMPTON and initial == "werner")]
+
+
+@pytest.mark.parametrize("process, initial", INVARIANT_INPUTS)
+def test_block_spectra_of_every_invariant_input(process, initial):
+    rho_in = parse_initial(initial).density.entries
+    assert scan._mirror(process, rho_in) is not None
+    amps, rho_in = engine_points(seeded(process), process, np.tile(rho_in, (200, 1, 1)),
+                                 threshold_to_1e4)
+    assert_block_spectra_are_exact(process, amps, rho_in)
 
 
 @pytest.mark.parametrize("process", list(ProcessKind))
 def test_block_spectra_of_complex_states_against_mpmath(process):
-    """Complex states: LAPACK's own error reaches about 1e-15 here, so the
-    reference is a 40-digit eigensolve of the same float64 matrices."""
+    """Complex inputs: LAPACK's own error reaches about 1e-15 here, so the
+    reference is the 40-digit eigensolve alone."""
     rng = seeded(process)
-    d_out, d_in = MIRROR_SIGNS[process]
-    rho = outgoing_states(rng, process, invariant_inputs(rng, d_in, 12, complex))
-    for h in (rho, partial_transpose(rho)):
-        assert np.max(np.abs(mirror_spectra(h, d_out) - spectra_to_40_digits(h))) <= 1e-15
+    amps, rho_in = engine_points(rng, process,
+                                 invariant_inputs(rng, MIRROR_SIGNS[process][1], 12, complex))
+    for got, want in zip(block_path(process, amps, rho_in), spectra_to_40_digits(amps, rho_in)):
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_block_spectra_of_real_states_in_the_signed_bell_basis():
-    """Block-diagonal states built directly in {e0 +- e3, e1 -+ e2}/sqrt2."""
+    """A fermion pair's blocks are those of {LL +- RR, LR -+ RL}/sqrt2: both
+    spectra of a state built there from two blocks, against LAPACK."""
     bell = np.array([[1, 0, 0, 1], [0, 1, -1, 0], [1, 0, 0, -1], [0, 1, 1, 0]]) / math.sqrt(2.0)
     rng = seeded()
     for _ in range(200):
@@ -121,21 +177,29 @@ def test_block_spectra_of_real_states_in_the_signed_bell_basis():
         for half in (slice(0, 2), slice(2, 4)):
             g = rng.normal(size=(2, 2))
             blocks[half, half] = g @ g.T
+        blocks /= np.trace(blocks)
         h = bell.T @ blocks @ bell
-        want = np.sort(np.concatenate([np.linalg.eigvalsh(blocks[:2, :2]),
-                                       np.linalg.eigvalsh(blocks[2:, 2:])]))
-        assert np.max(np.abs(mirror_spectra(h, FERMION_PAIR) - want)) <= 1e-14 * np.max(want)
+        state = MirrorState(y=blocks[[0, 2], [0, 2]][:, None], z=blocks[[1, 3], [1, 3]][:, None],
+                            x=blocks[[0, 2], [1, 3]][:, None],
+                            sign=FERMION_PAIR[0] * FERMION_PAIR[1])
+        pt, nu = block_spectra(state)
+        want_nu = np.sort(np.concatenate([np.linalg.eigvalsh(blocks[:2, :2]),
+                                          np.linalg.eigvalsh(blocks[2:, 2:])]))
+        assert np.max(np.abs(nu[0] - want_nu)) <= 1e-14 * np.max(want_nu)
+        assert np.max(np.abs(nu[0] - np.linalg.eigvalsh(h))) <= 1e-14
+        assert np.max(np.abs(pt[0] - np.linalg.eigvalsh(partial_transpose(h)))) <= 1e-14
 
 
-def _count_eigensolves(monkeypatch):
+def _count_spectra_and_evolutions(monkeypatch):
     calls = []
-    real = entanglement.hermitian_eigenvalues_batch
+    for module, name in ((entanglement, "hermitian_eigenvalues_batch"), (scan, "evolve_batch")):
+        real = getattr(module, name)
 
-    def counting(h):
-        calls.append(len(h))
-        return real(h)
+        def counting(*args, real=real):
+            calls.append(len(args[0]))
+            return real(*args)
 
-    monkeypatch.setattr(entanglement, "hermitian_eigenvalues_batch", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -151,7 +215,8 @@ def _count_eigensolves(monkeypatch):
 ])
 def test_scan_takes_the_block_path_for_mirror_invariant_inputs(monkeypatch, process,
                                                                initial, block):
-    calls = _count_eigensolves(monkeypatch)
+    """The block path forms no 4 x 4 state and calls no eigensolver."""
+    calls = _count_spectra_and_evolutions(monkeypatch)
     result = run_scan(ScanConfig(process=process, initial=initial, p_min=0.2, p_max=3.0,
                                  p_steps=12, theta_steps=10))
     assert np.sum(result.status == 0) > 0
@@ -165,18 +230,67 @@ def test_block_path_scan_is_independent_of_jobs(tmp_path):
     assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
 
 
+def _injected_engine(monkeypatch, nan_at, zero_at, divergent_at):
+    """scan's engine with NaN amplitudes (as below threshold), zero ones (no
+    flux) and divergent ones (flagged, with the inf and NaN entries of a
+    pole) at given (p, theta)."""
+    real = amplitudes.helicity_amplitudes_batch
+
+    def engine(process, p, theta, *args, **kwargs):
+        total, channels, divergent = real(process, p, theta, *args, **kwargs)
+        p, theta = np.broadcast_arrays(p, theta)
+
+        def hit(points):
+            near = np.logical_or.reduce([(p == a) & (theta == b) for a, b in points])
+            return near[..., None, None]
+
+        total = np.where(hit(nan_at), math.nan, np.where(hit(zero_at), 0.0, total))
+        total = np.where(hit(divergent_at), np.where(np.eye(4, dtype=bool), math.inf, math.nan),
+                         total)
+        return total, channels, divergent | hit(divergent_at)[..., 0, 0]
+
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", engine)
+
+
+def test_block_path_statuses_match_the_rho_path(monkeypatch):
+    """Injected NaN, zero and divergent amplitudes on a mirror-invariant scan
+    give the statuses of the 4 x 4 state stage, in its order: divergent, then
+    NaN amplitudes, then no flux."""
+    cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.2, p_max=3.0, p_steps=12, theta_steps=10)
+    p_grid, theta_grid = cfg.p_grid(), cfg.theta_grid()
+    at = [(p_grid[i], theta_grid[j]) for i, j in [(0, 0), (3, 2), (11, 9), (5, 5), (7, 1)]]
+    _injected_engine(monkeypatch, nan_at=at[:2], zero_at=at[2:4], divergent_at=[at[0], at[4]])
+    rho_in = parse_initial(cfg.initial).density.entries
+    assert scan._mirror(cfg.process, rho_in) is not None
+    result = run_scan(cfg)
+    want = scan._evaluate(cfg.process, p_grid, theta_grid[:, None], rho_in, None)
+    status = result._grid("status")
+    assert np.array_equal(status, want["status"])
+    assert [STATUSES[status[j, i]] for i, j in [(0, 0), (3, 2), (11, 9), (5, 5), (7, 1)]] == [
+        "divergent", "below-threshold", "unfilterable", "unfilterable", "divergent"]
+    assert set(STATUSES[s] for s in status.ravel()) == {"ok", "divergent", "below-threshold",
+                                                        "unfilterable"}
+    ok = status == 0
+    for name in ("min_pt_eig", "negativity", "log_negativity", "entropy"):
+        assert np.array_equal(np.isnan(result._grid(name)), ~ok)
+        assert np.max(np.abs(result._grid(name) - want[name])[ok]) <= 2e-15
+    for name in ("entangled", "switching"):
+        assert np.array_equal(result._grid(name), want[name])
+
+
 @pytest.mark.parametrize("initial", ["unpolarized", "diag:0.3,0.2,0.2,0.3",
                                      "diag:0.1,0.4,0.4,0.1"])
 def test_compton_mirror_invariant_spectra_are_doubly_degenerate(initial):
-    """A = D_out XX has A^2 = -1 for Compton, so both spectra pair up; LAPACK
-    sees it without the block formula."""
+    """A = D_out XX has A^2 = -1 for Compton, so both spectra pair up: the
+    blocks of a real state are complex conjugates, and LAPACK sees it on the
+    4 x 4 state without them."""
     rho_in = parse_initial(initial).density.entries
-    rho = outgoing_states(seeded(ProcessKind.COMPTON), ProcessKind.COMPTON,
-                          np.broadcast_to(rho_in, (400, 4, 4)))
-    for h in (rho, partial_transpose(rho)):
-        eigs = np.linalg.eigvalsh(h)
-        assert np.max(eigs[:, 1] - eigs[:, 0]) <= 1e-15
-        assert np.max(eigs[:, 3] - eigs[:, 2]) <= 1e-15
+    amps, rho_in = engine_points(seeded(ProcessKind.COMPTON), ProcessKind.COMPTON,
+                                 np.tile(rho_in, (400, 1, 1)))
+    for spectra in (block_path(ProcessKind.COMPTON, amps, rho_in), lapack_path(amps, rho_in)):
+        for eigs in spectra:
+            assert np.max(eigs[:, 1] - eigs[:, 0]) <= 1e-15
+            assert np.max(eigs[:, 3] - eigs[:, 2]) <= 1e-15
 
 
 def test_compton_entanglement_needs_polarised_beams():

@@ -72,17 +72,22 @@ def test_trace_mode_runs_on_queries(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, fragile", [
-    # the mirror-block spectra, on one thread
+    # the mirror-block state stage, on one thread
     (dict(process=ProcessKind.MOLLER, p_steps=80, theta_steps=60), 0),
     # LAPACK spectra of every coherence, on the thread pool
     (dict(process=ProcessKind.COMPTON, initial="werner", p_min=0.05, p_max=3.0,
           p_steps=90, theta_steps=100, jobs=2), 6),
+    # the mirror-block state stage across the switching boundary near
+    # theta = pi/2, p* = 1.0517 MeV: the count is nonzero only if the block
+    # measures report through measures_batch
+    (dict(process=ProcessKind.MOLLER, initial="unpolarized", p_min=1.0516, p_max=1.0518,
+          p_steps=40, theta_min=1.5698, theta_max=1.5718, theta_steps=10), 14),
 ])
 def test_traced_scan_counts_what_the_scan_did(monkeypatch, cfg, fragile):
     # the tracer counts an engine call's points as np.size of its p argument,
     # which the scan passes as a broadcast view over each chunk's grid, and
     # reads measures_batch's tolerance by position, which holds while
-    # _evaluate passes `mirror` by keyword
+    # _evaluate passes measures_batch the state alone
     from qedtangle.constants import DEFAULT
     from qedtangle.scan import STATUSES, ScanConfig, run_scan
     monkeypatch.setattr(sys, "path", list(sys.path))
