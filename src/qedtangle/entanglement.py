@@ -178,8 +178,8 @@ def block_spectra(state: MirrorState) -> tuple[np.ndarray, np.ndarray]:
 
 def measures_batch(rho) -> dict:
     """Vectorized scan measures for a batch of states: an (N,4,4) stack,
-    whose spectra come from LAPACK, or a MirrorState (`qstate.evolve_mirror`),
-    whose spectra come from `block_spectra`.
+    whose spectra come from LAPACK, or a MirrorState (`qstate.evolve_batch`
+    on a MirrorInput), whose spectra come from `block_spectra`.
 
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
     entangled, switching.

@@ -4,6 +4,9 @@ The basis is fixed to (LL, LR, RL, RR), first letter = particle 1. Evolution
 implements filtered scattering: rho_out = M rho_in M+ / Tr(M rho_in M+),
 the unique linear extension of the diagonal-mixture filtering formula to
 arbitrary input states. Overall constants and phases of M drop out.
+`evolve_batch` is the one batch evolution. Where Tr(M rho_in M+) is at
+most FLUX_TOL |M|_F^2 (no outgoing flux, NaN amplitudes included) it
+gives the maximally mixed state and a False flux flag.
 
 Mirror blocks: the engine obeys M = D_out XX M XX D_in
 (`amplitudes.MIRROR_SIGNS`), so M A_in = A_out M with A = D XX, and an input
@@ -11,9 +14,11 @@ that commutes with A_in (a mirror-invariant one) gives an outgoing state
 that commutes with A_out. The eigenvalues of A are lam = +-1, or +-i when
 d0 d3 = -1 (Compton), and the eigenspace of lam is spanned by
 (e_b + lam d_b e_(3-b))/sqrt2, b = 0, 1. In those bases the state is two
-2 x 2 blocks: the input's R_lam (`mirror_blocks`, formed once) evolve as
+2 x 2 blocks. `evolution_input` decides once per input whether it is
+exactly mirror-invariant and then gives its blocks R_lam (a MirrorInput),
+else the 4x4 rho_in; `evolve_batch` evolves the blocks as
 rho_lam = M_lam R_lam M_lam+ with M_lam[a, b] = M[a, b] + lam d_in[b] M[a, 3 - b],
-a, b in {0, 1}, and are normalised by sum_lam tr rho_lam (`evolve_mirror`).
+a, b in {0, 1}, normalised by sum_lam tr rho_lam, into a MirrorState.
 Rows 2 and 3 of M are mirror images of rows 0 and 1 and are never read.
 """
 from __future__ import annotations
@@ -134,27 +139,50 @@ def evolve(amplitude, init) -> DensityMatrix:
     InitialState or DensityMatrix. Raises UnfilterableStateError when the
     trace is below FLUX_TOL * |M|_F^2 (no flux into the filtered momenta).
     """
-    rho_in = init.density if isinstance(init, InitialState) else init
-    out, flux_ok = evolve_batch(_entries(amplitude)[None], _entries(rho_in))
+    amps = _entries(amplitude)[None]
+    rho_in = _entries(init.density if isinstance(init, InitialState) else init)
+    out, flux_ok = evolve_batch(amps, rho_in)
     if not flux_ok[0]:
         raise UnfilterableStateError(
-            f"no outgoing flux: Tr(M rho M+) = {np.trace(out[0]).real:.3e}")
+            f"no outgoing flux: Tr(M rho M+) = {np.trace(_filtered(amps, rho_in)[0]).real:.3e}")
     return DensityMatrix(out[0])
 
 
-def evolve_batch(amps: np.ndarray, rho_in: np.ndarray):
-    """Batch evolution, (N,4,4) amplitudes -> (N,4,4) states + flux-ok mask.
+def _filtered(amps: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
+    """M rho_in M+ over a (N,4,4) stack, unnormalized."""
+    return amps @ rho_in @ amps.conj().swapaxes(1, 2)
 
-    Real amplitudes and a real rho_in give real states; a complex operand
-    gives complex ones. Rows with no outgoing flux are left unnormalized
-    and flagged False.
+
+def evolve_batch(amps: np.ndarray, rho_in):
+    """Batch evolution of (N,4,4) amplitudes -> (states, flux-ok mask).
+
+    `rho_in` is a 4x4 input, giving (N,4,4) states, or a MirrorInput of
+    `evolution_input`, giving a MirrorState (`_evolve_blocks`). Real
+    amplitudes and a real input give real states; a complex operand gives
+    complex ones. Rows with no outgoing flux, those with NaN amplitudes
+    among them, hold the maximally mixed state I/4 and are flagged False.
     """
-    out = amps @ rho_in @ amps.conj().swapaxes(1, 2)
+    if isinstance(rho_in, MirrorInput):
+        return _evolve_blocks(amps, rho_in)
+    out = _filtered(amps, rho_in)
     norm = out.trace(axis1=1, axis2=2).real
-    flux_ok = norm > FLUX_TOL * (np.abs(amps) ** 2).sum(axis=(1, 2))
+    flux_ok = norm > FLUX_TOL * np.einsum('nij,nij->n', amps, amps.conj()).real
     out /= np.where(flux_ok, norm, 1.0)[:, None, None]
     out = 0.5 * (out + out.conj().swapaxes(1, 2))
+    if not flux_ok.all():
+        out = np.where(flux_ok[:, None, None], out, np.eye(4) / 4.0)
     return out, flux_ok
+
+
+@dataclass(frozen=True)
+class MirrorInput:
+    """A mirror-invariant input as its blocks R_lam (2, 2, 2) in the
+    eigenbases of A_in = D_in XX, lam = +1 (or +i) first, with the
+    process's signs (D_out, D_in) of `amplitudes.MIRROR_SIGNS`."""
+
+    blocks: np.ndarray
+    d_out: np.ndarray
+    d_in: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,39 +197,31 @@ class MirrorState:
     x: np.ndarray
     sign: float
 
-    def mixed_off(self, ok: np.ndarray) -> "MirrorState":
-        """The same states where `ok`, the maximally mixed one elsewhere."""
-        return MirrorState(np.where(ok, self.y, 0.25), np.where(ok, self.z, 0.25),
-                           np.where(ok, self.x, 0.0), self.sign)
-
 
 def _mirror_eigenvalues(d: np.ndarray) -> np.ndarray:
     """The eigenvalues of A = diag(d) XX, whose square is d0 d3: +-1 or +-i."""
     return np.array([1.0, -1.0]) if d[0] * d[3] > 0 else np.array([1j, -1j])
 
 
-def mirror_blocks(rho_in: np.ndarray, d_in: np.ndarray) -> np.ndarray:
-    """R_lam (2, 2, 2): the blocks of a mirror-invariant rho_in in the
-    eigenbases of A_in = D_in XX, lam = +1 (or +i) first."""
+def evolution_input(rho_in: np.ndarray, d_out: np.ndarray, d_in: np.ndarray):
+    """What `evolve_batch` takes for a 4x4 rho_in and a process's signs
+    (D_out, D_in): the MirrorInput of rho_in when it is exactly
+    mirror-invariant, D_in XX rho_in XX D_in == rho_in, else rho_in itself."""
+    if not np.array_equal(d_in[:, None] * rho_in[::-1, ::-1] * d_in, rho_in):
+        return rho_in
     lam = _mirror_eigenvalues(d_in)
     basis = np.zeros((2, 4, 2), lam.dtype)
     basis[:, [0, 1], [0, 1]] = 1.0
     basis[:, [3, 2], [0, 1]] = lam[:, None] * d_in[:2]
     # the basis vectors without their 1/sqrt2, so an unpolarized input gives I/4 exactly
-    return 0.5 * (basis.conj().swapaxes(1, 2) @ rho_in @ basis)
+    return MirrorInput(0.5 * (basis.conj().swapaxes(1, 2) @ rho_in @ basis), d_out, d_in)
 
 
-def evolve_mirror(amps: np.ndarray, r_in: np.ndarray, d_out: np.ndarray,
-                  d_in: np.ndarray) -> tuple[MirrorState, np.ndarray]:
-    """`evolve_batch` on the mirror blocks: (N,4,4) amplitudes, the input
-    blocks R_lam of `mirror_blocks` and the signs (D_out, D_in) of
-    `amplitudes.MIRROR_SIGNS` -> (MirrorState, flux-ok mask).
-
-    rho_lam = M_lam R_lam M_lam+, normalised by sum_lam tr rho_lam; the flux
-    test compares that trace with FLUX_TOL * sum_lam |M_lam|_F^2, which is
-    |M|_F^2. Rows with no outgoing flux are left unnormalized and flagged
-    False.
-    """
+def _evolve_blocks(amps: np.ndarray, mirror: MirrorInput) -> tuple[MirrorState, np.ndarray]:
+    """`evolve_batch` on the mirror blocks: rho_lam = M_lam R_lam M_lam+,
+    normalised by sum_lam tr rho_lam; the flux test compares that trace
+    with FLUX_TOL * sum_lam |M_lam|_F^2, which is |M|_F^2."""
+    d_in, r_in = mirror.d_in, mirror.blocks
     # rows 0 and 1 of M as (2, 4, N), copied once so every step below runs along N
     rows = np.ascontiguousarray(np.moveaxis(amps[:, :2], 0, -1))
     lam = _mirror_eigenvalues(d_in)[:, None, None, None]
@@ -216,4 +236,8 @@ def evolve_mirror(amps: np.ndarray, r_in: np.ndarray, d_out: np.ndarray,
     scale = np.where(flux_ok, norm, 1.0)
     diagonal /= scale
     x /= scale
-    return MirrorState(diagonal[:, 0], diagonal[:, 1], x, float(d_out[0] * d_out[1])), flux_ok
+    if not flux_ok.all():
+        diagonal = np.where(flux_ok, diagonal, 0.25)
+        x = np.where(flux_ok, x, 0.0)
+    sign = float(mirror.d_out[0] * mirror.d_out[1])
+    return MirrorState(diagonal[:, 0], diagonal[:, 1], x, sign), flux_ok

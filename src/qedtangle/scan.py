@@ -11,19 +11,12 @@ values from the first with an outgoing momentum (a longer row is split
 along p), which a pool of `jobs` threads shares out; each chunk decides its
 points' statuses, so results are deterministic and do not depend on jobs.
 
-Spectra: mirror reflection in the scattering plane flips every helicity,
-and the engine obeys M = D_out XX M XX D_in (`amplitudes.MIRROR_SIGNS`).
-`run_scan` decides once per scan whether the initial state is exactly
-mirror-invariant, D_in XX rho_in XX D_in == rho_in. It is for
-`unpolarized`, for `diag:` with w1 = w4 and w2 = w3, and for `werner` in
-every process but Compton. Then every outgoing state and its partial
-transpose commute with A = D_out XX, and the scan never forms the 4 x 4
-state: `_mirror` forms the input's two 2 x 2 mirror blocks R_lam once, each
-chunk evolves them as rho_lam = M_lam R_lam M_lam+ from rows 0 and 1 of M
-(`qstate.evolve_mirror`), and both spectra, of the state and of its partial
-transpose, come in closed form from the six numbers of the two evolved
-blocks (`entanglement.block_spectra`), with no partial-transpose copy and no
-sort. Every other input (pure states, asymmetric `diag:`, Compton `werner`)
+Spectra: each scan evolves `qstate.evolution_input` of its initial state,
+formed once. For an exactly mirror-invariant input (`unpolarized`, `diag:`
+with w1 = w4 and w2 = w3, and `werner` in every process but Compton) that
+is its two 2 x 2 mirror blocks, each chunk's states are MirrorStates, and
+both spectra come in closed form from the evolved blocks
+(`entanglement.block_spectra`), with no 4 x 4 state. Every other input
 and `find_threshold` keep the 4 x 4 state and LAPACK's eigvalsh.
 
 CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into its
@@ -48,8 +41,8 @@ and empty measures. Points with NaN engine amplitudes, where
 initial states can hit zero-flux points, reported as "unfilterable". The
 first status that holds wins: divergent, below-threshold, unfilterable.
 One state stage, `_states`, applies that rule (`_status`) for a scan's
-chunks on either state (`_evaluate` adds the measure stage) and for
-`find_threshold`'s bisection.
+chunks (`_evaluate` adds the measure stage) and for `find_threshold`'s
+bisection.
 """
 from __future__ import annotations
 
@@ -70,8 +63,8 @@ from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfi
                      InvalidKinematicsError, UnfilterableStateError)
 from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
 from .linalg import hermitian_eigenvalues_batch
-from .qstate import (InitialState, diagonal, evolve_batch, evolve_mirror, mirror_blocks, pure,
-                     unpolarized, werner_symmetric)
+from .qstate import (InitialState, diagonal, evolution_input, evolve_batch, pure, unpolarized,
+                     werner_symmetric)
 from .xsection import dsigma_domega_from_msq
 
 log = logging.getLogger(__name__)
@@ -266,15 +259,6 @@ def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.nda
     return out
 
 
-def _mirror(process: ProcessKind, rho_in: np.ndarray) -> np.ndarray | None:
-    """rho_in's blocks R_lam (`qstate.mirror_blocks`) when it is exactly
-    mirror-invariant, D_in XX rho_in XX D_in == rho_in, else None; see the
-    module docstring."""
-    d_in = MIRROR_SIGNS[process][1]
-    flipped = d_in[:, None] * rho_in[::-1, ::-1] * d_in
-    return mirror_blocks(rho_in, d_in) if np.array_equal(flipped, rho_in) else None
-
-
 def _status(amps: np.ndarray, divergent: np.ndarray, flux_ok: np.ndarray) -> np.ndarray:
     """Each point's status index in the module docstring's order: divergent,
     then NaN amplitudes (below threshold), then no flux (unfilterable)."""
@@ -286,38 +270,27 @@ def _status(amps: np.ndarray, divergent: np.ndarray, flux_ok: np.ndarray) -> np.
     return status
 
 
-def _states(process: ProcessKind, p: np.ndarray, theta: np.ndarray, rho_in: np.ndarray,
-            mirror: np.ndarray | None = None) -> tuple:
+def _states(process: ProcessKind, p: np.ndarray, theta: np.ndarray, rho_in) -> tuple:
     """The state stage: (state, status (N,)) over p and theta broadcast
-    together and flattened. The state is rho (N, 4, 4) from `evolve_batch`,
-    or, given `mirror` = `_mirror(process, rho_in)`, the MirrorState of
-    `evolve_mirror`. Statuses take the module docstring's order (`_status`);
-    the state is the maximally mixed one off the ok points, so no divergent
-    or NaN state reaches a spectrum."""
+    together and flattened, the state being what `evolve_batch` gives for
+    `rho_in` (a 4x4 input or a MirrorInput). Divergent points reach it
+    zeroed, so they fail its flux test like the NaN ones and hold the
+    maximally mixed state: no divergent or NaN state reaches a spectrum.
+    Statuses take the module docstring's order (`_status`)."""
     amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
     divergent = divergent.ravel()
     amps = amps.reshape(-1, 4, 4)
-    # each mask below is skipped where it would change nothing
     live = np.where(divergent[:, None, None], 0.0, amps) if divergent.any() else amps
-    if mirror is None:
-        state, flux_ok = evolve_batch(live, rho_in)
-    else:
-        state, flux_ok = evolve_mirror(live, mirror, *MIRROR_SIGNS[process])
-    status = _status(amps, divergent, flux_ok)
-    ok = status == _OK
-    if not ok.all():
-        state = (np.where(ok[:, None, None], state, np.eye(4) / 4.0) if mirror is None
-                 else state.mixed_off(ok))
-    return state, status
+    state, flux_ok = evolve_batch(live, rho_in)
+    return state, _status(amps, divergent, flux_ok)
 
 
-def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray,
-              rho_in: np.ndarray, mirror: np.ndarray | None) -> dict:
+def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray, rho_in) -> dict:
     """Every scan column for p and theta broadcast together, in their shape:
-    the state stage `_states`, on the mirror blocks when `mirror` =
-    `_mirror(process, rho_in)` is not None, then the measure stage. Measures
-    are NaN and flags False off the ok points."""
-    state, status = _states(process, p, theta, rho_in, mirror)
+    the state stage `_states` on `rho_in` (a 4x4 input or a MirrorInput),
+    then the measure stage. Measures are NaN and flags False off the ok
+    points."""
+    state, status = _states(process, p, theta, rho_in)
     res = measures_batch(state)
     ok = status == _OK
     if ok.all():
@@ -358,8 +331,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     """
     cfg.validate()
     init = parse_initial(cfg.initial)
-    rho_in = init.density.entries
-    mirror = _mirror(cfg.process, rho_in)
+    rho_in = evolution_input(init.density.entries, *MIRROR_SIGNS[cfg.process])
     p_grid = cfg.p_grid()
     theta_grid = cfg.theta_grid()
     if len(theta_grid) > 1:
@@ -387,7 +359,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
             theta, p = theta_grid[rows, None], p_grid[cols]
             # p as a broadcast view: one entry per grid point, stored once
             columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta,
-                                rho_in, mirror)
+                                rho_in)
             for name, column in columns.items():
                 result._grid(name)[block] = column
         return None if block_text is None else block_text(block)

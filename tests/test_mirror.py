@@ -2,7 +2,8 @@
 
 The engine obeys M = D_out XX M XX D_in, XX = sigma_x (x) sigma_x, with the
 diagonal signs D of `amplitudes.MIRROR_SIGNS`. For a mirror-invariant input
-a scan evolves the input's two 2 x 2 mirror blocks (`qstate.evolve_mirror`)
+a scan evolves the input's two 2 x 2 mirror blocks (`qstate.evolve_batch` on
+the MirrorInput of `qstate.evolution_input`)
 and takes both spectra from the evolved blocks (`entanglement.block_spectra`);
 these tests check the relation, the block spectra against LAPACK and a
 40-digit eigensolve of the 4 x 4 state, which scans take the block path, the
@@ -17,7 +18,7 @@ from qedtangle import amplitudes, entanglement, scan
 from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
 from qedtangle.entanglement import block_spectra, partial_transpose
 from qedtangle.kinematics import ProcessKind, threshold_momentum
-from qedtangle.qstate import MirrorState, evolve_batch, evolve_mirror, mirror_blocks
+from qedtangle.qstate import MirrorInput, MirrorState, evolution_input, evolve_batch
 from qedtangle.scan import STATUSES, ScanConfig, emit_csv, parse_initial, run_scan
 
 FERMION_PAIR = [1.0, -1.0, -1.0, 1.0]
@@ -58,10 +59,14 @@ def engine_points(rng, process, rho_in, points=random_points):
 def block_path(process, amps, rho_in):
     """(PT spectrum, state spectrum), each (N, 4), on the scan's block path,
     each point with its own input."""
-    d_out, d_in = MIRROR_SIGNS[process]
-    spectra = [block_spectra(evolve_mirror(m[None], mirror_blocks(r, d_in), d_out, d_in)[0])
-               for m, r in zip(amps, rho_in)]
-    return tuple(np.concatenate(s) for s in zip(*spectra))
+    states = [evolve_batch(m[None], evolution_input(r, *MIRROR_SIGNS[process]))[0]
+              for m, r in zip(amps, rho_in)]
+    assert all(isinstance(state, MirrorState) for state in states)
+    return tuple(np.concatenate(s) for s in zip(*map(block_spectra, states)))
+
+
+def takes_block_path(process, rho_in):
+    return isinstance(evolution_input(rho_in, *MIRROR_SIGNS[process]), MirrorInput)
 
 
 def lapack_path(amps, rho_in):
@@ -150,7 +155,7 @@ INVARIANT_INPUTS = [(process, initial) for process in ProcessKind
 @pytest.mark.parametrize("process, initial", INVARIANT_INPUTS)
 def test_block_spectra_of_every_invariant_input(process, initial):
     rho_in = parse_initial(initial).density.entries
-    assert scan._mirror(process, rho_in) is not None
+    assert takes_block_path(process, rho_in)
     amps, rho_in = engine_points(seeded(process), process, np.tile(rho_in, (200, 1, 1)),
                                  threshold_to_1e4)
     assert_block_spectra_are_exact(process, amps, rho_in)
@@ -191,13 +196,17 @@ def test_block_spectra_of_real_states_in_the_signed_bell_basis():
 
 
 def _count_spectra_and_evolutions(monkeypatch):
+    """Eigensolver calls and 4 x 4 states (`evolve_batch` results that are
+    not a MirrorState), as the lengths of their stacks."""
     calls = []
     for module, name in ((entanglement, "hermitian_eigenvalues_batch"), (scan, "evolve_batch")):
         real = getattr(module, name)
 
         def counting(*args, real=real):
-            calls.append(len(args[0]))
-            return real(*args)
+            result = real(*args)
+            if not isinstance(result[0], MirrorState):
+                calls.append(len(args[0]))
+            return result
 
         monkeypatch.setattr(module, name, counting)
     return calls
@@ -261,9 +270,9 @@ def test_block_path_statuses_match_the_rho_path(monkeypatch):
     at = [(p_grid[i], theta_grid[j]) for i, j in [(0, 0), (3, 2), (11, 9), (5, 5), (7, 1)]]
     _injected_engine(monkeypatch, nan_at=at[:2], zero_at=at[2:4], divergent_at=[at[0], at[4]])
     rho_in = parse_initial(cfg.initial).density.entries
-    assert scan._mirror(cfg.process, rho_in) is not None
+    assert takes_block_path(cfg.process, rho_in)
     result = run_scan(cfg)
-    want = scan._evaluate(cfg.process, p_grid, theta_grid[:, None], rho_in, None)
+    want = scan._evaluate(cfg.process, p_grid, theta_grid[:, None], rho_in)
     status = result._grid("status")
     assert np.array_equal(status, want["status"])
     assert [STATUSES[status[j, i]] for i, j in [(0, 0), (3, 2), (11, 9), (5, 5), (7, 1)]] == [

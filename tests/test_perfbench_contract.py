@@ -89,7 +89,7 @@ def test_traced_scan_counts_what_the_scan_did(monkeypatch, cfg, fragile):
     # reads measures_batch's tolerance by position, which holds while
     # _evaluate passes measures_batch the state alone
     from qedtangle.constants import DEFAULT
-    from qedtangle.scan import STATUSES, ScanConfig, run_scan
+    from qedtangle.scan import STATUSES, ScanConfig, _chunks, run_scan
     monkeypatch.setattr(sys, "path", list(sys.path))
     tracer = _load("tracer")
     importlib.import_module("qedtangle.cli")     # every traced module is loaded, as in child.py
@@ -105,6 +105,10 @@ def test_traced_scan_counts_what_the_scan_did(monkeypatch, cfg, fragile):
     ok = result.status == STATUSES.index("ok")
     assert layers["entanglement.fragile"] == np.sum(np.abs(result.min_pt_eig[ok]) <= DEFAULT.alpha3)
     assert layers["entanglement.fragile"] == fragile
+    # every chunk, on the mirror blocks or not, evolves under the traced evolve_batch
+    chunks = len(list(_chunks(result.theta_grid.size, range(result.p_grid.size))))
+    assert sum(span[1] == "qstate.evolve_batch" for span in spans.spans) == chunks
+    assert layers["qstate.evolve_batch.s"] > 0
 
 
 def _engine_calls(evals: int) -> int:

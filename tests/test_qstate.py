@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
+from qedtangle.entanglement import block_spectra, partial_transpose
 from qedtangle.errors import InvalidConfigError, UnfilterableStateError
-from qedtangle.qstate import (BASIS, DensityMatrix, diagonal, evolve,
-                              evolve_batch, from_matrix, pure, unpolarized,
+from qedtangle.kinematics import ProcessKind
+from qedtangle.linalg import hermitian_eigenvalues_batch
+from qedtangle.qstate import (BASIS, DensityMatrix, MirrorState, diagonal, evolution_input,
+                              evolve, evolve_batch, from_matrix, pure, unpolarized,
                               werner_symmetric)
 from qedtangle.scan import parse_initial
 
@@ -132,6 +136,57 @@ def test_unfilterable_state_error():
     m[:, 1] = [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(UnfilterableStateError):
         evolve(m, pure("LL"))
+
+
+def test_unfilterable_state_error_reports_the_trace():
+    flux = r"^no outgoing flux: Tr\(M rho M\+\) = "
+    with pytest.raises(UnfilterableStateError, match=flux + r"0\.000e\+00$"):
+        evolve(np.zeros((4, 4)), unpolarized())
+    with pytest.raises(UnfilterableStateError, match=flux + r"nan$"):
+        evolve(np.full((4, 4), math.nan), unpolarized())
+    # a flux below FLUX_TOL |M|_F^2 but not zero
+    m = np.zeros((4, 4))
+    m[:, 0], m[:, 1] = 1e-20, [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(UnfilterableStateError, match=flux + r"4\.000e-40$"):
+        evolve(m, pure("LL"))
+
+
+@pytest.mark.parametrize("phase", [1.0, (1.0 + 1.0j) / math.sqrt(2.0)])
+def test_flux_test_compares_the_trace_with_the_frobenius_norm(phase):
+    """Tr(M rho M+) / |M|_F^2 at 1e-29 passes FLUX_TOL = 1e-30 and at 1e-31
+    fails it, for real and complex M alike."""
+    amps = np.tile(phase * np.array([0.0, 1.0, 1.0, 1.0]), (2, 4, 1))
+    # |LL> sees column 0 only: Tr = 4 eps^2 against |M|_F^2 = 4 eps^2 + 12
+    amps[:, :, 0] = phase * np.sqrt([3e-29, 3e-31])[:, None]
+    assert evolve_batch(amps, pure("LL").density.entries)[1].tolist() == [True, False]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_rows_without_flux_hold_the_maximally_mixed_state(mirror):
+    """Zero and NaN amplitude rows fail the flux test and hold I/4, on a 4x4
+    input and on its mirror blocks alike, so both of their spectra are 1/4."""
+    process = ProcessKind.MOLLER
+    amps = helicity_amplitudes_batch(process, np.array([0.5, 1.0, 2.0, 3.0]),
+                                     np.array([0.3, 1.0, 2.0, 2.5]))[0]
+    amps[1], amps[2] = 0.0, math.nan
+    rho_in = unpolarized().density.entries
+    state, flux_ok = evolve_batch(amps, evolution_input(rho_in, *MIRROR_SIGNS[process])
+                                  if mirror else rho_in)
+    assert flux_ok.tolist() == [True, False, False, True]
+    dead = [1, 2]
+    if mirror:
+        assert isinstance(state, MirrorState)
+        assert np.array_equal(state.y[:, dead], np.full((2, 2), 0.25))
+        assert np.array_equal(state.z[:, dead], np.full((2, 2), 0.25))
+        assert np.array_equal(state.x[:, dead], np.zeros((2, 2)))
+        spectra = block_spectra(state)
+    else:
+        assert np.array_equal(state[dead], np.tile(np.eye(4) / 4.0, (2, 1, 1)))
+        spectra = [hermitian_eigenvalues_batch(partial_transpose(state)),
+                   hermitian_eigenvalues_batch(state)]
+    for eigs in spectra:
+        assert np.array_equal(eigs[dead], np.full((2, 4), 0.25))
+        assert np.all(np.isfinite(eigs))
 
 
 def test_evolve_batch_matches_scalar_and_flags():

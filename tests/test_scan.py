@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qedtangle.amplitudes import amplitude
+from qedtangle.amplitudes import MIRROR_SIGNS, amplitude
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                               UnfilterableStateError)
 from qedtangle.kinematics import (ProcessKind, build_kinematics, mandelstam_batch,
                                   threshold_momentum)
-from qedtangle.qstate import evolve
+from qedtangle.qstate import evolution_input, evolve
 from qedtangle import scan
 from qedtangle.scan import (CHUNK_POINTS, CSV_HEADER, STATUSES, ScanConfig, ScanResult,
                             emit_csv, emit_plot_script, find_threshold,
@@ -443,8 +443,8 @@ def test_scan_status_matches_the_point_path(seed, grid, jobs, tmp_path):
     # one chunk over the whole grid, the below-threshold prefix included,
     # decides the statuses the scan reports
     rho_in = parse_initial(cfg.initial).density.entries
-    columns = scan._evaluate(cfg.process, result.p_grid, result.theta_grid[:, None], rho_in,
-                             scan._mirror(cfg.process, rho_in))
+    columns = scan._evaluate(cfg.process, result.p_grid, result.theta_grid[:, None],
+                             evolution_input(rho_in, *MIRROR_SIGNS[cfg.process]))
     assert np.array_equal(columns["status"].ravel(), result.status)
 
 
