@@ -266,6 +266,7 @@ class _Compiled:
     monomials: np.ndarray     # (D, 2, D + 1) indices into (c, 1, s, 0): f_j = c^(D - j) s^j is
                               # the product down [:, 0, j] times the product down [:, 1, j]
     tensor: np.ndarray        # (D + 1, C * K * 16)
+    top: np.ndarray           # its columns of rows 0 and 1 of M, (D + 1, C * K * 8)
     weight_terms: Callable    # (p, invariants) -> the p-side weight terms (..., V)
     weights: np.ndarray       # (4, C, K) indices into `weight_terms`; W = (w0 w1)(w2 w3)
     denominators: tuple       # per channel, (0, x, _) for two currents or a chain's
@@ -385,6 +386,7 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
         monomials=np.stack([np.where(step < degree - power, 0, 1),
                             np.where(step < power, 2, 1)], axis=1),
         tensor=np.ascontiguousarray(tensor.reshape(degree + 1, -1)),
+        top=np.ascontiguousarray(tensor[..., :8].reshape(degree + 1, -1)),
         weight_terms=weight_terms,
         weights=weights,
         denominators=tuple(_CHAIN_DENOMINATORS[name] if len(spec) == 4
@@ -419,8 +421,9 @@ MIRROR_SIGNS = {process: (_mirror_signs(info["out"]), _mirror_signs(info["in"]))
                 for process, info in PROCESS_TABLE.items()}
 
 
-def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invariants=None):
-    """(total (..., 4, 4), channels, divergent mask (...)) over p and theta.
+def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invariants=None,
+                              rows=4):
+    """(total (..., rows, 4), channels, divergent mask (...)) over p and theta.
 
     p and theta broadcast against each other; the outputs have their
     broadcast shape, () for zero-dimensional p and theta (a (4, 4) total
@@ -430,11 +433,16 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     k / E, so E times the result is M(eps -> k), which the Ward identity
     makes zero; any other leg raises ValueError. `invariants` is what
     `mandelstam_batch(process, p, theta)` returns, passed by a caller that
-    has already formed it; by default the engine forms it.
+    has already formed it; by default the engine forms it. `rows` = 2
+    forms rows 0 and 1 of M alone, contracting only their 8 columns of the
+    compiled tensor, with the bits of the full matrix's rows 0 and 1: what
+    the mirror blocks read (`qstate._evolve_blocks`).
     """
     compiled = _COMPILED.get((process, gauge))
     if compiled is None:
         raise ValueError(f"{process.value}: leg {gauge!r} is not a photon leg")
+    if rows not in (2, 4):
+        raise ValueError(f"rows must be 2 or 4, got {rows!r}")
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast(p, theta).shape
@@ -445,11 +453,11 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     trig = np.concatenate([np.cos(half), np.sin(half)], axis=-1)              # (c, 1, s, 0)
     powers = trig[..., compiled.monomials].prod(axis=-3)                      # (..., 2, D + 1)
     f = powers[..., 0, :] * powers[..., 1, :]
-    g = (f[..., None, :] @ compiled.tensor)[..., 0, :]
-    g = g.reshape(g.shape[:-1] + compiled.weights.shape[1:] + (16,))          # (..., C, K, 16)
+    g = (f[..., None, :] @ (compiled.tensor if rows == 4 else compiled.top))[..., 0, :]
+    g = g.reshape(g.shape[:-1] + compiled.weights.shape[1:] + (4 * rows,))    # (..., C, K, 4 rows)
     w = compiled.weight_terms(p, invariants)[..., compiled.weights]
     w = (w[..., 0, :, :] * w[..., 1, :, :]) * (w[..., 2, :, :] * w[..., 3, :, :])
-    value = (w[..., None, :] @ g)[..., 0, :]                                  # (..., C, 16)
+    value = (w[..., None, :] @ g)[..., 0, :]                                  # (..., C, 4 rows)
     den = np.empty(shape + compiled.scale.shape)
     if compiled.m1_sq is not None:              # the slash chains' shared terms
         low, two_p = compiled.m1_sq / (invariants[3] + p), 2.0 * p
@@ -462,7 +470,7 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     near = np.abs(den) < (POLE_RTOL * invariants[0])[..., None]
     # points on a pole give inf/nan here; the divergent mask flags them
     with np.errstate(divide="ignore", invalid="ignore"):
-        channels = ((compiled.scale / den)[..., None] * value).reshape(den.shape + (4, 4))
+        channels = ((compiled.scale / den)[..., None] * value).reshape(den.shape + (rows, 4))
     views = [channels[..., c, :, :] for c in range(len(compiled.names))]
     # one or two channels, combined elementwise. A lone channel is copied as
     # channel + 0, which turns -0 into +0 as a sum over the axis would, so

@@ -19,7 +19,9 @@ exactly mirror-invariant and then gives its blocks R_lam (a MirrorInput),
 else the 4x4 rho_in; `evolve_batch` evolves the blocks as
 rho_lam = M_lam R_lam M_lam+ with M_lam[a, b] = M[a, b] + lam d_in[b] M[a, 3 - b],
 a, b in {0, 1}, normalised by sum_lam tr rho_lam, into a MirrorState.
-Rows 2 and 3 of M are mirror images of rows 0 and 1 and are never read.
+Rows 2 and 3 of M are mirror images of rows 0 and 1 and are never read;
+a scan on the mirror blocks asks the engine for rows 0 and 1 alone
+(`helicity_amplitudes_batch(..., rows=2)`), so it never forms them.
 """
 from __future__ import annotations
 
@@ -157,7 +159,8 @@ def evolve_batch(amps: np.ndarray, rho_in):
     """Batch evolution of (N,4,4) amplitudes -> (states, flux-ok mask).
 
     `rho_in` is a 4x4 input, giving (N,4,4) states, or a MirrorInput of
-    `evolution_input`, giving a MirrorState (`_evolve_blocks`). Real
+    `evolution_input`, giving a MirrorState (`_evolve_blocks`), for which
+    rows 0 and 1 of M, (N,2,4), are enough. Real
     amplitudes and a real input give real states; a complex operand gives
     complex ones. Rows with no outgoing flux, those with NaN amplitudes
     among them, hold the maximally mixed state I/4 and are flagged False.
@@ -218,9 +221,11 @@ def evolution_input(rho_in: np.ndarray, d_out: np.ndarray, d_in: np.ndarray):
 
 
 def _evolve_blocks(amps: np.ndarray, mirror: MirrorInput) -> tuple[MirrorState, np.ndarray]:
-    """`evolve_batch` on the mirror blocks: rho_lam = M_lam R_lam M_lam+,
-    normalised by sum_lam tr rho_lam; the flux test compares that trace
-    with FLUX_TOL * sum_lam |M_lam|_F^2, which is |M|_F^2."""
+    """`evolve_batch` on the mirror blocks of `amps`, rows 0 and 1 of M
+    (N, 2, 4), or a full (N, 4, 4) M, of which it reads those rows:
+    rho_lam = M_lam R_lam M_lam+, normalised by sum_lam tr rho_lam; the flux
+    test compares that trace with FLUX_TOL * sum_lam |M_lam|_F^2, which is
+    |M|_F^2."""
     d_in, r_in = mirror.d_in, mirror.blocks
     # rows 0 and 1 of M as (2, 4, N), copied once so every step below runs along N
     rows = np.ascontiguousarray(np.moveaxis(amps[:, :2], 0, -1))

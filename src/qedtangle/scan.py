@@ -54,6 +54,7 @@ import math
 import operator
 import os
 import stat
+import threading
 
 import numpy as np
 
@@ -63,8 +64,8 @@ from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfi
                      InvalidKinematicsError, UnfilterableStateError)
 from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
 from .linalg import hermitian_eigenvalues_batch
-from .qstate import (InitialState, diagonal, evolution_input, evolve_batch, pure, unpolarized,
-                     werner_symmetric)
+from .qstate import (InitialState, MirrorInput, diagonal, evolution_input, evolve_batch, pure,
+                     unpolarized, werner_symmetric)
 from .xsection import dsigma_domega_from_msq
 
 log = logging.getLogger(__name__)
@@ -277,9 +278,11 @@ def _states(process: ProcessKind, p: np.ndarray, theta: np.ndarray, rho_in) -> t
     zeroed, so they fail its flux test like the NaN ones and hold the
     maximally mixed state: no divergent or NaN state reaches a spectrum.
     Statuses take the module docstring's order (`_status`)."""
-    amps, _, divergent = helicity_amplitudes_batch(process, p, theta)
+    # the mirror blocks read rows 0 and 1 of M alone, so only those are formed
+    rows = 2 if isinstance(rho_in, MirrorInput) else 4
+    amps, _, divergent = helicity_amplitudes_batch(process, p, theta, rows=rows)
     divergent = divergent.ravel()
-    amps = amps.reshape(-1, 4, 4)
+    amps = amps.reshape(-1, rows, 4)
     live = np.where(divergent[:, None, None], 0.0, amps) if divergent.any() else amps
     state, flux_ok = evolve_batch(live, rho_in)
     return state, _status(amps, divergent, flux_ok)
@@ -542,7 +545,7 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pow10_table() -> np.ndarray:
-    """Rows hi, lo and hi's two halves, column e + 99 for e = -99..99: hi is
+    """Columns hi, lo and hi's two halves, row e + 99 for e = -99..99: hi is
     10^(16-e) correctly rounded and lo the remainder 10^(16-e) - hi correctly
     rounded, both from exact integer ratios, so hi + lo is 10^(16-e) to 2^-106."""
     pairs = []
@@ -552,36 +555,59 @@ def _pow10_table() -> np.ndarray:
         a, b = hi.as_integer_ratio()
         pairs.append((hi, (num * b - a * den) / (den * b)))
     hi, lo = np.array(pairs).T
-    return np.stack([hi, lo, *_halves(hi)])
+    return np.stack([hi, lo, *_halves(hi)], axis=1)
 
 
 _POW10 = _pow10_table()
 _TENS = 10 ** np.arange(18, dtype=np.int64)
-#: row g: the four ASCII digits of g; row g + 10000: the same with trailing zeros as NUL
+
+
+def _words(rows) -> np.ndarray:
+    """Byte strings of a multiple of 8 bytes, as rows of uint64 words in memory order."""
+    return np.frombuffer(b"".join(rows), np.uint64).reshape(len(rows), -1)
+
+
+#: row g: the four ASCII digits of g; row g + 10000: the same with trailing
+#: zeros as NUL; as uint32 words, so a group is one gather
 _PLACES = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000)
 _KEPT = np.logical_or.accumulate(_PLACES[::-1] != 0)[::-1]     # a nonzero digit here or after
-_DIGITS = np.concatenate([_PLACES + 48, (_PLACES + 48) * _KEPT], axis=1).T.copy()
-_DIGIT_COUNT = np.concatenate([np.full(10000, 4), _KEPT.sum(axis=0)])
+_DIGITS = np.concatenate([_PLACES + 48, (_PLACES + 48) * _KEPT], axis=1).T.copy() \
+    .view(np.uint32).ravel()
 #: the rest are indexed by decimal exponent, at e + 99 for e = -99..99
 _EXPONENTS = np.arange(-99, 100)
 _SCIENTIFIC = (_EXPONENTS < -4) | (_EXPONENTS >= 17)
 #: digits before the point: e + 1 in fixed notation (0 below 1), 1 in scientific
 _WHOLE_DIGITS = np.where(_SCIENTIFIC, 1, np.maximum(_EXPONENTS + 1, 0))
-#: the '0.000' lead of fixed notation below 1 and, at e + 99 + 199, the sign
-#: before it, right-aligned in 6 bytes: a field whose NUL bytes form fewer
-#: runs is compacted faster by bytes.translate. _LEAD_AT indexes '0.000';
-#: -1 is the sign's byte
-_LEAD_AT = np.arange(-6, 0) + np.where(_WHOLE_DIGITS == 0, 1 - _EXPONENTS, 0)[:, None]
-_PREFIX = np.frombuffer(b"0.000", np.uint8)[np.maximum(_LEAD_AT, 0)] * (_LEAD_AT >= 0)
-_PREFIX = np.concatenate([_PREFIX, _PREFIX + np.uint8(45) * (_LEAD_AT == -1)])
-#: the 'e+XX' after the digits of scientific notation
-_SUFFIX = np.column_stack([np.full(199, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")),
-                           _DIGITS[np.abs(_EXPONENTS), 2:]]).astype(np.uint8) \
-    * _SCIENTIFIC[:, None]
-#: row i: '0' for the first i of 17 digits (an integer part's own zeros)
-_INTEGER_ZEROS = np.uint8(48) * (np.arange(17) < np.arange(18)[:, None])
-#: row i: the decimal point in slot i - 1 of 16, after digit i - 1; row 0: none
-_POINTS = np.uint8(46) * (np.arange(16) == np.arange(18)[:, None] - 1)
+
+
+def _lead(e: int, negative: bool, first: int, point: bool) -> bytes:
+    """Word 0 of a value, right-aligned: its sign, the '0.000' lead of fixed
+    notation below 1 and its first digit, then the decimal point if a
+    fraction follows that digit."""
+    lead = ("-" if negative else "") + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")
+    return f"{lead}{first}{'.' if point else ''}".encode().rjust(8, b"\0")
+
+
+#: word 0 by ((e + 99, sign), first digit, point after it)
+_LEADS = _words([_lead(e, negative, first, point) for e in _EXPONENTS.tolist()
+                 for negative in (False, True) for first in range(10)
+                 for point in (False, True)]).ravel()
+#: word 3 by e + 99: the 'e+XX' of scientific notation and the field's comma, right-aligned
+_SUFFIXES = _words([(f"e{e:+03d}," if scientific else ",").encode().rjust(8, b"\0")
+                    for e, scientific in zip(_EXPONENTS.tolist(), _SCIENTIFIC.tolist())]).ravel()
+#: the words of '0,' and '-0,', and of a non-ok line's empty field
+_ZEROS = _words([b"0".rjust(8, b"\0") + bytes(23) + b",",
+                 b"-0".rjust(8, b"\0") + bytes(23) + b","])
+_EMPTY = _words([bytes(31) + b","])[0]
+#: bytes 8..23 of a value of w integer digits, by w: '0' for digits 2..w, whose
+#: trailing zeros the digit words leave as NUL
+_INTEGER_ZEROS = np.uint8(48) * (np.arange(1, 17) < np.arange(18)[:, None])
+#: bytes 0..31 of a value of w >= 2 integer digits and a fraction, by w: the
+#: fraction digits, from byte 7 + w, moved one byte up to free that byte for
+#: the point (a fixed-notation value has no suffix, so byte 24 is free)
+_POINT_SHIFT = np.tile(np.arange(32), (18, 1))
+for _w in range(2, 18):
+    _POINT_SHIFT[_w, 8 + _w:25] = np.arange(7 + _w, 24)
 
 
 def _fallback_text(value: float) -> bytes:
@@ -589,10 +615,11 @@ def _fallback_text(value: float) -> bytes:
     return f"{value:.17g}".encode()
 
 
-def _text17(x: np.ndarray) -> np.ndarray:
-    """'%.17g' text of each float64 in x, one NUL-padded uint8 row each.
+def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """'%.17g' text of each float64 in x and a comma, as four uint64 words
+    per value written into the rows of `out` (n, 4), which it returns.
 
-    A row holds the bytes of f"{v:.17g}" once its NUL bytes are dropped.
+    Row i holds the bytes of f"{x[i]:.17g}," once its NUL bytes are dropped.
     With e = floor(log10 |v|), the 17 significant digits are the integer
     nearest y = |v| 10^(16-e), in [1e16, 1e17). hi + lo holds 10^(16-e) to
     2^-106 (`_pow10_table`) and Dekker's split gives |v| hi exactly as
@@ -603,115 +630,149 @@ def _text17(x: np.ndarray) -> np.ndarray:
     ones and |e| > 99 take `_fallback_text`. Zeros print as '0' and '-0';
     when x holds any, only its nonzero entries go through the arithmetic.
 
-    A row is: the sign and the '0.000' lead of fixed notation below 1,
-    right-aligned in 6 bytes; the 17 digits, with trailing fraction zeros as
-    NUL and a decimal-point slot after each of the first k, k as many as the
-    widest integer part in x needs; then the 'e+XX' suffix of scientific
-    notation (e < -4 or e >= 17). At 27 + k bytes it has room for any fallback.
+    The words are: the sign and the '0.000' lead of fixed notation below 1,
+    right-aligned in 6 bytes, then the first digit and the point slot after
+    it (`_LEADS`); digits 2-9 and 10-17, four per uint32 gather from
+    `_DIGITS`, with trailing fraction zeros as NUL; and the 'e+XX' suffix of
+    scientific notation (e < -4 or e >= 17) with the comma (`_SUFFIXES`).
+    A value of w >= 2 integer digits (fixed notation, e >= 1) gets its
+    integer zeros back and, with a fraction, its point after digit w, the
+    digits before it moved one byte down over the empty slot.
     """
     nonzero = np.flatnonzero(x)
     if nonzero.size < x.size:
-        inner = _text17(x[nonzero])
-        out = np.zeros((x.size, inner.shape[1]), np.uint8)
-        out[:, 5] = np.uint8(45) * np.signbit(x)
-        out[:, 6] = 48
-        out[nonzero] = inner
+        out[...] = _ZEROS[0]
+        out[np.signbit(x)] = _ZEROS[1]
+        if nonzero.size:
+            out[nonzero] = _text17(x[nonzero], np.empty((nonzero.size, 4), np.uint64))
         return out
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # non-finite values and |e| > 99 read the tables at e = +-99 and give
+    # garbage, which the fallback replaces
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.floor(np.log10(a))
-    fast = np.abs(e) <= 99                      # False for nan and inf
-    at = np.where(fast, e + 99, 99).astype(np.int64)        # row of the tables by exponent
-    a = np.where(fast, a, 1.0)
-    hi, lo, hi_big, hi_small = (np.take(table, at) for table in _POW10)
-    a_big, a_small = _halves(a)
-    p = a * hi
-    t = ((a_big * hi_big - p) + a_big * hi_small + a_small * hi_big) + a_small * hi_small \
-        + a * lo
-    t_floor = np.floor(t)
-    frac = t - t_floor
-    floor = p.astype(np.int64) + t_floor.astype(np.int64)
+        fast = np.abs(e) <= 99                  # False for nan and inf
+        at = np.fmax(np.fmin(e, 99.0), -99.0).astype(np.int64) + 99   # index of the tables by e
+        hi, lo, hi_big, hi_small = np.take(_POW10, at, axis=0, mode="clip").T
+        a_big, a_small = _halves(a)
+        p = a * hi
+        t = ((a_big * hi_big - p) + a_big * hi_small + a_small * hi_big) + a_small * hi_small \
+            + a * lo
+        t_floor = np.floor(t)
+        frac = t - t_floor
+        floor = p.astype(np.int64) + t_floor.astype(np.int64)
     n = floor + (frac > 0.5)
     fast &= (np.abs(frac - 0.5) > 1e-6) & (floor >= _TENS[16]) & (n < 10 * _TENS[16])
-    # four groups of four digits after the first, each as a row of _DIGITS:
-    # a group loses its trailing zeros when every later digit is zero
     first = n // _TENS[16]
     rest = n - first * _TENS[16]
-    rows = []
-    for scale in _TENS[12:0:-4]:
+    whole = np.take(_WHOLE_DIGITS, at)
+    key = at * 40
+    key += np.signbit(x) * 20
+    key += first * 2
+    key += (whole == 1) & (rest != 0)           # a point after the first digit
+    np.take(_LEADS, key, out=out[:, 0], mode="clip")
+    # four groups of four digits after the first, each a row of _DIGITS:
+    # a group loses its trailing zeros when every later digit is zero
+    halves = out.view(np.uint32)
+    for j, scale in enumerate(_TENS[12:0:-4]):
         group = rest // scale
         rest = rest - group * scale
-        rows.append(group + 10000 * (rest == 0))
-    rows.append(rest + 10000)
-    digits = np.empty((x.size, 17), np.uint8)
-    digits[:, 0] = first + 48
-    significant = 1
-    for j, row in enumerate(rows):
-        digits[:, 1 + 4 * j:5 + 4 * j] = np.take(_DIGITS, row, axis=0)
-        significant = significant + np.take(_DIGIT_COUNT, row)
-    whole = np.take(_WHOLE_DIGITS, at)
-    short = np.flatnonzero(significant < whole)     # integers ending in zeros
-    digits[short] = np.maximum(digits[short], np.take(_INTEGER_ZEROS, whole[short], axis=0))
-    point = whole * (significant > whole)           # digits before the point, if any after
-    k = int(point.max(initial=0))                   # point slots in use
-    out = np.empty((x.size, 27 + k), np.uint8)
-    out[:, :6] = np.take(_PREFIX, at + 199 * np.signbit(x), axis=0)
-    out[:, 6:6 + 2 * k:2] = digits[:, :k]
-    out[:, 7:7 + 2 * k:2] = np.take(_POINTS[:, :k], point, axis=0)
-    out[:, 6 + 2 * k:23 + k] = digits[:, k:]
-    out[:, 23 + k:] = np.take(_SUFFIX, at, axis=0)
+        group[rest == 0] += 10000
+        np.take(_DIGITS, group, out=halves[:, 2 + j], mode="clip")
+    np.take(_DIGITS, rest + 10000, out=halves[:, 5], mode="clip")
+    np.take(_SUFFIXES, at, out=out[:, 3])
+    wide = np.flatnonzero((whole > 1) & fast)       # fixed notation, e >= 1
+    if wide.size:
+        w = whole[wide]
+        text = out[wide].view(np.uint8)
+        text[:, 8:24] = np.maximum(text[:, 8:24], _INTEGER_ZEROS[w])
+        shift = np.flatnonzero(n[wide] % _TENS[17 - w] != 0)    # a fraction after the integer
+        text[shift] = np.take_along_axis(text[shift], _POINT_SHIFT[w[shift]], axis=1)
+        text[shift, 7 + w[shift]] = 46
+        out[wide] = text.view(np.uint64)
     slow = np.flatnonzero(~fast)
-    out[slow] = np.array([_fallback_text(v) for v in x[slow].tolist()],
-                         dtype=f"S{out.shape[1]}").view(np.uint8).reshape(-1, out.shape[1])
+    if slow.size:
+        text = np.zeros((slow.size, 32), np.uint8)
+        text[:, :31] = np.array([_fallback_text(v) for v in x[slow].tolist()],
+                                dtype="S31").view(np.uint8).reshape(-1, 31)
+        text[:, 31] = 44
+        out[slow] = text.view(np.uint64)
     return out
 
 
-#: flag fields with their comma, by flag value; row 2 is a non-ok line's empty field
-_FLAG_TEXT = np.array([b"false,", b"true,", b","]).view(np.uint8).reshape(3, -1)
-_STATUS_TEXT = np.array([f"{name}\n".encode() for name in STATUSES]).view(np.uint8) \
-    .reshape(len(STATUSES), -1)
-_COMMA = np.array([[ord(",")]], np.uint8)
+def _axis_words(values: np.ndarray, label: bytes = b"") -> np.ndarray:
+    """`label` and the '%.17g,' text of each grid axis value, left-aligned
+    in the fewest uint64 words that hold the widest."""
+    text = _text17(values, np.empty((values.size, 4), np.uint64)).view(np.uint8)
+    text = np.concatenate([np.broadcast_to(np.frombuffer(label, np.uint8), (values.size, len(label))),
+                           text], axis=1)
+    blank = text == 0
+    text = np.take_along_axis(text, np.argsort(blank, axis=1, kind="stable"), axis=1)
+    width = -(-int((~blank).sum(axis=1).max(initial=0)) // 8) * 8
+    return np.ascontiguousarray(text[:, :width]).view(np.uint64)
+
+
+#: a line's flags and status with its newline, left-aligned in three words,
+#: at 4 status + 2 entangled + switching: an ok line's flags, a non-ok
+#: line's status with empty flags
+_TAILS = _words([(f"{e},{s},ok\n" if k == _OK else f",,{STATUSES[k]}\n").encode().ljust(24, b"\0")
+                 for k in range(len(STATUSES)) for e in ("false", "true") for s in ("false", "true")])
+#: the measure fields of a non-ok line
+_EMPTY_MEASURES = np.tile(_EMPTY, len(_MEASURES))
 
 
 def _csv_blocks(res: ScanResult, first: int):
     """block_text(block), the CSV text of a `_chunks` block of `res` over the
     p from `first`: the block's lines and, for a row's first block, the
     row's lines before `first` too, so the blocks in order give every line
-    once. A block's lines are formatted CHUNK_POINTS at a time, each part
-    one uint8 slab of NUL-padded fields side by side (`_text17`) with its
-    NUL bytes dropped."""
+    once. A block's lines are formatted CHUNK_POINTS at a time into one
+    (n, W) uint64 slab, one line a row, every field written in place: the
+    label and p, and theta, from their axes' words (`_axis_words`), the
+    four measures (`_text17`, in one call) and the flags and status
+    (`_TAILS`). The slab's bytes, NULs dropped, are the lines."""
     # p and theta repeat along the grid: each axis value is formatted once
-    p_text, theta_text = _text17(res.p_grid), _text17(res.theta_grid)
-    prefix = np.frombuffer(f"{res.process},{res.initial},".encode(), np.uint8)[None]
+    head = _axis_words(res.p_grid, f"{res.process},{res.initial},".encode())
+    theta_words = _axis_words(res.theta_grid)
+    columns = np.cumsum([0, head.shape[1], theta_words.shape[1], _EMPTY_MEASURES.size,
+                         _TAILS.shape[1]])
     n_rows, n_p = res.theta_grid.size, res.p_grid.size
+    slabs = threading.local()
 
-    def lines(start: int, stop: int) -> bytes:
+    def slab_of(n: int) -> tuple[bytearray, np.ndarray]:
+        """This thread's line slab for n lines, reused while n repeats: a
+        fresh buffer per block costs a page fault per 4 KiB written."""
+        if getattr(slabs, "n", None) != n:
+            slabs.n, slabs.buffer = n, bytearray(8 * n * int(columns[-1]))
+            slabs.words = np.frombuffer(slabs.buffer, np.uint64).reshape(n, -1)
+        return slabs.buffer, slabs.words
+
+    def lines(start: int, stop: int) -> bytearray:
         status = res.status[start:stop]
         ok = status == _OK
         n = status.size
+        buffer, slab = slab_of(n)
+        field = [slab[:, a:b] for a, b in zip(columns[:-1], columns[1:])]
         row, col = np.divmod(np.arange(start, stop), n_p)
-        fields = [prefix, np.take(p_text, col, axis=0), _COMMA,
-                  np.take(theta_text, row, axis=0), _COMMA]
-        for name in _MEASURES:
-            text = _text17(getattr(res, name)[start:stop][ok])
-            if text.shape[0] < n:           # the non-ok lines get empty fields
-                spread = np.zeros((n, text.shape[1]), np.uint8)
-                spread[ok] = text
-                text = spread
-            fields += [text, _COMMA]
-        fields += [np.take(_FLAG_TEXT, np.where(ok, getattr(res, name)[start:stop], 2), axis=0)
-                   for name in _FLAGS]
-        fields.append(np.take(_STATUS_TEXT, status, axis=0))
-        slab = np.concatenate([np.broadcast_to(f, (n, f.shape[1])) for f in fields], axis=1)
-        return slab.tobytes().translate(None, b"\0")
+        np.take(head, col, axis=0, out=field[0], mode="wrap")
+        np.take(theta_words, row, axis=0, out=field[1], mode="wrap")
+        values = np.stack([getattr(res, name)[start:stop] for name in _MEASURES], axis=1)
+        if not ok.all():
+            values[~ok] = 0.0
+        field[2][...] = _text17(values.ravel(), np.empty((values.size, 4), np.uint64)) \
+            .reshape(n, -1)
+        if not ok.all():        # the non-ok lines get empty fields
+            field[2][~ok] = _EMPTY_MEASURES
+        code = 4 * status + ok * (2 * res.entangled[start:stop] + res.switching[start:stop])
+        np.take(_TAILS, code, axis=0, out=field[3], mode="wrap")
+        return buffer.translate(None, b"\0")
 
-    def block_text(block: tuple[slice, slice]) -> bytes:
+    def block_text(block: tuple[slice, slice]) -> bytes | bytearray:
         rows, cols = block
         # a block is whole rows, or one row's columns, so its lines are contiguous
         start = rows.start * n_p + (0 if cols.start == first else cols.start)
         stop = (min(rows.stop, n_rows) - 1) * n_p + cols.stop
-        return b"".join(lines(i, min(i + CHUNK_POINTS, stop))
-                        for i in range(start, stop, CHUNK_POINTS))
+        parts = [lines(i, min(i + CHUNK_POINTS, stop)) for i in range(start, stop, CHUNK_POINTS)]
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     return block_text
 

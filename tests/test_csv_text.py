@@ -20,10 +20,12 @@ from qedtangle.scan import STATUSES, ScanConfig, emit_csv, run_scan
 
 
 def _texts(values) -> list[str]:
-    """`_text17` rows as strings, NUL bytes dropped."""
-    slab = scan._text17(np.asarray(values, dtype=np.float64))
-    lines = np.concatenate([slab, np.full((len(slab), 1), ord("\n"), np.uint8)], axis=1)
-    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    """`_text17` word rows as strings, NUL bytes and each field's comma dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    words = scan._text17(values, np.empty((values.size, 4), np.uint64))
+    fields = words.tobytes().translate(None, b"\0").decode().split(",")
+    assert fields[-1] == ""
+    return fields[:-1]
 
 
 def _reference(values) -> list[str]:

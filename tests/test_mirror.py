@@ -242,7 +242,7 @@ def test_block_path_scan_is_independent_of_jobs(tmp_path):
 def _injected_engine(monkeypatch, nan_at, zero_at, divergent_at):
     """scan's engine with NaN amplitudes (as below threshold), zero ones (no
     flux) and divergent ones (flagged, with the inf and NaN entries of a
-    pole) at given (p, theta)."""
+    pole) at given (p, theta), in the rows the caller asks for."""
     real = amplitudes.helicity_amplitudes_batch
 
     def engine(process, p, theta, *args, **kwargs):
@@ -254,8 +254,8 @@ def _injected_engine(monkeypatch, nan_at, zero_at, divergent_at):
             return near[..., None, None]
 
         total = np.where(hit(nan_at), math.nan, np.where(hit(zero_at), 0.0, total))
-        total = np.where(hit(divergent_at), np.where(np.eye(4, dtype=bool), math.inf, math.nan),
-                         total)
+        pole = np.where(np.eye(4, dtype=bool), math.inf, math.nan)[:total.shape[-2]]
+        total = np.where(hit(divergent_at), pole, total)
         return total, channels, divergent | hit(divergent_at)[..., 0, 0]
 
     monkeypatch.setattr(scan, "helicity_amplitudes_batch", engine)
