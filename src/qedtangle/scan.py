@@ -54,7 +54,6 @@ import math
 import operator
 import os
 import stat
-import threading
 
 import numpy as np
 
@@ -433,11 +432,14 @@ def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
 # threshold bisection
 
 #: Bisection levels per engine call: one call evaluates the midpoints of the
-#: next BISECT_LEVELS levels, 2^L - 1 points, and the walk then takes L steps.
+#: next BISECT_LEVELS levels, 2^L - 1 points, and the walk then takes L steps;
+#: the last call builds only the levels the walk still reaches.
 #: A constant, chosen by timing the benchmark's Moller bisections: a call
 #: costs about 100 us at 1 point and 155 us at 31, so 4 and 5 levels tie,
 #: and 3 or 6 are slower.
 BISECT_LEVELS = 5
+#: `find_threshold` bisects [lo, hi] while it is wider than this times hi
+BISECT_RTOL = 1e-6
 
 #: non-ok status -> (error class, message) of `find_threshold`
 _STATUS_ERRORS = {
@@ -447,17 +449,23 @@ _STATUS_ERRORS = {
 }
 
 
+def _splits(lo: float, hi: float) -> bool:
+    """Whether the bisection still splits [lo, hi]."""
+    return hi - lo > BISECT_RTOL * hi
+
+
 def _midpoint_tree(lo: float, hi: float) -> list[float]:
-    """The midpoints of the next BISECT_LEVELS bisection levels of [lo, hi],
-    in heap order: entry 0 is the midpoint of [lo, hi], and entry k's lower
-    and upper halves have theirs at 2k + 1 and 2k + 2. Each is 0.5 * (a + b)
-    of the ends a sequential bisection would hold there, so it has its bits."""
-    tree = [0.0] * (2 ** BISECT_LEVELS - 1)
-    ends = [(lo, hi)]                   # entry k's interval; its halves go to 2k + 1, 2k + 2
-    for k in range(len(tree)):
-        a, b = ends[k]
-        mid = tree[k] = 0.5 * (a + b)
-        ends += [(a, mid), (mid, b)]
+    """The midpoints of the next bisection levels of [lo, hi], at most
+    BISECT_LEVELS, in heap order: entry 0 is the midpoint of [lo, hi], and
+    entry k's lower and upper halves have theirs at 2k + 1 and 2k + 2. Each
+    is 0.5 * (a + b) of the ends a sequential bisection would hold there, so
+    it has its bits. A level is built only if the walk can reach it, that is
+    if it still splits one of the intervals that end the level before."""
+    tree, level = [], [(lo, hi)]
+    while len(tree) < 2 ** BISECT_LEVELS - 1 and any(_splits(a, b) for a, b in level):
+        mids = [0.5 * (a + b) for a, b in level]
+        tree += mids
+        level = [half for (a, b), mid in zip(level, mids) for half in ((a, mid), (mid, b))]
     return tree
 
 
@@ -470,13 +478,14 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
     change, and at a bracket point or a bisection midpoint the errors of the
     point path: DivergentKinematicsError on a propagator pole,
     BelowThresholdError below threshold, UnfilterableStateError with no
-    outgoing flux. Converges to relative width 1e-6.
+    outgoing flux. Converges to relative width BISECT_RTOL.
 
     Each engine call runs the scan's state stage (`_states`) on the
-    midpoints of the next BISECT_LEVELS levels (`_midpoint_tree`), the first
-    call on the bracket ends too, and the loop walks that tree as a
-    sequential bisection would, midpoint for midpoint. Only the status of a
-    point the walk visits can raise; the bracket ends are checked first.
+    midpoints of the next BISECT_LEVELS levels (`_midpoint_tree`, which
+    leaves out the levels the walk cannot reach), the first call on the
+    bracket ends too, and the loop walks that tree as a sequential bisection
+    would, midpoint for midpoint. Only the status of a point the walk visits
+    can raise; the bracket ends are checked first.
     """
     rho_in = parse_initial(initial).density.entries
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
@@ -506,7 +515,7 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
             f"[{lo}, {hi}]: {f_lo:.3e} vs {f_hi:.3e}")
     f, status = f[2:], status[2:]
     node = 0
-    while (hi - lo) > 1e-6 * hi:
+    while _splits(lo, hi):
         if node >= len(mids):
             mids = _midpoint_tree(lo, hi)
             f, status = min_eigs(mids)
@@ -717,10 +726,6 @@ def _axis_words(values: np.ndarray, label: bytes = b"") -> np.ndarray:
 #: line's status with empty flags
 _TAILS = _words([(f"{e},{s},ok\n" if k == _OK else f",,{STATUSES[k]}\n").encode().ljust(24, b"\0")
                  for k in range(len(STATUSES)) for e in ("false", "true") for s in ("false", "true")])
-#: the measure fields of a non-ok line
-_EMPTY_MEASURES = np.tile(_EMPTY, len(_MEASURES))
-
-
 def _csv_blocks(res: ScanResult, first: int):
     """block_text(block), the CSV text of a `_chunks` block of `res` over the
     p from `first`: the block's lines and, for a row's first block, the
@@ -728,51 +733,42 @@ def _csv_blocks(res: ScanResult, first: int):
     once. A block's lines are formatted CHUNK_POINTS at a time into one
     (n, W) uint64 slab, one line a row, every field written in place: the
     label and p, and theta, from their axes' words (`_axis_words`), the
-    four measures (`_text17`, in one call) and the flags and status
-    (`_TAILS`). The slab's bytes, NULs dropped, are the lines."""
+    four measures (`_text17`) and the flags and status (`_TAILS`). The
+    slab's bytes, NULs dropped, are the lines."""
     # p and theta repeat along the grid: each axis value is formatted once
     head = _axis_words(res.p_grid, f"{res.process},{res.initial},".encode())
     theta_words = _axis_words(res.theta_grid)
-    columns = np.cumsum([0, head.shape[1], theta_words.shape[1], _EMPTY_MEASURES.size,
-                         _TAILS.shape[1]])
+    columns = np.cumsum([0, head.shape[1], theta_words.shape[1]] + [4] * len(_MEASURES)
+                        + [_TAILS.shape[1]])
     n_rows, n_p = res.theta_grid.size, res.p_grid.size
-    slabs = threading.local()
 
-    def slab_of(n: int) -> tuple[bytearray, np.ndarray]:
-        """This thread's line slab for n lines, reused while n repeats: a
-        fresh buffer per block costs a page fault per 4 KiB written."""
-        if getattr(slabs, "n", None) != n:
-            slabs.n, slabs.buffer = n, bytearray(8 * n * int(columns[-1]))
-            slabs.words = np.frombuffer(slabs.buffer, np.uint64).reshape(n, -1)
-        return slabs.buffer, slabs.words
-
-    def lines(start: int, stop: int) -> bytearray:
-        status = res.status[start:stop]
-        ok = status == _OK
-        n = status.size
-        buffer, slab = slab_of(n)
+    def lines(start: int, stop: int) -> bytes:
+        slab = np.empty((stop - start, columns[-1]), np.uint64)
         field = [slab[:, a:b] for a, b in zip(columns[:-1], columns[1:])]
         row, col = np.divmod(np.arange(start, stop), n_p)
         np.take(head, col, axis=0, out=field[0], mode="wrap")
         np.take(theta_words, row, axis=0, out=field[1], mode="wrap")
-        values = np.stack([getattr(res, name)[start:stop] for name in _MEASURES], axis=1)
-        if not ok.all():
-            values[~ok] = 0.0
-        field[2][...] = _text17(values.ravel(), np.empty((values.size, 4), np.uint64)) \
-            .reshape(n, -1)
-        if not ok.all():        # the non-ok lines get empty fields
-            field[2][~ok] = _EMPTY_MEASURES
+        status = res.status[start:stop]
+        ok = status == _OK
+        live = None if ok.all() else np.flatnonzero(ok)
+        for out, name in zip(field[2:], _MEASURES):
+            values = getattr(res, name)[start:stop]
+            if live is None:
+                _text17(values, out)
+            else:               # the non-ok lines get empty fields
+                out[...] = _EMPTY
+                out[live] = _text17(values[live], np.empty((live.size, 4), np.uint64))
         code = 4 * status + ok * (2 * res.entangled[start:stop] + res.switching[start:stop])
-        np.take(_TAILS, code, axis=0, out=field[3], mode="wrap")
-        return buffer.translate(None, b"\0")
+        np.take(_TAILS, code, axis=0, out=field[-1], mode="wrap")
+        return slab.tobytes().translate(None, b"\0")
 
-    def block_text(block: tuple[slice, slice]) -> bytes | bytearray:
+    def block_text(block: tuple[slice, slice]) -> bytes:
         rows, cols = block
         # a block is whole rows, or one row's columns, so its lines are contiguous
         start = rows.start * n_p + (0 if cols.start == first else cols.start)
         stop = (min(rows.stop, n_rows) - 1) * n_p + cols.stop
-        parts = [lines(i, min(i + CHUNK_POINTS, stop)) for i in range(start, stop, CHUNK_POINTS)]
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        return b"".join(lines(i, min(i + CHUNK_POINTS, stop))
+                        for i in range(start, stop, CHUNK_POINTS))
 
     return block_text
 

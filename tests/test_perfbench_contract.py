@@ -127,10 +127,9 @@ def _replay(lo: float, hi: float, p_star: float):
         lo, hi = (mid, hi) if mid < p_star else (lo, mid)
 
 
-def test_bisection_walk_matches_the_replay(monkeypatch):
-    # perfbench's `bisection_evals` replays the midpoints from (lo, hi, p*);
-    # each engine call holds the midpoints of the next BISECT_LEVELS levels,
-    # and the walk through them must be that replay, point for point
+def _bisections(monkeypatch):
+    """(op, p*, the p of each engine call) for the Moller bisections of the
+    benchmark's `queries` stream (seed 1, pass 0)."""
     from qedtangle import scan
     from qedtangle.kinematics import ProcessKind
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -145,25 +144,51 @@ def test_bisection_walk_matches_the_replay(monkeypatch):
     monkeypatch.setattr(scan, "helicity_amplitudes_batch", counting)
     ops = [op for op in workloads.query_stream(1, 0) if op["kind"] == "bisect"]
     assert len(ops) == workloads.BISECTIONS_PER_PASS
-    tree = 2 ** scan.BISECT_LEVELS - 1
     for op in ops:
         calls.clear()
         p_star = scan.find_threshold(ProcessKind.MOLLER, "unpolarized", op["theta"],
                                      (op["lo"], op["hi"]))
+        yield op, p_star, list(calls)
+
+
+def test_bisection_walk_matches_the_replay(monkeypatch):
+    # perfbench's `bisection_evals` replays the midpoints from (lo, hi, p*);
+    # each engine call holds the midpoints of the next BISECT_LEVELS levels,
+    # the last one only the levels the walk still takes, and the walk
+    # through them must be that replay, point for point
+    from qedtangle.scan import BISECT_LEVELS
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for op, p_star, calls in _bisections(monkeypatch):
         replay = list(_replay(op["lo"], op["hi"], p_star))
         evals = workloads.bisection_evals(op["lo"], op["hi"], p_star)
         assert len(replay) == evals - 2
         assert len(calls) == _engine_calls(evals)
         assert calls[0][:2].tolist() == [op["lo"], op["hi"]]
         trees = [calls[0][2:], *calls[1:]]
-        assert [t.shape for t in trees] == [(tree,)] * len(trees)
+        last = len(replay) - BISECT_LEVELS * (len(trees) - 1)
+        assert [t.shape for t in trees] == [(2 ** BISECT_LEVELS - 1,)] * (len(trees) - 1) + [
+            (2 ** last - 1,)]
         walked = []
         for t in trees:
             node = 0
-            while node < tree and len(walked) < len(replay):
+            while node < t.size and len(walked) < len(replay):
                 walked.append(t[node].item())
                 node = 2 * node + (2 if t[node] < p_star else 1)
         assert walked == replay
+
+
+def test_bisections_leave_out_midpoints_the_walk_cannot_reach(monkeypatch):
+    # the benchmark's bisections take 21-23 steps, so their last engine call
+    # needs 1-3 of the BISECT_LEVELS levels: they send fewer points to the
+    # engine than full trees on every call would
+    from qedtangle.scan import BISECT_LEVELS
+    sent = full = 0
+    for _, _, calls in _bisections(monkeypatch):
+        sent += sum(call.size for call in calls)
+        full += 2 + (2 ** BISECT_LEVELS - 1) * len(calls)
+        assert calls[-1].size < 2 ** BISECT_LEVELS - 1
+    assert sent < full
 
 
 def _point_report(op: dict, init):
