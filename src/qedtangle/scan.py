@@ -17,20 +17,25 @@ with w1 = w4 and w2 = w3, and `werner` in every process but Compton) that
 is its two 2 x 2 mirror blocks, each chunk's states are MirrorStates, and
 both spectra come in closed form from the evolved blocks
 (`entanglement.block_spectra`), with no 4 x 4 state. Every other input
-and `find_threshold` keep the 4 x 4 state and LAPACK's eigvalsh.
+and `find_threshold` keep the 4 x 4 state and LAPACK's eigvalsh. The
+blocks read rows 0 and 1 of M alone, so on them the state stage asks the
+engine for those rows only.
 
 CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into its
 lines, the first block of a row with the row's unevaluated lines before
 it. `run_scan` given `ScanConfig.out` streams the CSV: each worker formats
 the chunk it evaluated and the caller writes the chunks in grid order;
 `emit_csv` walks the same blocks over a finished ScanResult. Both write the
-same bytes. Lines are formatted CHUNK_POINTS at a time as one uint8 slab
-of NUL-padded fields side by side, with the NUL bytes dropped. Floats
-come from `_text17`, an exact vectorised '%.17g': the 17 significant digits
-are the integer nearest |v| 10^(16-e), formed with Dekker's error-free
-product against a double-double power of ten (Numer. Math. 18, 224 (1971)).
-Near-ties, non-finite values and |e| > 99 take Python's own correctly
-rounded conversion instead, so every byte is that of f"{v:.17g}".
+same bytes. Lines are formatted CHUNK_POINTS at a time into one slab of
+uint64 words, a line a row, each field written in place and NUL-padded,
+and the slab goes out with its NUL bytes dropped by one `bytes.translate`.
+Floats come from `_text17`, an exact vectorised '%.17g' that writes four
+words per value (lead and first digit, two words of digits, suffix and
+comma): the 17 significant digits are the integer nearest |v| 10^(16-e),
+formed with Dekker's error-free product against a double-double power of
+ten (Numer. Math. 18, 224 (1971)). Near-ties, non-finite values and
+|e| > 99 take Python's own correctly rounded conversion instead, so every
+byte is that of f"{v:.17g}".
 
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
@@ -611,12 +616,12 @@ _EMPTY = _words([bytes(31) + b","])[0]
 #: bytes 8..23 of a value of w integer digits, by w: '0' for digits 2..w, whose
 #: trailing zeros the digit words leave as NUL
 _INTEGER_ZEROS = np.uint8(48) * (np.arange(1, 17) < np.arange(18)[:, None])
-#: bytes 0..31 of a value of w >= 2 integer digits and a fraction, by w: the
-#: fraction digits, from byte 7 + w, moved one byte up to free that byte for
-#: the point (a fixed-notation value has no suffix, so byte 24 is free)
-_POINT_SHIFT = np.tile(np.arange(32), (18, 1))
-for _w in range(2, 18):
-    _POINT_SHIFT[_w, 8 + _w:25] = np.arange(7 + _w, 24)
+#: where bytes 0..31 of a value of w >= 2 integer digits and a fraction come
+#: from, by w: the fraction digits, from byte 7 + w, move one byte up to free
+#: that byte for the point (a fixed-notation value has no suffix, so byte 24
+#: is free)
+_POINT_SHIFT = np.arange(32) - ((np.arange(32) > 7 + np.arange(18)[:, None])
+                                & (np.arange(32) <= 24))
 
 
 def _fallback_text(value: float) -> bytes:
@@ -648,8 +653,8 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     integer zeros back and, with a fraction, its point after digit w, the
     digits before it moved one byte down over the empty slot.
     """
-    nonzero = np.flatnonzero(x)
-    if nonzero.size < x.size:
+    if np.count_nonzero(x) < x.size:
+        nonzero = np.flatnonzero(x)
         out[...] = _ZEROS[0]
         out[np.signbit(x)] = _ZEROS[1]
         if nonzero.size:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qedtangle import scan
 from qedtangle.kinematics import ProcessKind
 from qedtangle.scan import STATUSES, ScanConfig, emit_csv, run_scan
+from test_scan import _reference_csv
 
 
 def _texts(values) -> list[str]:
@@ -120,6 +121,33 @@ def test_ties_non_finite_and_huge_exponents_always_fall_back(monkeypatch):
     settled = [2e99, -3e-99, 0.5, -0.0, 1.5e16, 2e17, 1.5e-4, -2e-5]
     assert _texts(settled) == _reference(settled)
     assert calls == []
+
+
+def test_widest_then_narrowest_block_match_the_reference(monkeypatch, tmp_path):
+    # one formatter writes a block of the widest texts, then a block of the
+    # narrowest: no byte of the first may reach the second's lines
+    monkeypatch.setattr(scan, "CHUNK_POINTS", 24)
+    p_grid = 12345.678901234567 + 1.1 * np.arange(24)             # 5-digit p
+    theta_grid = np.array([4.7123889803846897, 0.5])
+    assert len(list(scan._chunks(theta_grid.size, range(p_grid.size)))) == 2
+    status = np.zeros(48, np.int8)
+    status[0:24:3] = STATUSES.index("below-threshold")
+    status[1:24:3] = STATUSES.index("unfilterable")
+    ok = status == 0
+    measures = []
+    for k in range(len(scan._MEASURES)):
+        widest = -1.2345678901234567e-5 * (1.0 + 0.01 * k + 1e-3 * np.arange(24))
+        widest[k + 2] = -2.2250738585072014e-308        # a fallback, the widest text of all
+        measures.append(np.where(ok, np.concatenate([widest, np.zeros(24)]), math.nan))
+    entangled = np.concatenate([np.zeros(24, bool), np.ones(24, bool)])
+    res = scan.ScanResult("electron-muon", "diag:0.1;0.2;0.3;0.4", p_grid, theta_grid,
+                          *measures, entangled, entangled.copy(), status)
+    emit_csv(res, tmp_path / "scan.csv")
+    _reference_csv(list(res), tmp_path / "reference.csv")
+    lines = (tmp_path / "scan.csv").read_bytes().splitlines()
+    assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert max(map(len, lines[1:25])) > 2 * max(map(len, lines[25:]))
+    assert lines[-1].endswith(b",0,0,0,0,true,true,ok")
 
 
 def test_writer_imports_no_exact_arithmetic(tmp_path):

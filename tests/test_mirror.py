@@ -17,7 +17,7 @@ import pytest
 from qedtangle import amplitudes, entanglement, scan
 from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
 from qedtangle.entanglement import block_spectra, partial_transpose
-from qedtangle.kinematics import ProcessKind, threshold_momentum
+from qedtangle.kinematics import PROCESS_TABLE, ProcessKind, threshold_momentum
 from qedtangle.qstate import MirrorInput, MirrorState, evolution_input, evolve_batch
 from qedtangle.scan import STATUSES, ScanConfig, emit_csv, parse_initial, run_scan
 
@@ -126,6 +126,46 @@ def test_engine_obeys_the_mirror_relation(process):
     scale = np.max(np.abs(amps), axis=(1, 2))
     residual = np.max(np.abs(mirrored(amps, d_out, d_in) - amps), axis=(1, 2))
     assert np.all(residual <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("process", list(ProcessKind))
+def test_rows_request_gives_the_full_matrix_rows_bit_for_bit(process):
+    """rows=2 contracts only rows 0 and 1 of the compiled tensor; they, the
+    channels' rows and the divergent mask keep every bit of the full
+    engine's, on a grid through the pole rays (and below threshold) and on
+    a flat list of random points."""
+    poles = np.array(PROCESS_TABLE[process]["pole_thetas"], dtype=float)
+    theta = np.concatenate([poles, poles + 2 * math.pi, np.linspace(-7.0, 14.0, 61)])
+    grid = (np.broadcast_to(np.geomspace(1e-4, 1e4, 40), (theta.size, 40)), theta[:, None])
+    for args in [grid, random_points(seeded(process), process, 2000)]:
+        full, full_channels, full_divergent = helicity_amplitudes_batch(process, *args)
+        top, channels, divergent = helicity_amplitudes_batch(process, *args, rows=2)
+        assert top.shape == full.shape[:-2] + (2, 4)
+        assert top.tobytes() == np.ascontiguousarray(full[..., :2, :]).tobytes()
+        for name, mat in channels.items():
+            assert mat.tobytes() == np.ascontiguousarray(full_channels[name][..., :2, :]).tobytes()
+        assert np.array_equal(divergent, full_divergent)
+        if args is grid:        # the grid holds pole and below-threshold points
+            assert full_divergent.any() == (poles.size > 0)
+            assert np.isnan(full).any() == (process is ProcessKind.MUON_PAIR or poles.size > 0)
+    with pytest.raises(ValueError, match="rows"):
+        helicity_amplitudes_batch(process, 1.0, 1.0, rows=3)
+
+
+@pytest.mark.parametrize("initial", ["unpolarized", "werner", "diag:0.4,0.3,0.2,0.1", "ll"])
+def test_state_stage_asks_for_rows_0_and_1_exactly_for_mirror_blocks(monkeypatch, initial):
+    real, asked = amplitudes.helicity_amplitudes_batch, []
+
+    def engine(*args, rows=4, **kwargs):
+        asked.append(rows)
+        return real(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", engine)
+    rho_in = evolution_input(parse_initial(initial).density.entries,
+                             *MIRROR_SIGNS[ProcessKind.MOLLER])
+    scan._states(ProcessKind.MOLLER, np.array([0.5, 1.0]), np.array([1.0, 2.0]), rho_in)
+    assert asked == [2 if isinstance(rho_in, MirrorInput) else 4]
+    assert isinstance(rho_in, MirrorInput) == (initial in ("unpolarized", "werner"))
 
 
 @pytest.mark.parametrize("process", list(ProcessKind))
