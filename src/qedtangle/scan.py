@@ -644,14 +644,15 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     ones and |e| > 99 take `_fallback_text`. Zeros print as '0' and '-0';
     when x holds any, only its nonzero entries go through the arithmetic.
 
-    The words are: the sign and the '0.000' lead of fixed notation below 1,
-    right-aligned in 6 bytes, then the first digit and the point slot after
-    it (`_LEADS`); digits 2-9 and 10-17, four per uint32 gather from
-    `_DIGITS`, with trailing fraction zeros as NUL; and the 'e+XX' suffix of
-    scientific notation (e < -4 or e >= 17) with the comma (`_SUFFIXES`).
-    A value of w >= 2 integer digits (fixed notation, e >= 1) gets its
-    integer zeros back and, with a fraction, its point after digit w, the
-    digits before it moved one byte down over the empty slot.
+    The words are: the sign, the '0.000' lead of fixed notation below 1
+    and the first digit, right-aligned, with the decimal point after that
+    digit if a fraction follows it (`_LEADS`); digits 2-9 and 10-17, four
+    per uint32 gather from `_DIGITS`, with trailing fraction zeros as NUL;
+    and the 'e+XX' suffix of scientific notation (e < -4 or e >= 17) with
+    the comma (`_SUFFIXES`). A value of w >= 2 integer digits (fixed
+    notation, e >= 1) gets its integer zeros back and, with a fraction, its
+    point after digit w, the fraction digits moved one byte up
+    (`_POINT_SHIFT`).
     """
     if np.count_nonzero(x) < x.size:
         nonzero = np.flatnonzero(x)
@@ -662,7 +663,7 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return out
     a = np.abs(x)
     # non-finite values and |e| > 99 read the tables at e = +-99 and give
-    # garbage, which the fallback replaces
+    # garbage, clipped into the tables, which the fallback replaces
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.floor(np.log10(a))
         fast = np.abs(e) <= 99                  # False for nan and inf
@@ -750,9 +751,14 @@ def _csv_blocks(res: ScanResult, first: int):
     def lines(start: int, stop: int) -> bytes:
         slab = np.empty((stop - start, columns[-1]), np.uint64)
         field = [slab[:, a:b] for a, b in zip(columns[:-1], columns[1:])]
-        row, col = np.divmod(np.arange(start, stop), n_p)
-        np.take(head, col, axis=0, out=field[0], mode="wrap")
-        np.take(theta_words, row, axis=0, out=field[1], mode="wrap")
+        if start % n_p == stop % n_p == 0:      # whole rows: both axes broadcast
+            field[0].reshape(-1, *head.shape)[...] = head
+            field[1].reshape(-1, n_p, theta_words.shape[1])[...] = \
+                theta_words[start // n_p:stop // n_p, None]
+        else:                   # the indices are in range; "wrap" writes `out` unbuffered
+            row, col = np.divmod(np.arange(start, stop), n_p)
+            np.take(head, col, axis=0, out=field[0], mode="wrap")
+            np.take(theta_words, row, axis=0, out=field[1], mode="wrap")
         status = res.status[start:stop]
         ok = status == _OK
         live = None if ok.all() else np.flatnonzero(ok)
