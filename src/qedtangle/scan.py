@@ -594,18 +594,18 @@ _SCIENTIFIC = (_EXPONENTS < -4) | (_EXPONENTS >= 17)
 _WHOLE_DIGITS = np.where(_SCIENTIFIC, 1, np.maximum(_EXPONENTS + 1, 0))
 
 
-def _lead(e: int, negative: bool, first: int, point: bool) -> bytes:
-    """Word 0 of a value, right-aligned: its sign, the '0.000' lead of fixed
-    notation below 1 and its first digit, then the decimal point if a
-    fraction follows that digit."""
-    lead = ("-" if negative else "") + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")
-    return f"{lead}{first}{'.' if point else ''}".encode().rjust(8, b"\0")
+def _lead_words() -> np.ndarray:
+    """Word 0 of a value by ((e + 99, sign), first digit, point after it),
+    right-aligned: its sign, the '0.000' lead of fixed notation below 1 and
+    its first digit, then the decimal point if a fraction follows that digit."""
+    leads = [(("-" if negative else "") + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")).encode()
+             for e in _EXPONENTS.tolist() for negative in (False, True)]
+    firsts = [f"{first}{'.' if point else ''}".encode()
+              for first in range(10) for point in (False, True)]
+    return _words([(lead + first).rjust(8, b"\0") for lead in leads for first in firsts]).ravel()
 
 
-#: word 0 by ((e + 99, sign), first digit, point after it)
-_LEADS = _words([_lead(e, negative, first, point) for e in _EXPONENTS.tolist()
-                 for negative in (False, True) for first in range(10)
-                 for point in (False, True)]).ravel()
+_LEADS = _lead_words()
 #: word 3 by e + 99: the 'e+XX' of scientific notation and the field's comma, right-aligned
 _SUFFIXES = _words([(f"e{e:+03d}," if scientific else ",").encode().rjust(8, b"\0")
                     for e, scientific in zip(_EXPONENTS.tolist(), _SCIENTIFIC.tolist())]).ravel()
@@ -719,8 +719,8 @@ def _axis_words(values: np.ndarray, label: bytes = b"") -> np.ndarray:
     """`label` and the '%.17g,' text of each grid axis value, left-aligned
     in the fewest uint64 words that hold the widest."""
     text = _text17(values, np.empty((values.size, 4), np.uint64)).view(np.uint8)
-    text = np.concatenate([np.broadcast_to(np.frombuffer(label, np.uint8), (values.size, len(label))),
-                           text], axis=1)
+    prefix = np.broadcast_to(np.frombuffer(label, np.uint8), (values.size, len(label)))
+    text = np.concatenate([prefix, text], axis=1)
     blank = text == 0
     text = np.take_along_axis(text, np.argsort(blank, axis=1, kind="stable"), axis=1)
     width = -(-int((~blank).sum(axis=1).max(initial=0)) // 8) * 8
@@ -731,7 +731,10 @@ def _axis_words(values: np.ndarray, label: bytes = b"") -> np.ndarray:
 #: at 4 status + 2 entangled + switching: an ok line's flags, a non-ok
 #: line's status with empty flags
 _TAILS = _words([(f"{e},{s},ok\n" if k == _OK else f",,{STATUSES[k]}\n").encode().ljust(24, b"\0")
-                 for k in range(len(STATUSES)) for e in ("false", "true") for s in ("false", "true")])
+                 for k in range(len(STATUSES))
+                 for e in ("false", "true") for s in ("false", "true")])
+
+
 def _csv_blocks(res: ScanResult, first: int):
     """block_text(block), the CSV text of a `_chunks` block of `res` over the
     p from `first`: the block's lines and, for a row's first block, the
