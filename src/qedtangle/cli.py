@@ -160,6 +160,8 @@ def _cmd_xsec(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.samples < 1:
+        raise InvalidConfigError(f"--samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     failures = 0
 

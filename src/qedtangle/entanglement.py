@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import DEFAULT
 from .linalg import hermitian_eigenvalues_batch, hermitian_part
-from .qstate import DensityMatrix, MirrorState
+from .qstate import MirrorState, _entries
 
 PPT_TOL = 1e-10
 
@@ -53,10 +53,6 @@ class EntanglementReport:
     switching_potential: bool
     closest_bell: tuple            # (label, raw fidelity)
     closest_bell_phase_opt: tuple  # (label, fidelity maximized over local phases)
-
-
-def _entries(rho) -> np.ndarray:
-    return np.asarray(rho.entries if isinstance(rho, DensityMatrix) else rho)
 
 
 def partial_transpose(rho) -> np.ndarray:

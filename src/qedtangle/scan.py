@@ -6,10 +6,10 @@ so a default [0, 2 pi) range never lands on the exact forward/backward rays
 or on duplicate 0 / 2 pi rows. Rows are emitted theta-major: all p values
 for the first theta, then the next theta. A scan's result is a ScanResult
 of grid axes and numpy columns; points are evaluated in fixed chunks of at
-most CHUNK_POINTS (`_chunks`), blocks of whole theta rows against the p
-values from the first with an outgoing momentum (a longer row is split
-along p), which a pool of `jobs` threads shares out; each chunk decides its
-points' statuses, so results are deterministic and do not depend on jobs.
+most CHUNK_POINTS (`_chunks`), blocks of whole theta rows (a longer row is
+split along p), which a pool of `jobs` threads shares out; each chunk
+decides its points' statuses, so results are deterministic and do not
+depend on jobs.
 
 Spectra: each scan evolves `qstate.evolution_input` of its initial state,
 formed once. For an exactly mirror-invariant input (`unpolarized`, `diag:`
@@ -21,14 +21,14 @@ and `find_threshold` keep the 4 x 4 state and LAPACK's eigvalsh. The
 blocks read rows 0 and 1 of M alone, so on them the state stage asks the
 engine for those rows only.
 
-CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into its
-lines, the first block of a row with the row's unevaluated lines before
-it. `run_scan` given `ScanConfig.out` streams the CSV: each worker formats
+CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into the
+lines of its rows x cols, so a chunk is the unit of evaluation and of CSV
+text. `run_scan` given `ScanConfig.out` streams the CSV: each worker formats
 the chunk it evaluated and the caller writes the chunks in grid order;
 `emit_csv` walks the same blocks over a finished ScanResult. Both write the
-same bytes. Lines are formatted CHUNK_POINTS at a time into one slab of
-uint64 words, a line a row, each field written in place and NUL-padded,
-and the slab goes out with its NUL bytes dropped by one `bytes.translate`.
+same bytes. A block's lines are formatted into one slab of uint64 words, a
+line a row, each field written in place and NUL-padded, and the slab goes
+out with its NUL bytes dropped by one `bytes.translate`.
 Floats come from `_text17`, an exact vectorised '%.17g' that writes four
 words per value (lead and first digit, two words of digits, suffix and
 comma): the 17 significant digits are the integer nearest |v| 10^(16-e),
@@ -42,12 +42,12 @@ grid step (the nudged angle is what lands in the output row); points whose
 propagator denominators still vanish are reported with status "divergent"
 and empty measures. Points with NaN engine amplitudes, where
 `kinematics._com_energies` gives no outgoing momentum (a NaN q), are
-"below-threshold", and p below the first with one are not evaluated; pure
-initial states can hit zero-flux points, reported as "unfilterable". The
-first status that holds wins: divergent, below-threshold, unfilterable.
-One state stage, `_states`, applies that rule (`_status`) for a scan's
-chunks (`_evaluate` adds the measure stage) and for `find_threshold`'s
-bisection.
+"below-threshold"; as a bound on work, each chunk leaves its p below the
+first with one unevaluated. Pure initial states can hit zero-flux points,
+reported as "unfilterable". The first status that holds wins: divergent,
+below-threshold, unfilterable. One state stage, `_states`, applies that
+rule (`_status`) for a scan's chunks (`_evaluate` adds the measure stage)
+and for `find_threshold`'s bisection.
 """
 from __future__ import annotations
 
@@ -310,29 +310,28 @@ def _evaluate(process: ProcessKind, p: np.ndarray, theta: np.ndarray, rho_in) ->
     return {name: column.reshape(shape) for name, column in columns.items()}
 
 
-def _chunks(n_rows: int, cols: range):
-    """(row slice, column slice) blocks of at most CHUNK_POINTS points over
-    rows 0..n_rows and `cols`: whole rows when a row fits, else single rows
-    split along p. An empty `cols` gives blocks of whole rows with no
-    columns, so a walk over the blocks still visits every row."""
-    step = max(1, CHUNK_POINTS // max(len(cols), 1))
+def _chunks(n_rows: int, n_cols: int):
+    """(row slice, column slice) blocks of at most CHUNK_POINTS points over an
+    n_rows x n_cols grid: whole rows when a row fits, else single rows split
+    along the columns."""
+    step = max(1, CHUNK_POINTS // max(n_cols, 1))
     for r in range(0, n_rows, step):
-        for j in range(cols.start, cols.stop, CHUNK_POINTS) or (cols.start,):
-            yield slice(r, r + step), slice(j, min(j + CHUNK_POINTS, cols.stop))
+        for j in range(0, n_cols, CHUNK_POINTS):
+            yield slice(r, r + step), slice(j, min(j + CHUNK_POINTS, n_cols))
 
 
 def run_scan(cfg: ScanConfig) -> ScanResult:
     """Evaluate the full grid in chunks of CHUNK_POINTS; theta-major columns.
 
-    A chunk is a block of whole theta rows against the p values from the
-    first with an outgoing momentum (a row longer than CHUNK_POINTS is split
-    along p), so the amplitude engine contracts spinors once per angle. A
-    thread pool of ``jobs`` workers takes the chunks, so the result does not
-    depend on ``jobs``.
+    A chunk is a block of whole theta rows (a row longer than CHUNK_POINTS
+    is split along p), so the amplitude engine contracts spinors once per
+    angle. A chunk evaluates only its p from the first with an outgoing
+    momentum; the points before it keep the status below-threshold, and a
+    chunk with none left evaluates nothing. A thread pool of ``jobs``
+    workers takes the chunks, so the result does not depend on ``jobs``.
 
     With ``cfg.out`` set, the scan streams its CSV there, with the bytes of
     `emit_csv`: the worker that evaluates a chunk also formats its lines,
-    the first chunk of a row with the row's unevaluated lines before it,
     and the caller writes the chunks in grid order as they arrive. A scan
     that raises removes the file it was writing if that is a regular file.
     """
@@ -353,28 +352,29 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
                         *(np.zeros(n, dtype=bool) for _ in _FLAGS),
                         np.full(n, _BELOW, dtype=np.int8))
 
-    # a bound on work, not the status rule: the p below the first with an
-    # outgoing momentum (q not NaN) are left below threshold unevaluated
+    # a bound on work, not the status rule: `fill` clamps each chunk to the
+    # p from the first with an outgoing momentum (q not NaN)
     live = ~np.isnan(_com_energies(cfg.process, p_grid)[-1])
     first = int(live.argmax()) if live.any() else p_grid.size
 
-    block_text = None if cfg.out is None else _csv_blocks(result, first)
+    block_text = None if cfg.out is None else _csv_blocks(result)
 
     def fill(block: tuple[slice, slice]) -> bytes | None:
         rows, cols = block
-        if cols.start < cols.stop:
-            theta, p = theta_grid[rows, None], p_grid[cols]
+        live = slice(max(cols.start, first), cols.stop)
+        if live.start < live.stop:
+            theta, p = theta_grid[rows, None], p_grid[live]
             # p as a broadcast view: one entry per grid point, stored once
             columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta,
                                 rho_in)
             for name, column in columns.items():
-                result._grid(name)[block] = column
+                result._grid(name)[rows, live] = column
         return None if block_text is None else block_text(block)
 
     with _csv_file(cfg.out) as fh:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             # in grid order; reading a result re-raises its worker's exception
-            for lines in pool.map(fill, _chunks(theta_grid.size, range(first, p_grid.size))):
+            for lines in pool.map(fill, _chunks(theta_grid.size, p_grid.size)):
                 if fh is not None:
                     fh.write(lines)
         result.warnings.extend(symmetry_audit(result, cfg.process))
@@ -419,7 +419,7 @@ def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
     status = res._grid("status")
     pairs, worst = 0, 0.0
     # row pairs in `_chunks` blocks, so no temporary spans the grid
-    for block, cols in _chunks(rows.size, range(res.p_grid.size)):
+    for block, cols in _chunks(rows.size, res.p_grid.size):
         a, b = (rows[block], cols), (partners[block], cols)
         both = (status[a] == _OK) & (status[b] == _OK)
         pairs += int(both.sum())
@@ -538,7 +538,10 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
 # cross-section validation output
 
 def cross_section_check(process: ProcessKind, kin) -> float:
-    """Unpolarized dsigma/dOmega from the helicity matrix at one point [MeV^-2]."""
+    """Unpolarized dsigma/dOmega from the helicity matrix at one point [MeV^-2].
+    Raises InvalidConfigError if `kin` is a point of another process."""
+    if process is not kin.process:
+        raise InvalidConfigError(f"kinematics of {kin.process.value} given for {process.value}")
     from .amplitudes import amplitude
     amp = amplitude(kin)
     msq_avg = amp.spin_summed_msq() / 4.0
@@ -735,54 +738,41 @@ _TAILS = _words([(f"{e},{s},ok\n" if k == _OK else f",,{STATUSES[k]}\n").encode(
                  for e in ("false", "true") for s in ("false", "true")])
 
 
-def _csv_blocks(res: ScanResult, first: int):
-    """block_text(block), the CSV text of a `_chunks` block of `res` over the
-    p from `first`: the block's lines and, for a row's first block, the
-    row's lines before `first` too, so the blocks in order give every line
-    once. A block's lines are formatted CHUNK_POINTS at a time into one
-    (n, W) uint64 slab, one line a row, every field written in place: the
-    label and p, and theta, from their axes' words (`_axis_words`), the
-    four measures (`_text17`) and the flags and status (`_TAILS`). The
-    slab's bytes, NULs dropped, are the lines."""
+def _csv_blocks(res: ScanResult):
+    """block_text(block), the CSV text of a `_chunks` block of `res`: the
+    lines of its rows x cols, so the blocks in order give every line once.
+    The lines are formatted into one (n, W) uint64 slab, one line a row,
+    every field written in place: the label and p, and theta, broadcast
+    from their axes' words (`_axis_words`), the four measures (`_text17`)
+    and the flags and status (`_TAILS`). The slab's bytes, NULs dropped, are
+    the lines."""
     # p and theta repeat along the grid: each axis value is formatted once
     head = _axis_words(res.p_grid, f"{res.process},{res.initial},".encode())
     theta_words = _axis_words(res.theta_grid)
     columns = np.cumsum([0, head.shape[1], theta_words.shape[1]] + [4] * len(_MEASURES)
                         + [_TAILS.shape[1]])
-    n_rows, n_p = res.theta_grid.size, res.p_grid.size
 
-    def lines(start: int, stop: int) -> bytes:
-        slab = np.empty((stop - start, columns[-1]), np.uint64)
+    def block_text(block: tuple[slice, slice]) -> bytes:
+        rows, cols = block
+        status = res._grid("status")[block]
+        slab = np.empty((status.size, columns[-1]), np.uint64)
         field = [slab[:, a:b] for a, b in zip(columns[:-1], columns[1:])]
-        if start % n_p == stop % n_p == 0:      # whole rows: both axes broadcast
-            field[0].reshape(-1, *head.shape)[...] = head
-            field[1].reshape(-1, n_p, theta_words.shape[1])[...] = \
-                theta_words[start // n_p:stop // n_p, None]
-        else:                   # the indices are in range; "wrap" writes `out` unbuffered
-            row, col = np.divmod(np.arange(start, stop), n_p)
-            np.take(head, col, axis=0, out=field[0], mode="wrap")
-            np.take(theta_words, row, axis=0, out=field[1], mode="wrap")
-        status = res.status[start:stop]
+        field[0].reshape(*status.shape, head.shape[1])[...] = head[cols]
+        field[1].reshape(*status.shape, theta_words.shape[1])[...] = theta_words[rows, None]
+        status = status.ravel()
         ok = status == _OK
         live = None if ok.all() else np.flatnonzero(ok)
         for out, name in zip(field[2:], _MEASURES):
-            values = getattr(res, name)[start:stop]
+            values = res._grid(name)[block].ravel()
             if live is None:
                 _text17(values, out)
             else:               # the non-ok lines get empty fields
                 out[...] = _EMPTY
                 out[live] = _text17(values[live], np.empty((live.size, 4), np.uint64))
-        code = 4 * status + ok * (2 * res.entangled[start:stop] + res.switching[start:stop])
-        np.take(_TAILS, code, axis=0, out=field[-1], mode="wrap")
+        flags = 2 * res._grid("entangled")[block] + res._grid("switching")[block]
+        # the codes are in range; "wrap" writes `out` unbuffered
+        np.take(_TAILS, 4 * status + ok * flags.ravel(), axis=0, out=field[-1], mode="wrap")
         return slab.tobytes().translate(None, b"\0")
-
-    def block_text(block: tuple[slice, slice]) -> bytes:
-        rows, cols = block
-        # a block is whole rows, or one row's columns, so its lines are contiguous
-        start = rows.start * n_p + (0 if cols.start == first else cols.start)
-        stop = (min(rows.stop, n_rows) - 1) * n_p + cols.stop
-        return b"".join(lines(i, min(i + CHUNK_POINTS, stop))
-                        for i in range(start, stop, CHUNK_POINTS))
 
     return block_text
 
@@ -813,9 +803,9 @@ def emit_csv(res: ScanResult, path) -> None:
     Non-ok rows get empty measure and flag fields. The lines are formatted
     by `_chunks` block of the whole grid, as `run_scan` streams them.
     """
-    block_text = _csv_blocks(res, 0)
+    block_text = _csv_blocks(res)
     with _csv_file(path) as fh:
-        for block in _chunks(res.theta_grid.size, range(res.p_grid.size)):
+        for block in _chunks(res.theta_grid.size, res.p_grid.size):
             fh.write(block_text(block))
 
 

@@ -243,6 +243,15 @@ def test_audit_command_audits_each_grid_once(caplog):
     assert len(audits) == 4         # one per symmetry spot check
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_audit_without_samples_is_a_config_error(capsys, samples):
+    # no check may run and pass vacuously
+    assert main(["audit", "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
 def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -12,10 +12,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qedtangle import scan
-from qedtangle.kinematics import ProcessKind
+from qedtangle.kinematics import ProcessKind, threshold_momentum
 from qedtangle.scan import STATUSES, ScanConfig, emit_csv, run_scan
 from test_scan import _reference_csv
 
@@ -129,7 +130,7 @@ def test_widest_then_narrowest_block_match_the_reference(monkeypatch, tmp_path):
     monkeypatch.setattr(scan, "CHUNK_POINTS", 24)
     p_grid = 12345.678901234567 + 1.1 * np.arange(24)             # 5-digit p
     theta_grid = np.array([4.7123889803846897, 0.5])
-    assert len(list(scan._chunks(theta_grid.size, range(p_grid.size)))) == 2
+    assert len(list(scan._chunks(theta_grid.size, p_grid.size))) == 2
     status = np.zeros(48, np.int8)
     status[0:24:3] = STATUSES.index("below-threshold")
     status[1:24:3] = STATUSES.index("unfilterable")
@@ -148,6 +149,51 @@ def test_widest_then_narrowest_block_match_the_reference(monkeypatch, tmp_path):
     assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert max(map(len, lines[1:25])) > 2 * max(map(len, lines[25:]))
     assert lines[-1].endswith(b",0,0,0,0,true,true,ok")
+
+
+@pytest.mark.parametrize("p_steps, theta_steps", [(200, 3), (20, 10)])
+def test_each_chunk_is_the_text_of_its_rows_and_cols(monkeypatch, tmp_path, p_steps,
+                                                     theta_steps):
+    # a muon-pair grid across threshold, with rows split into a block below
+    # threshold, a block across it and blocks above it, or blocks of whole
+    # rows: every `_chunks` block is the unit of evaluation and of CSV text
+    monkeypatch.setattr(scan, "CHUNK_POINTS", 64)
+    threshold = threshold_momentum(ProcessKind.MUON_PAIR)
+    cfg = dict(process=ProcessKind.MUON_PAIR, initial="werner", p_min=0.5 * threshold,
+               p_max=2.0 * threshold, p_steps=p_steps, theta_steps=theta_steps)
+    evaluated, original = [], scan._evaluate
+
+    def evaluate(process, p, *args):
+        evaluated.append(p)
+        return original(process, p, *args)
+
+    monkeypatch.setattr(scan, "_evaluate", evaluate)
+    res = run_scan(ScanConfig(**cfg))
+    below = res.p_grid < threshold
+    assert below.any() and not below.all()
+    # the points below threshold are never evaluated, and no point twice
+    assert all(p.min() >= threshold for p in evaluated)
+    assert sum(p.size for p in evaluated) == res.theta_grid.size * np.sum(~below)
+
+    _reference_csv(list(res), tmp_path / "reference.csv")
+    want = (tmp_path / "reference.csv").read_bytes()
+    lines = want.splitlines(keepends=True)[1:]
+    blocks = list(scan._chunks(res.theta_grid.size, res.p_grid.size))
+    # rows of 200 go in blocks of 64, 64, 64 and 8 columns, rows of 20 whole
+    assert {cols.stop - cols.start for _, cols in blocks} == ({64, 8} if p_steps > 64 else {20})
+    block_text = scan._csv_blocks(res)
+    texts = [block_text(block) for block in blocks]
+    for text, (rows, cols) in zip(texts, blocks):
+        assert text == b"".join(lines[r * p_steps + c]
+                                for r in range(res.theta_grid.size)[rows]
+                                for c in range(p_steps)[cols])
+    assert want == f"{scan.CSV_HEADER}\n".encode() + b"".join(texts)
+    for jobs in (1, 2, 3):
+        streamed = tmp_path / f"streamed{jobs}.csv"
+        emit_csv(run_scan(ScanConfig(**cfg, jobs=jobs, out=str(streamed))),
+                 tmp_path / f"jobs{jobs}.csv")
+        assert (tmp_path / f"jobs{jobs}.csv").read_bytes() == want
+        assert streamed.read_bytes() == want
 
 
 def test_writer_imports_no_exact_arithmetic(tmp_path):

@@ -106,7 +106,7 @@ def test_traced_scan_counts_what_the_scan_did(monkeypatch, cfg, fragile):
     assert layers["entanglement.fragile"] == np.sum(np.abs(result.min_pt_eig[ok]) <= DEFAULT.alpha3)
     assert layers["entanglement.fragile"] == fragile
     # every chunk, on the mirror blocks or not, evolves under the traced evolve_batch
-    chunks = len(list(_chunks(result.theta_grid.size, range(result.p_grid.size))))
+    chunks = len(list(_chunks(result.theta_grid.size, result.p_grid.size)))
     assert sum(span[1] == "qstate.evolve_batch" for span in spans.spans) == chunks
     assert layers["qstate.evolve_batch.s"] > 0
 

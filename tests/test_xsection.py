@@ -5,6 +5,7 @@ import pytest
 
 from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.constants import DEFAULT
+from qedtangle.errors import InvalidConfigError
 from qedtangle.kinematics import ProcessKind, build_kinematics
 from qedtangle.scan import cross_section_check
 from qedtangle import xsection
@@ -47,6 +48,13 @@ def test_moller_nonrelativistic_cross_section():
     assert a / b == pytest.approx(formula(p, math.pi / 4) / formula(p, math.pi / 2), rel=1e-2)
     # absolute normalization in the soft limit
     assert b == pytest.approx(formula(p, math.pi / 2), rel=1e-2)
+
+
+def test_cross_section_check_rejects_another_process_kinematics():
+    kin = build_kinematics(ProcessKind.BHABHA, 1.0, 1.0)
+    assert cross_section_check(ProcessKind.BHABHA, kin) > 0
+    with pytest.raises(InvalidConfigError, match="bhabha given for moller"):
+        cross_section_check(ProcessKind.MOLLER, kin)
 
 
 def test_muon_pair_high_energy_shape():
