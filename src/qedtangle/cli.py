@@ -35,7 +35,7 @@ log = logging.getLogger(__name__)
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, linenos = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -47,7 +47,10 @@ def _read_config_file(path: str) -> dict:
             if key not in _SCAN_DEFAULTS:
                 raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r} "
                                          f"(valid: {', '.join(_SCAN_DEFAULTS)})")
-            values[key] = val
+            if key in values:
+                raise InvalidConfigError(f"{path}:{lineno}: repeated key {key!r} "
+                                         f"(first set on line {linenos[key]})")
+            values[key], linenos[key] = val, lineno
     return values
 
 

@@ -24,10 +24,10 @@ take a bare polar angle, which may be any real number (theta + pi for the
 recoiling particle, theta > pi for the lower half plane). The resulting
 spinors are real and smooth in theta everywhere, including theta = pi.
 `u_batch` and `v_batch` are sqrt(E+m) * large + |p|/sqrt(E+m) * small, with
-the weights from `spinor_weights` (momentum only) and the parts from
-`spinor_parts` (angle only, linear in cos and sin of theta/2); photon
-vectors are linear in cos and sin of theta (`polarizations`). The amplitude
-engine uses the same split to contract spinors once per angle.
+the weights from the momentum alone and the parts from `spinor_parts`
+(angle only, linear in cos and sin of theta/2); photon vectors are linear
+in cos and sin of theta (`POLARIZATION_PARTS`). The amplitude engine uses
+the same split to contract spinors once per angle.
 A 4-vector's y component is then zero (momenta) or imaginary (photon
 vectors), so it is stored as the real *plane vector* (v^0, v^x, Im v^y, v^z).
 With PLANE_GAMMA = (g0, g1, -i g2, g3), real, and PLANE_METRIC =
@@ -114,19 +114,14 @@ def spinor_parts(field: str, c, s) -> np.ndarray:
             + np.asarray(s, dtype=float)[..., None, None, None] * b)
 
 
-def spinor_weights(mass: float, momentum) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(E + m), sqrt(E - m)), the latter as |p| / sqrt(E + m)."""
-    momentum = np.asarray(momentum, dtype=float)
-    wp = np.sqrt(np.sqrt(momentum ** 2 + mass ** 2) + mass)
-    return wp, momentum / wp
-
-
 def _spinor_batch(field, mass, momentum, theta, hel):
     half = 0.5 * np.asarray(theta, dtype=float)
     large, small = np.moveaxis(
         spinor_parts(field, np.cos(half), np.sin(half))[..., _helicity(hel), :], -2, 0)
-    wp, wm = spinor_weights(mass, momentum)
-    return wp[..., None] * large + wm[..., None] * small
+    momentum = np.asarray(momentum, dtype=float)
+    # sqrt(E + m), and sqrt(E - m) as |p| / sqrt(E + m)
+    wp = np.sqrt(np.sqrt(momentum ** 2 + mass ** 2) + mass)
+    return wp[..., None] * large + (momentum / wp)[..., None] * small
 
 
 def u_batch(mass: float, momentum: np.ndarray, theta: np.ndarray, hel: str) -> np.ndarray:
@@ -147,22 +142,15 @@ POLARIZATION_PARTS = np.array([
     [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0]]]) / math.sqrt(2.0)
 
 
-def polarizations(c, s) -> np.ndarray:
-    """Photon polarization vectors, plane form (..., 2 [L, R], 4), for the
-    direction theta with c = cos(theta) and s = sin(theta).
+def eps_batch(theta: np.ndarray, hel: str) -> np.ndarray:
+    """Photon polarization vectors for direction theta, plane form (N, 4).
 
     eps(±) = ∓ (e_theta ± i e_phi)/sqrt(2) with e_theta = (cos t, 0, -sin t),
     e_phi = (0, 1, 0); time component zero (radiation gauge along k).
     """
-    p0, pc, ps = POLARIZATION_PARTS
-    return (p0 + np.asarray(c, dtype=float)[..., None, None] * pc
-            + np.asarray(s, dtype=float)[..., None, None] * ps)
-
-
-def eps_batch(theta: np.ndarray, hel: str) -> np.ndarray:
-    """Photon polarization vectors for direction theta, plane form (N, 4)."""
     theta = np.asarray(theta, dtype=float)
-    return polarizations(np.cos(theta), np.sin(theta))[..., _helicity(hel), :]
+    p0, pc, ps = POLARIZATION_PARTS[:, _helicity(hel)]
+    return p0 + np.cos(theta)[..., None] * pc + np.sin(theta)[..., None] * ps
 
 
 def slash_batch(vec: np.ndarray) -> np.ndarray:

@@ -29,13 +29,14 @@ the chunk it evaluated and the caller writes the chunks in grid order;
 same bytes. A block's lines are formatted into one slab of uint64 words, a
 line a row, each field written in place and NUL-padded, and the slab goes
 out with its NUL bytes dropped by one `bytes.translate`.
-Floats come from `_text17`, an exact vectorised '%.17g' that writes four
+The grid axes, formatted once per scan, are Python's own f"{v:.17g}".
+The measures come from `_text17`, an exact vectorised '%.17g' of four
 words per value (lead and first digit, two words of digits, suffix and
-comma): the 17 significant digits are the integer nearest |v| 10^(16-e),
-formed with Dekker's error-free product against a double-double power of
-ten (Numer. Math. 18, 224 (1971)). Near-ties, non-finite values and
-|e| > 99 take Python's own correctly rounded conversion instead, so every
-byte is that of f"{v:.17g}".
+comma). For |v| < 10 (e = -99..0), where every measure lies, the 17
+significant digits are the integer nearest |v| 10^(16-e), formed with
+Dekker's error-free product against a double-double power of ten (Numer.
+Math. 18, 224 (1971)). Near-ties, non-finite values and every other e take
+Python's own conversion, so every byte is that of f"{v:.17g}".
 
 Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
 grid step (the nudged angle is what lands in the output row); points whose
@@ -137,6 +138,12 @@ class ScanConfig:
             raise InvalidConfigError("non-finite grid bounds")
         if self.p_min <= 0:
             raise InvalidConfigError(f"p_min must be positive, got {self.p_min}")
+        for name in ("p_steps", "theta_steps", "jobs"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.p_steps < 1 or self.theta_steps < 1:
             raise InvalidConfigError("step counts must be at least 1")
         if self.p_steps > 1 and not self.p_min < self.p_max:
@@ -562,21 +569,19 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pow10_table() -> np.ndarray:
-    """Columns hi, lo and hi's two halves, row e + 99 for e = -99..99: hi is
+    """Columns hi, lo and hi's two halves, row e + 99 for e = -99..0: hi is
     10^(16-e) correctly rounded and lo the remainder 10^(16-e) - hi correctly
-    rounded, both from exact integer ratios, so hi + lo is 10^(16-e) to 2^-106."""
+    rounded, both from exact integers, so hi + lo is 10^(16-e) to 2^-106."""
     pairs = []
-    for k in range(115, -84, -1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        pairs.append((hi, (num * b - a * den) / (den * b)))
+    for k in range(115, 15, -1):
+        hi = float(10 ** k)
+        pairs.append((hi, float(10 ** k - int(hi))))
     hi, lo = np.array(pairs).T
     return np.stack([hi, lo, *_halves(hi)], axis=1)
 
 
 _POW10 = _pow10_table()
-_TENS = 10 ** np.arange(18, dtype=np.int64)
+_TENS = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _words(rows) -> np.ndarray:
@@ -590,45 +595,34 @@ _PLACES = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000)
 _KEPT = np.logical_or.accumulate(_PLACES[::-1] != 0)[::-1]     # a nonzero digit here or after
 _DIGITS = np.concatenate([_PLACES + 48, (_PLACES + 48) * _KEPT], axis=1).T.copy() \
     .view(np.uint32).ravel()
-#: the rest are indexed by decimal exponent, at e + 99 for e = -99..99
-_EXPONENTS = np.arange(-99, 100)
-_SCIENTIFIC = (_EXPONENTS < -4) | (_EXPONENTS >= 17)
-#: digits before the point: e + 1 in fixed notation (0 below 1), 1 in scientific
-_WHOLE_DIGITS = np.where(_SCIENTIFIC, 1, np.maximum(_EXPONENTS + 1, 0))
+#: the rest are indexed by decimal exponent, at e + 99 for e = -99..0
+_EXPONENTS = np.arange(-99, 1)
 
 
 def _lead_words() -> np.ndarray:
-    """Word 0 of a value by ((e + 99, sign), first digit, point after it),
+    """Word 0 of a value by ((e + 99, sign), first digit, digits after it),
     right-aligned: its sign, the '0.000' lead of fixed notation below 1 and
-    its first digit, then the decimal point if a fraction follows that digit."""
+    its first digit, then the decimal point if more digits follow the first
+    and the lead holds no point."""
     leads = [(("-" if negative else "") + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")).encode()
              for e in _EXPONENTS.tolist() for negative in (False, True)]
-    firsts = [f"{first}{'.' if point else ''}".encode()
-              for first in range(10) for point in (False, True)]
-    return _words([(lead + first).rjust(8, b"\0") for lead in leads for first in firsts]).ravel()
+    words = [(lead + f"{first}{'.' if more and b'.' not in lead else ''}".encode()).rjust(8, b"\0")
+             for lead in leads for first in range(10) for more in (False, True)]
+    return _words(words).ravel()
 
 
 _LEADS = _lead_words()
-#: word 3 by e + 99: the 'e+XX' of scientific notation and the field's comma, right-aligned
-_SUFFIXES = _words([(f"e{e:+03d}," if scientific else ",").encode().rjust(8, b"\0")
-                    for e, scientific in zip(_EXPONENTS.tolist(), _SCIENTIFIC.tolist())]).ravel()
+#: word 3 by e + 99: the 'e-XX' of scientific notation and the field's comma, right-aligned
+_SUFFIXES = _words([(f"e{e:+03d}," if e < -4 else ",").encode().rjust(8, b"\0")
+                    for e in _EXPONENTS.tolist()]).ravel()
 #: the words of '0,' and '-0,', and of a non-ok line's empty field
 _ZEROS = _words([b"0".rjust(8, b"\0") + bytes(23) + b",",
                  b"-0".rjust(8, b"\0") + bytes(23) + b","])
 _EMPTY = _words([bytes(31) + b","])[0]
-#: bytes 8..23 of a value of w integer digits, by w: '0' for digits 2..w, whose
-#: trailing zeros the digit words leave as NUL
-_INTEGER_ZEROS = np.uint8(48) * (np.arange(1, 17) < np.arange(18)[:, None])
-#: where bytes 0..31 of a value of w >= 2 integer digits and a fraction come
-#: from, by w: the fraction digits, from byte 7 + w, move one byte up to free
-#: that byte for the point (a fixed-notation value has no suffix, so byte 24
-#: is free)
-_POINT_SHIFT = np.arange(32) - ((np.arange(32) > 7 + np.arange(18)[:, None])
-                                & (np.arange(32) <= 24))
 
 
 def _fallback_text(value: float) -> bytes:
-    """Python's correctly rounded conversion, for what the fast path leaves."""
+    """Python's correctly rounded conversion, for what the arithmetic leaves."""
     return f"{value:.17g}".encode()
 
 
@@ -637,25 +631,25 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     per value written into the rows of `out` (n, 4), which it returns.
 
     Row i holds the bytes of f"{x[i]:.17g}," once its NUL bytes are dropped.
-    With e = floor(log10 |v|), the 17 significant digits are the integer
-    nearest y = |v| 10^(16-e), in [1e16, 1e17). hi + lo holds 10^(16-e) to
-    2^-106 (`_pow10_table`) and Dekker's split gives |v| hi exactly as
-    p + err, so y = p + (err + |v| lo) is known to better than 1e-14. Rounding
-    y half to even is then exact unless its fraction lies within 1e-6 of 1/2
-    (a tie or near-tie), or log10 misjudged e, which shows as a floor of y
-    outside [1e16, 1e17) or a rounding up to 1e17. Those values, non-finite
-    ones and |e| > 99 take `_fallback_text`. Zeros print as '0' and '-0';
-    when x holds any, only its nonzero entries go through the arithmetic.
+    The arithmetic covers 1e-99 <= |v| < 10, that is e = floor(log10 |v|)
+    in -99..0, which holds every scan measure: a unit-trace two-qubit state
+    has PT eigenvalues in [-1/2, 1], N <= 1/2, E_N <= 1 and S <= ln 4. There
+    the 17 significant digits are the integer nearest y = |v| 10^(16-e), in
+    [1e16, 1e17). hi + lo holds 10^(16-e) to 2^-106 (`_pow10_table`) and
+    Dekker's split gives |v| hi exactly as p + err, so y = p + (err + |v| lo)
+    is known to better than 1e-14. Rounding y half to even is then exact
+    unless its fraction lies within 1e-6 of 1/2 (a tie or near-tie), or
+    log10 misjudged e, which shows as a floor of y outside [1e16, 1e17) or a
+    rounding up to 1e17. Those values, non-finite ones and every e outside
+    -99..0 take `_fallback_text`. Zeros print as '0' and '-0'; when x holds
+    any, only its nonzero entries go through the arithmetic.
 
     The words are: the sign, the '0.000' lead of fixed notation below 1
     and the first digit, right-aligned, with the decimal point after that
-    digit if a fraction follows it (`_LEADS`); digits 2-9 and 10-17, four
-    per uint32 gather from `_DIGITS`, with trailing fraction zeros as NUL;
-    and the 'e+XX' suffix of scientific notation (e < -4 or e >= 17) with
-    the comma (`_SUFFIXES`). A value of w >= 2 integer digits (fixed
-    notation, e >= 1) gets its integer zeros back and, with a fraction, its
-    point after digit w, the fraction digits moved one byte up
-    (`_POINT_SHIFT`).
+    digit if more digits follow it and the lead holds no point (`_LEADS`);
+    digits 2-9 and 10-17, four per uint32 gather from `_DIGITS`, with
+    trailing zeros as NUL; and the 'e-XX' suffix of scientific notation
+    (e < -4) with the comma (`_SUFFIXES`).
     """
     if np.count_nonzero(x) < x.size:
         nonzero = np.flatnonzero(x)
@@ -665,12 +659,12 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
             out[nonzero] = _text17(x[nonzero], np.empty((nonzero.size, 4), np.uint64))
         return out
     a = np.abs(x)
-    # non-finite values and |e| > 99 read the tables at e = +-99 and give
-    # garbage, clipped into the tables, which the fallback replaces
+    # non-finite values and e outside -99..0 read the tables at e = -99 or 0
+    # and give garbage, clipped into the tables, which the fallback replaces
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.floor(np.log10(a))
-        fast = np.abs(e) <= 99                  # False for nan and inf
-        at = np.fmax(np.fmin(e, 99.0), -99.0).astype(np.int64) + 99   # index of the tables by e
+        fast = (e >= -99) & (e <= 0)            # False for nan and inf
+        at = np.fmax(np.fmin(e, 0.0), -99.0).astype(np.int64) + 99    # index of the tables by e
         hi, lo, hi_big, hi_small = np.take(_POW10, at, axis=0, mode="clip").T
         a_big, a_small = _halves(a)
         p = a * hi
@@ -683,11 +677,10 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     fast &= (np.abs(frac - 0.5) > 1e-6) & (floor >= _TENS[16]) & (n < 10 * _TENS[16])
     first = n // _TENS[16]
     rest = n - first * _TENS[16]
-    whole = np.take(_WHOLE_DIGITS, at)
     key = at * 40
     key += np.signbit(x) * 20
     key += first * 2
-    key += (whole == 1) & (rest != 0)           # a point after the first digit
+    key += rest != 0
     np.take(_LEADS, key, out=out[:, 0], mode="clip")
     # four groups of four digits after the first, each a row of _DIGITS:
     # a group loses its trailing zeros when every later digit is zero
@@ -699,15 +692,6 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.take(_DIGITS, group, out=halves[:, 2 + j], mode="clip")
     np.take(_DIGITS, rest + 10000, out=halves[:, 5], mode="clip")
     np.take(_SUFFIXES, at, out=out[:, 3])
-    wide = np.flatnonzero((whole > 1) & fast)       # fixed notation, e >= 1
-    if wide.size:
-        w = whole[wide]
-        text = out[wide].view(np.uint8)
-        text[:, 8:24] = np.maximum(text[:, 8:24], _INTEGER_ZEROS[w])
-        shift = np.flatnonzero(n[wide] % _TENS[17 - w] != 0)    # a fraction after the integer
-        text[shift] = np.take_along_axis(text[shift], _POINT_SHIFT[w[shift]], axis=1)
-        text[shift, 7 + w[shift]] = 46
-        out[wide] = text.view(np.uint64)
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = np.zeros((slow.size, 32), np.uint8)
@@ -719,15 +703,12 @@ def _text17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _axis_words(values: np.ndarray, label: bytes = b"") -> np.ndarray:
-    """`label` and the '%.17g,' text of each grid axis value, left-aligned
-    in the fewest uint64 words that hold the widest."""
-    text = _text17(values, np.empty((values.size, 4), np.uint64)).view(np.uint8)
-    prefix = np.broadcast_to(np.frombuffer(label, np.uint8), (values.size, len(label)))
-    text = np.concatenate([prefix, text], axis=1)
-    blank = text == 0
-    text = np.take_along_axis(text, np.argsort(blank, axis=1, kind="stable"), axis=1)
-    width = -(-int((~blank).sum(axis=1).max(initial=0)) // 8) * 8
-    return np.ascontiguousarray(text[:, :width]).view(np.uint64)
+    """`label` and Python's '%.17g,' text of each grid axis value,
+    left-aligned and NUL-padded in the fewest uint64 words that hold the
+    widest, one word for an empty axis."""
+    texts = [label + f"{v:.17g},".encode() for v in values.tolist()]
+    width = -(-max(map(len, texts), default=1) // 8)
+    return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width)
 
 
 #: a line's flags and status with its newline, left-aligned in three words,

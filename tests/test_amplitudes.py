@@ -409,7 +409,7 @@ def test_compiled_tensor_is_the_contraction_at_theta(proc):
     # helicity algebra contracted on the pieces at theta, and each outgoing
     # piece at theta is its spinor, polarization or propagator slot
     from qedtangle import amplitudes
-    from qedtangle.dirac import PLANE_CONJ, polarizations, slash_batch, spinor_parts
+    from qedtangle.dirac import PLANE_CONJ, POLARIZATION_PARTS, slash_batch, spinor_parts
 
     info = PROCESS_TABLE[proc]
     specs = info["in"] + info["out"]
@@ -434,7 +434,8 @@ def test_compiled_tensor_is_the_contraction_at_theta(proc):
                 elif k == gauge:
                     want = np.broadcast_to(np.array([1.0, 0, 0, 0]) + sign * khat, (1, 2, 4))
                 else:
-                    want = polarizations(sign * khat[3], sign * khat[1])[None] * PLANE_CONJ
+                    p0, pc, ps = POLARIZATION_PARTS
+                    want = (p0 + sign * khat[3] * pc + sign * khat[1] * ps)[None] * PLANE_CONJ
                 assert np.max(np.abs(legs[k] - want)) <= 1e-15
             got = np.tensordot([c ** (rows - 1 - j) * s ** j for j in range(rows)], tensor, 1)
             for ch, (name, _, spec) in enumerate(info["channels"]):

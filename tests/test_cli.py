@@ -62,6 +62,16 @@ def test_scan_config_file_unknown_key_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_config_file_repeated_key_exit_code(tmp_path, capsys):
+    # a repeated key must not silently keep its last value
+    cfg = tmp_path / "scan.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_text("process = moller\np_steps = 4\ntheta_steps = 2\n# again\np_steps = 6\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:5: repeated key 'p_steps' (first set on line 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--process", "moller", "--out", "x.csv", "--tol", "1"],
     ["threshold", "--process", "moller", "--theta", "1.5", "--p-bracket", "0.5,2.0",

@@ -98,28 +98,36 @@ def _count_fallbacks(monkeypatch) -> list[float]:
     return calls
 
 
-def test_scan_columns_rarely_fall_back(monkeypatch, tmp_path):
+@pytest.mark.parametrize("cfg", [
+    # LAPACK spectra of the 4 x 4 state, p up to 1e4
+    dict(process=ProcessKind.COMPTON, initial="werner", p_min=0.01, p_max=1e4, p_steps=600,
+         p_log=True, theta_steps=30),
+    # closed-form spectra of the mirror blocks
+    dict(process=ProcessKind.MOLLER, initial="unpolarized", p_steps=300, theta_steps=60),
+], ids=["compton-werner", "moller-unpolarized"])
+def test_scan_columns_rarely_fall_back(monkeypatch, tmp_path, cfg):
     calls = _count_fallbacks(monkeypatch)
-    res = run_scan(ScanConfig(process=ProcessKind.COMPTON, initial="werner", p_min=0.01,
-                              p_max=1e4, p_steps=600, p_log=True, theta_steps=30))
+    res = run_scan(ScanConfig(**cfg))
     emit_csv(res, tmp_path / "scan.csv")
     ok = res.status == STATUSES.index("ok")
-    formatted = (sum(np.count_nonzero(getattr(res, name)[ok]) for name in scan._MEASURES)
-                 + res.p_grid.size + res.theta_grid.size)
+    # the grid axes are Python's text and never reach the fallback
+    formatted = sum(np.count_nonzero(getattr(res, name)[ok]) for name in scan._MEASURES)
     assert formatted > 30_000
     assert len(calls) < 0.01 * formatted
 
 
 def test_ties_non_finite_and_huge_exponents_always_fall_back(monkeypatch):
     rng = np.random.default_rng(7)
+    # the arithmetic stops below 10: every larger value is Python's text
     values = _binary_ties(rng, 2000) + [math.nan, math.inf, -math.inf, 1e100, -1e-100,
-                                        5e-324, 1.7976931348623157e308]
+                                        5e-324, 1.7976931348623157e308, 1.5e16, 2e17, 2e99,
+                                        10.0, -12.5]
     calls = _count_fallbacks(monkeypatch)
     assert _texts(values) == _reference(values)
     assert len(calls) == len(values)
     calls.clear()
-    # fixed and scientific notation on both sides of each switch, |e| = 99
-    settled = [2e99, -3e-99, 0.5, -0.0, 1.5e16, 2e17, 1.5e-4, -2e-5]
+    # both sides of the fixed / scientific switch, e = -99 and the last doubles below 10
+    settled = [-3e-99, 0.5, -0.0, 9.5, -9.999999999999998, 1.5e-4, -2e-5]
     assert _texts(settled) == _reference(settled)
     assert calls == []
 

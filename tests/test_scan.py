@@ -30,6 +30,15 @@ def test_config_validation():
         ScanConfig(process=ProcessKind.MOLLER, p_steps=0).validate()
     with pytest.raises(InvalidConfigError):
         ScanConfig(process=ProcessKind.MOLLER, jobs=0).validate()
+    # a fractional count would scan a row on theta_max, fail in linspace or run
+    for count in ("theta_steps", "p_steps", "jobs"):
+        for value in (2.5, 3.0):
+            with pytest.raises(InvalidConfigError, match=f"{count} must be an integer"):
+                ScanConfig(process=ProcessKind.MOLLER, **{count: value}).validate()
+    # numpy integers are integers
+    res = run_scan(ScanConfig(process=ProcessKind.MOLLER, p_steps=np.int64(3),
+                              theta_steps=np.int32(2), jobs=np.int64(2)))
+    assert len(res) == 6
 
 
 def test_parse_initial():
