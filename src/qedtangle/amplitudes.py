@@ -88,8 +88,8 @@ from .errors import DivergentKinematicsError
 from .kinematics import (PROCESS_TABLE, KinematicPoint, ProcessKind,
                          mandelstam_batch, process_masses)
 
-#: relative denominator threshold below which a point counts as divergent
-POLE_RTOL = 1e-12
+#: a point within POLE_TOL [rad] of a pole ray, modulo 2 pi, is divergent
+POLE_TOL = 1e-9
 
 #: diagonal of gamma^0: the Dirac adjoint of a real spinor is u * _GAMMA0_DIAG
 _GAMMA0_DIAG = np.diag(GAMMA0).real
@@ -162,8 +162,22 @@ def _stack(arrays) -> np.ndarray:
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
-#: theta/2 and 0: their cos and sin are c, 1 and s, 0
 _HALF = np.array([0.5, 0.0])
+
+
+def _half_angles(theta: np.ndarray) -> np.ndarray:
+    """(c, 1, s, 0) on a last axis: the cos and sin of theta/2 and 0 (`_HALF`)."""
+    half = theta[..., None] * _HALF
+    return np.concatenate([np.cos(half), np.sin(half)], axis=-1)
+
+
+def on_pole(process: ProcessKind, theta, trig=None) -> np.ndarray:
+    """Whether theta is within POLE_TOL, modulo 2 pi, of a pole ray: 0 for a t
+    and pi for a u channel of two currents (no other channel vanishes at
+    p > 0), where |sin| or |cos|(theta/2), `trig` if given, is below POLE_TOL / 2."""
+    if trig is None:
+        trig = _half_angles(np.asarray(theta, dtype=float))
+    return (np.abs(trig) < 0.5 * POLE_TOL) @ _COMPILED[process, None].poles
 
 
 def _leg(k, spec, gauged=False):
@@ -271,6 +285,8 @@ class _Compiled:
     weights: np.ndarray       # (4, C, K) indices into `weight_terms`; W = (w0 w1)(w2 w3)
     denominators: tuple       # per channel, (0, x, _) for two currents or a chain's
                               # `_CHAIN_DENOMINATORS` (f, k, h); x and k index the invariants
+    poles: np.ndarray         # which of (c, 1, s, 0) vanish on a pole ray: s for a t, c for
+                              # a u channel of two currents; bool, for a matmul's any()
     m1_sq: float | None       # m1^2, m1 the mass of leg 0, the slash chains' fermion;
                               # None without slash chains
     scale: np.ndarray         # (C,) sign e^2
@@ -391,6 +407,7 @@ def _compile(process: ProcessKind, gauge=None) -> _Compiled:
         weights=weights,
         denominators=tuple(_CHAIN_DENOMINATORS[name] if len(spec) == 4
                            else (0.0, "stu".index(name), None) for name, _, spec in channels),
+        poles=np.isin(["u", "", "t", ""], [name for name, _, spec in channels if len(spec) == 2]),
         m1_sq=m1 * m1 if chains else None,
         scale=np.array([sign * DEFAULT.e2 for _, sign, _ in channels]))
 
@@ -423,7 +440,7 @@ MIRROR_SIGNS = {process: (_mirror_signs(info["out"]), _mirror_signs(info["in"]))
 
 def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invariants=None,
                               rows=4):
-    """(total (..., rows, 4), channels, divergent mask (...)) over p and theta.
+    """(total (..., rows, 4), channels, `on_pole` mask (...)) over p and theta.
 
     p and theta broadcast against each other; the outputs have their
     broadcast shape, () for zero-dimensional p and theta (a (4, 4) total
@@ -449,8 +466,7 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
     p, theta = _once(p), _once(theta)
     if invariants is None:
         invariants = mandelstam_batch(process, p, theta)
-    half = theta[..., None] * _HALF
-    trig = np.concatenate([np.cos(half), np.sin(half)], axis=-1)              # (c, 1, s, 0)
+    trig = _half_angles(theta)
     powers = trig[..., compiled.monomials].prod(axis=-3)                      # (..., 2, D + 1)
     f = powers[..., 0, :] * powers[..., 1, :]
     g = (f[..., None, :] @ (compiled.tensor if rows == 4 else compiled.top))[..., 0, :]
@@ -467,19 +483,16 @@ def helicity_amplitudes_batch(process: ProcessKind, p, theta, gauge=None, invari
             den[..., c] = factor * invariants[index] * (low + two_p * (h * h))
         else:
             den[..., c] = invariants[index]
-    near = np.abs(den) < (POLE_RTOL * invariants[0])[..., None]
     # points on a pole give inf/nan here; the divergent mask flags them
     with np.errstate(divide="ignore", invalid="ignore"):
         channels = ((compiled.scale / den)[..., None] * value).reshape(den.shape + (rows, 4))
     views = [channels[..., c, :, :] for c in range(len(compiled.names))]
     # one or two channels, combined elementwise. A lone channel is copied as
     # channel + 0, which turns -0 into +0 as a sum over the axis would, so
-    # the total never aliases a channel view; [()] makes a zero-dimensional
-    # mask a numpy bool
-    if len(views) == 2:
-        total, divergent = views[0] + views[1], near[..., 0] | near[..., 1]
-    else:
-        total, divergent = views[0] + 0.0, near[..., 0][()]
+    # the total never aliases a channel view
+    total = views[0] + views[1] if len(views) == 2 else views[0] + 0.0
+    divergent = on_pole(process, theta, trig)
+    divergent = divergent if divergent.shape == shape else np.full(shape, divergent)
     return total, dict(zip(compiled.names, views)), divergent
 
 
@@ -487,8 +500,7 @@ def amplitude(kin: KinematicPoint) -> AmplitudeMatrix:
     """Helicity amplitude matrix at one kinematic point: the engine on
     zero-dimensional p and theta, with the point's invariants.
 
-    Raises DivergentKinematicsError on propagator poles (|denominator|
-    < 1e-12 s).
+    Raises DivergentKinematicsError on a propagator pole (`on_pole`).
     """
     invariants = tuple(np.array([kin.s, kin.t, kin.u, *kin.energies, kin.q_out]))
     total, channels, divergent = helicity_amplitudes_batch(

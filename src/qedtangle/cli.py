@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import logging
 import math
+import os
 import sys
 
 import numpy as np
@@ -97,6 +98,8 @@ def _cmd_scan(args) -> int:
     cfg = _build_scan_config(args)
     if cfg.out is None:
         raise InvalidConfigError("scan requires --out (or 'out' in the config file)")
+    if args.plot_script and os.path.realpath(args.plot_script) == os.path.realpath(cfg.out):
+        raise InvalidConfigError(f"--plot-script {args.plot_script} would overwrite the CSV")
     rows = run_scan(cfg)            # streams the CSV to cfg.out
     print(f"wrote {len(rows)} rows to {cfg.out}")
     if args.plot_script:

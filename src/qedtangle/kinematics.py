@@ -41,9 +41,7 @@ _MU = ParticleSpec("mu-", "u", DEFAULT.m_mu)
 _MUP = ParticleSpec("mu+", "v", DEFAULT.m_mu)
 _PH = ParticleSpec("gamma", "photon", 0.0)
 
-#: incoming pair, outgoing pair, tree-level channels, and polar angles of
-#: poles of the photon-propagator channels (only channels whose denominator
-#: can vanish exactly at physical kinematics; fermion propagators never do).
+#: incoming pair, outgoing pair and tree-level channels (pole rays: `amplitudes.on_pole`).
 #:
 #: Legs are numbered 0..3 = in1, in2, out1, out2 (momenta p1, p2, q1, q2). A
 #: channel is (name, sign, legs); its name is the Mandelstam invariant x of
@@ -54,25 +52,30 @@ _PH = ParticleSpec("gamma", "photon", 0.0)
 #:     sign e^2 / (x - m^2)  bar  eps_a-slash (k-slash + m) eps_b-slash  leg.
 PROCESS_TABLE: dict[ProcessKind, dict] = {
     ProcessKind.MOLLER: {
-        "in": (_E, _E), "out": (_E, _E), "pole_thetas": (0.0, math.pi),
+        "in": (_E, _E), "out": (_E, _E),
         "channels": (("t", 1.0, ((2, 0), (3, 1))), ("u", -1.0, ((2, 1), (3, 0))))},
     ProcessKind.MUON_PAIR: {
-        "in": (_E, _EP), "out": (_MU, _MUP), "pole_thetas": (),
+        "in": (_E, _EP), "out": (_MU, _MUP),
         "channels": (("s", 1.0, ((1, 0), (2, 3))),)},
     ProcessKind.ANNIHILATION: {
-        "in": (_E, _EP), "out": (_PH, _PH), "pole_thetas": (),
+        "in": (_E, _EP), "out": (_PH, _PH),
         "channels": (("t", -1.0, (1, 3, 2, 0)), ("u", -1.0, (1, 2, 3, 0)))},
     ProcessKind.BHABHA: {
-        "in": (_E, _EP), "out": (_E, _EP), "pole_thetas": (0.0,),
+        "in": (_E, _EP), "out": (_E, _EP),
         "channels": (("s", 1.0, ((1, 0), (2, 3))), ("t", -1.0, ((1, 3), (2, 0))))},
     ProcessKind.ELECTRON_MUON: {
-        "in": (_E, _MU), "out": (_E, _MU), "pole_thetas": (0.0,),
+        "in": (_E, _MU), "out": (_E, _MU),
         "channels": (("t", 1.0, ((2, 0), (3, 1))),)},
     ProcessKind.COMPTON: {
-        "in": (_E, _PH), "out": (_E, _PH), "pole_thetas": (),
+        "in": (_E, _PH), "out": (_E, _PH),
         "channels": (("s", -1.0, (2, 3, 1, 0)), ("u", -1.0, (2, 1, 3, 0)))},
 }
 
+
+#: the incoming momenta [MeV] that `build_kinematics`, scans and bisections
+#: accept; far outside it q or |M|^2 leaves the doubles (lambda ~ 4 p^4
+#: overflows from p ~ 6e76 MeV, a massless leg's p^2 underflows near 1e-161)
+P_RANGE = (1e-60, 1e60)
 
 _MASSES = {process: tuple(spec.mass for spec in info["in"] + info["out"])
            for process, info in PROCESS_TABLE.items()}
@@ -146,12 +149,13 @@ def build_kinematics(process: ProcessKind, p: float, theta: float) -> KinematicP
 
     Raises BelowThresholdError if the COM energy cannot produce the outgoing
     pair (`_com_energies` gives a NaN q), InvalidKinematicsError for
-    non-finite or non-positive inputs.
+    non-finite inputs or a p outside P_RANGE.
     """
     if not (math.isfinite(p) and math.isfinite(theta)):
         raise InvalidKinematicsError(f"non-finite inputs p={p}, theta={theta}")
-    if p <= 0.0:
-        raise InvalidKinematicsError(f"incoming momentum must be positive, got {p}")
+    if not P_RANGE[0] <= p <= P_RANGE[1]:
+        raise InvalidKinematicsError(f"incoming momentum must lie in {list(P_RANGE)} MeV, "
+                                     f"got {p}")
     theta = theta % (2.0 * math.pi)
 
     s, t, u, *energies, q = (float(x) for x in mandelstam_batch(

@@ -2,11 +2,12 @@
 
 Grid conventions: the p grid includes both endpoints (linear or log
 spacing); the theta grid is cell-centered, theta_j = min + (j + 1/2) * step,
-so a default [0, 2 pi) range never lands on the exact forward/backward rays
-or on duplicate 0 / 2 pi rows. Rows are emitted theta-major: all p values
-for the first theta, then the next theta. A scan's result is a ScanResult
-of grid axes and numpy columns; points are evaluated in fixed chunks of at
-most CHUNK_POINTS (`_chunks`), blocks of whole theta rows (a longer row is
+so a default [0, 2 pi) range never lands on duplicate 0 / 2 pi rows or on
+the forward ray; an odd theta_steps puts its middle row on the backward
+ray, theta = pi. Rows are emitted theta-major: all p values for the first
+theta, then the next theta. A scan's result is a ScanResult of grid axes
+and numpy columns; points are evaluated in fixed chunks of at most
+CHUNK_POINTS (`_chunks`), blocks of whole theta rows (a longer row is
 split along p), which a pool of `jobs` threads shares out; each chunk
 decides its points' statuses, so results are deterministic and do not
 depend on jobs.
@@ -38,10 +39,9 @@ Dekker's error-free product against a double-double power of ten (Numer.
 Math. 18, 224 (1971)). Near-ties, non-finite values and every other e take
 Python's own conversion, so every byte is that of f"{v:.17g}".
 
-Grid points within 1e-9 rad of a propagator-pole ray are nudged by half a
-grid step (the nudged angle is what lands in the output row); points whose
-propagator denominators still vanish are reported with status "divergent"
-and empty measures. Points with NaN engine amplitudes, where
+Grid angles on a pole ray (`amplitudes.on_pole`) are nudged by half a grid
+step, and the nudged angle lands in the output row; a point still on one is
+"divergent", with empty measures. Points with NaN engine amplitudes, where
 `kinematics._com_energies` gives no outgoing momentum (a NaN q), are
 "below-threshold"; as a bound on work, each chunk leaves its p below the
 first with one unevaluated. Pure initial states can hit zero-flux points,
@@ -63,11 +63,11 @@ import stat
 
 import numpy as np
 
-from .amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
+from .amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch, on_pole
 from .entanglement import measures_batch, partial_transpose
 from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                      InvalidKinematicsError, UnfilterableStateError)
-from .kinematics import PROCESS_TABLE, ProcessKind, _com_energies
+from .kinematics import P_RANGE, ProcessKind, _com_energies
 from .linalg import hermitian_eigenvalues_batch
 from .qstate import (InitialState, MirrorInput, diagonal, evolution_input, evolve_batch, pure,
                      unpolarized, werner_symmetric)
@@ -78,7 +78,6 @@ log = logging.getLogger(__name__)
 CSV_HEADER = ("process,initial,p_mev,theta_rad,min_pt_eig,negativity,"
               "log_negativity,entropy,entangled,switching,status")
 
-POLE_NUDGE_TOL = 1e-9
 SYMMETRY_AUDIT_TOL = 1e-8
 
 
@@ -136,8 +135,10 @@ class ScanConfig:
         if not (math.isfinite(self.p_min) and math.isfinite(self.p_max)
                 and math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
             raise InvalidConfigError("non-finite grid bounds")
-        if self.p_min <= 0:
-            raise InvalidConfigError(f"p_min must be positive, got {self.p_min}")
+        lo, hi = P_RANGE
+        if not (lo <= self.p_min <= hi and (self.p_steps == 1 or self.p_max <= hi)):
+            raise InvalidConfigError(f"p_min and p_max must lie in {list(P_RANGE)} MeV, "
+                                     f"got {self.p_min}, {self.p_max}")
         for name in ("p_steps", "theta_steps", "jobs"):
             try:
                 operator.index(getattr(self, name))
@@ -258,17 +259,10 @@ class ScanResult:
 
 
 def _nudge_poles(process: ProcessKind, theta: np.ndarray, step: float) -> np.ndarray:
-    out = theta.copy()
-    nudged = 0
-    for pole in PROCESS_TABLE[process]["pole_thetas"]:
-        # signed distance to the nearest ray pole + 2 pi k, in [-pi, pi)
-        offset = np.remainder(out - pole + math.pi, 2.0 * math.pi) - math.pi
-        hit = np.abs(offset) < POLE_NUDGE_TOL
-        out[hit] += 0.5 * step
-        nudged += int(hit.sum())
-    if nudged:
-        log.warning("nudged %d grid angle(s) off propagator poles by half a step", nudged)
-    return out
+    hit = on_pole(process, theta)
+    if hit.any():
+        log.warning("nudged %d grid angle(s) off propagator poles by half a step", hit.sum())
+    return np.where(hit, theta + 0.5 * step, theta)
 
 
 def _status(amps: np.ndarray, divergent: np.ndarray, flux_ok: np.ndarray) -> np.ndarray:
@@ -347,11 +341,8 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     rho_in = evolution_input(init.density.entries, *MIRROR_SIGNS[cfg.process])
     p_grid = cfg.p_grid()
     theta_grid = cfg.theta_grid()
-    if len(theta_grid) > 1:
-        # single-point grids have no step to nudge by; an exactly requested
-        # pole point is honestly reported as divergent instead
-        theta_grid = _nudge_poles(cfg.process, theta_grid,
-                                  theta_grid[1] - theta_grid[0])
+    if len(theta_grid) > 1:     # a single row has no step: on a pole it is divergent
+        theta_grid = _nudge_poles(cfg.process, theta_grid, theta_grid[1] - theta_grid[0])
 
     n = theta_grid.size * p_grid.size
     result = ScanResult(cfg.process.value, init.description, p_grid, theta_grid,
@@ -486,9 +477,9 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
     """Bisect the p where the minimum PT eigenvalue changes sign.
 
     Raises InvalidKinematicsError for a non-finite theta, InvalidConfigError
-    for a bracket that is not 0 < lo < hi < inf or does not straddle a sign
-    change, and at a bracket point or a bisection midpoint the errors of the
-    point path: DivergentKinematicsError on a propagator pole,
+    for a bracket that is not lo < hi inside kinematics.P_RANGE or does not
+    straddle a sign change, and at a bracket point or a bisection midpoint
+    the errors of the point path: DivergentKinematicsError on a propagator pole,
     BelowThresholdError below threshold, UnfilterableStateError with no
     outgoing flux. Converges to relative width BISECT_RTOL.
 
@@ -501,7 +492,7 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
     """
     rho_in = parse_initial(initial).density.entries
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
-    if not 0 < lo < hi < math.inf:
+    if not P_RANGE[0] <= lo < hi <= P_RANGE[1]:
         raise InvalidConfigError(f"bad bracket {p_bracket}")
     if not math.isfinite(theta):
         raise InvalidKinematicsError(f"non-finite theta={theta}")

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qedtangle.amplitudes import amplitude, helicity_amplitudes_batch
+from qedtangle.amplitudes import POLE_TOL, amplitude, helicity_amplitudes_batch, on_pole
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import DivergentKinematicsError
-from qedtangle.kinematics import (PROCESS_TABLE, ProcessKind, build_kinematics,
+from qedtangle.kinematics import (P_RANGE, PROCESS_TABLE, ProcessKind, build_kinematics,
                                   mandelstam_batch, process_masses, threshold_momentum)
 from qedtangle.qstate import evolve, unpolarized
 from qedtangle.entanglement import analyze
@@ -59,15 +59,34 @@ def test_channel_counts():
     assert set(amplitude(sample_point(ProcessKind.ANNIHILATION)).channels) == {"t", "u"}
 
 
+#: the pole rays of each process: t channels of two currents at theta = 0,
+#: u channels at pi
+POLE_RAYS = {ProcessKind.MOLLER: (0.0, math.pi), ProcessKind.BHABHA: (0.0,),
+             ProcessKind.ELECTRON_MUON: (0.0,)}
+
+
 def test_divergent_poles_raise():
-    with pytest.raises(DivergentKinematicsError):
-        amplitude(build_kinematics(ProcessKind.MOLLER, 1.0, 0.0))
-    with pytest.raises(DivergentKinematicsError):
-        amplitude(build_kinematics(ProcessKind.MOLLER, 1.0, math.pi))
-    with pytest.raises(DivergentKinematicsError):
-        amplitude(build_kinematics(ProcessKind.BHABHA, 1.0, 0.0))
-    with pytest.raises(DivergentKinematicsError):
-        amplitude(build_kinematics(ProcessKind.ELECTRON_MUON, 1.0, 0.0))
+    # exactly on a ray, and 0.4 POLE_TOL off it, in three turns, at every p of
+    # the momentum range; nowhere else, and never for Compton, annihilation
+    # or the muon pair
+    for proc in ProcessKind:
+        rays = POLE_RAYS.get(proc, ())
+        on = np.array([ray + offset * POLE_TOL + turn for ray in rays
+                       for offset in (0.0, -0.4, 0.4) for turn in (0.0, 2 * math.pi, -2 * math.pi)])
+        off = np.array([ray + offset * POLE_TOL for ray in (0.0, math.pi) for offset in (-2.0, 2.0)]
+                       + [ray for ray in (0.0, math.pi) if ray not in rays] + [1.0, 2.0, 4.0, 5.5])
+        p = np.geomspace(*P_RANGE, 25)
+        if proc is ProcessKind.MUON_PAIR:
+            p = p[p > threshold_momentum(proc)]
+        _, _, divergent = helicity_amplitudes_batch(proc, p, on[:, None])
+        assert divergent.shape == (on.size, p.size) and divergent.all()
+        assert on_pole(proc, on).all() and not on_pole(proc, off).any()
+        _, _, divergent = helicity_amplitudes_batch(proc, p, off[:, None])
+        assert divergent.shape == (off.size, p.size) and not divergent.any()
+        for theta in on:
+            for p_point in (p[0], 1.0, p[-1]):
+                with pytest.raises(DivergentKinematicsError):
+                    amplitude(build_kinematics(proc, float(p_point), float(theta)))
 
 
 def _measures(proc, p, theta, rho=None):

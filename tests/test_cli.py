@@ -165,6 +165,8 @@ def test_point_command(capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "negativity" in text and "closest Bell" in text
+    # 2 rad from the forward ray at p = 1e-5 MeV: far from any pole
+    assert main(["point", "--process", "electron-muon", "--p", "1e-5", "--theta", "2"]) == 0
 
 
 @pytest.mark.parametrize("process", ["moller", "compton", "muon-pair"])
@@ -291,3 +293,29 @@ def test_plot_script_flag(tmp_path):
                "--plot-script", str(gp)])
     assert rc == 0
     assert gp.exists() and str(out) in gp.read_text()
+
+
+@pytest.mark.parametrize("script", ["x.csv", "./x.csv", "sub/../x.csv"])
+def test_plot_script_onto_the_csv_exit_code(tmp_path, monkeypatch, capsys, script):
+    # the plot script would overwrite the CSV just written: refused before scanning
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["scan", "--process", "moller", "--p-steps", "2", "--theta-steps", "2",
+                 "--out", "x.csv", "--plot-script", script]) == 2
+    assert "would overwrite the CSV" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--process", "moller", "--p", "1e80", "--theta", "1"],
+    ["point", "--process", "compton", "--p", "1e-170", "--theta", "1"],
+    ["scan", "--process", "moller", "--p-min", "1e77", "--p-max", "2e77", "--p-steps", "2",
+     "--theta-steps", "2", "--out", "x.csv"],
+    ["threshold", "--process", "moller", "--theta", "1", "--p-bracket", "1e-70,2"],
+])
+def test_momenta_outside_the_range_exit_code(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert ("bad bracket" if argv[0] == "threshold" else "must lie in") in err
+    assert not (tmp_path / "x.csv").exists()

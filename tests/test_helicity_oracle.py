@@ -15,6 +15,7 @@ import pytest
 import helicity_oracle as oracle
 from qedtangle.amplitudes import helicity_amplitudes_batch
 from qedtangle.kinematics import ProcessKind
+from qedtangle.scan import _states, parse_initial
 
 #: points where the acceptance criteria lean on the oracle, forward Moller
 #: points where t is far below p^2 and m^2, and low-p elastic points where
@@ -83,6 +84,35 @@ def test_oracle_matches_single_points_at_edge_angles(proc):
     scale_got = np.sum(np.abs(got) ** 2, axis=(1, 2))
     scale_want = np.sum(np.abs(want) ** 2, axis=(1, 2))
     assert np.allclose(scale_got, scale_want, rtol=1e-10, atol=0.0)
+
+
+#: offsets [rad] from the rays theta = 0 and pi, on both sides and one turn
+#: further, and the momenta [MeV] at which the scan's state stage meets them
+RAY_OFFSETS = (2e-9, 1e-8, 1e-6, 1e-4)
+RAY_MOMENTA = (1e-4, 1e-2, 1.0, 100.0)
+#: momenta [MeV] far below the electron mass, at generic angles
+LOW_MOMENTUM = {ProcessKind.MOLLER: 1e-7, ProcessKind.BHABHA: 1e-7,
+                ProcessKind.ELECTRON_MUON: 1e-5}
+
+
+@pytest.mark.parametrize("initial", ["unpolarized", "ll"])
+@pytest.mark.parametrize("proc", sorted(LOW_MOMENTUM, key=lambda proc: proc.value))
+def test_pt_spectra_match_the_oracle_near_every_pole_ray(proc, initial):
+    # every point outside the 1e-9 rad pole window is ok, at any p, and its
+    # PT spectrum is the oracle's. Both inputs are diagonal and phase-free
+    # (rho = D rho D+ for any diagonal phase matrix D), so the spectra do not
+    # depend on either side's phase convention
+    rho_in = parse_initial(initial).density.entries
+    near = [ray + sign * offset + turn for ray in (0.0, math.pi) for sign in (-1.0, 1.0)
+            for offset in RAY_OFFSETS for turn in (0.0, 2 * math.pi)]
+    generic = np.linspace(0.3, 2 * math.pi - 0.3, 12)
+    points = [(np.full(len(near), p), np.array(near)) for p in RAY_MOMENTA]
+    points.append((np.full(generic.size, LOW_MOMENTUM[proc]), generic))
+    for p, theta in points:
+        state, status = _states(proc, p, theta, rho_in)
+        assert not status.any(), (p[0], theta[status != 0])     # 0: ok
+        want = oracle.pt_eigenvalues(oracle.states(proc.value, p, theta, rho_in))
+        assert np.max(np.abs(oracle.pt_eigenvalues(state) - want)) <= 4e-15
 
 
 def test_oracle_spinors_and_polarizations():

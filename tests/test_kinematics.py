@@ -5,7 +5,7 @@ import pytest
 
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import BelowThresholdError, InvalidKinematicsError
-from qedtangle.kinematics import (ProcessKind, build_kinematics,
+from qedtangle.kinematics import (P_RANGE, ProcessKind, build_kinematics,
                                   mandelstam_batch, momenta_batch,
                                   process_masses, threshold_momentum)
 
@@ -144,6 +144,25 @@ def test_invalid_inputs_rejected():
         build_kinematics(ProcessKind.MOLLER, float("inf"), 0.5)
     with pytest.raises(InvalidKinematicsError):
         build_kinematics(ProcessKind.MOLLER, 1.0, float("nan"))
+    # just outside the momentum range, and 0
+    for p in (math.nextafter(P_RANGE[0], 0.0), math.nextafter(P_RANGE[1], math.inf), 0.0):
+        with pytest.raises(InvalidKinematicsError, match="must lie in"):
+            build_kinematics(ProcessKind.COMPTON, p, 1.0)
+
+
+@pytest.mark.parametrize("proc", list(ProcessKind))
+def test_momentum_range_ends(proc):
+    # at both ends of P_RANGE every process has finite kinematics (the muon
+    # pair is below threshold at the low end)
+    lo, hi = P_RANGE
+    for p in (lo, hi):
+        if p < threshold_momentum(proc):
+            with pytest.raises(BelowThresholdError):
+                build_kinematics(proc, p, 1.0)
+            continue
+        kin = build_kinematics(proc, p, 1.0)
+        assert all(math.isfinite(x) for x in (kin.s, kin.t, kin.u, kin.q_out, *kin.energies))
+        assert kin.q_out > 0.0
 
 
 def test_theta_wraps_modulo_two_pi():

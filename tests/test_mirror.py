@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from qedtangle import amplitudes, entanglement, scan
-from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
+from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch, on_pole
 from qedtangle.entanglement import block_spectra, partial_transpose
-from qedtangle.kinematics import PROCESS_TABLE, ProcessKind, threshold_momentum
+from qedtangle.kinematics import ProcessKind, threshold_momentum
 from qedtangle.qstate import MirrorInput, MirrorState, evolution_input, evolve_batch
 from qedtangle.scan import STATUSES, ScanConfig, emit_csv, parse_initial, run_scan
 
@@ -134,7 +134,8 @@ def test_rows_request_gives_the_full_matrix_rows_bit_for_bit(process):
     channels' rows and the divergent mask keep every bit of the full
     engine's, on a grid through the pole rays (and below threshold) and on
     a flat list of random points."""
-    poles = np.array(PROCESS_TABLE[process]["pole_thetas"], dtype=float)
+    rays = np.array([0.0, math.pi])
+    poles = rays[on_pole(process, rays)]
     theta = np.concatenate([poles, poles + 2 * math.pi, np.linspace(-7.0, 14.0, 61)])
     grid = (np.broadcast_to(np.geomspace(1e-4, 1e4, 40), (theta.size, 40)), theta[:, None])
     for args in [grid, random_points(seeded(process), process, 2000)]:

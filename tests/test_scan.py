@@ -12,7 +12,7 @@ from qedtangle.amplitudes import MIRROR_SIGNS, amplitude
 from qedtangle.constants import DEFAULT
 from qedtangle.errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                               UnfilterableStateError)
-from qedtangle.kinematics import (ProcessKind, build_kinematics, mandelstam_batch,
+from qedtangle.kinematics import (P_RANGE, ProcessKind, build_kinematics, mandelstam_batch,
                                   threshold_momentum)
 from qedtangle.qstate import evolution_input, evolve
 from qedtangle import scan
@@ -35,6 +35,14 @@ def test_config_validation():
         for value in (2.5, 3.0):
             with pytest.raises(InvalidConfigError, match=f"{count} must be an integer"):
                 ScanConfig(process=ProcessKind.MOLLER, **{count: value}).validate()
+    # momenta outside kinematics.P_RANGE; p_max counts only with more than one step
+    lo, hi = P_RANGE
+    for p_min, p_max in [(math.nextafter(lo, 0.0), 1.0), (1.0, math.nextafter(hi, math.inf)),
+                         (1e77, 2e77)]:
+        with pytest.raises(InvalidConfigError, match="must lie in"):
+            ScanConfig(process=ProcessKind.MOLLER, p_min=p_min, p_max=p_max).validate()
+    ScanConfig(process=ProcessKind.MOLLER, p_min=lo, p_max=hi).validate()
+    ScanConfig(process=ProcessKind.MOLLER, p_min=1.0, p_max=1e80, p_steps=1).validate()
     # numpy integers are integers
     res = run_scan(ScanConfig(process=ProcessKind.MOLLER, p_steps=np.int64(3),
                               theta_steps=np.int32(2), jobs=np.int64(2)))
@@ -109,6 +117,33 @@ def test_pole_nudging_outside_first_turn(centre):
     rows = run_scan(cfg)
     assert all(r.status == "ok" for r in rows)
     assert rows[1].theta == pytest.approx(centre + 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("initial", ["unpolarized", "werner", "diag:0.4,0.3,0.2,0.1"])
+@pytest.mark.parametrize("process", list(ProcessKind))
+def test_both_ends_of_the_momentum_range_are_evaluated(process, initial):
+    # at a generic angle and 2e-9 rad from each ray, just outside the pole
+    # window; only the muon pair, below threshold at the low end, is not ok
+    want = ["below-threshold" if process is ProcessKind.MUON_PAIR else "ok", "ok"]
+    for theta in (1.0, 2e-9, math.pi - 2e-9, math.pi + 2e-9, -2e-9):
+        res = run_scan(ScanConfig(process=process, initial=initial, p_min=P_RANGE[0],
+                                  p_max=P_RANGE[1], p_steps=2, theta_min=theta,
+                                  theta_max=theta, theta_steps=1))
+        assert [r.status for r in res] == want, theta
+        ok = res.status == STATUSES.index("ok")
+        assert all(np.isfinite(getattr(res, name)[ok]).all()
+                   for name in ("min_pt_eig", "negativity", "log_negativity", "entropy"))
+
+
+@pytest.mark.parametrize("process", [ProcessKind.ELECTRON_MUON, ProcessKind.MOLLER,
+                                     ProcessKind.BHABHA, ProcessKind.COMPTON])
+def test_low_momentum_points_at_generic_angles_are_ok(process):
+    # far from every pole ray a point is evaluated at any p, here down to
+    # 1e-14 MeV, where |t| is below 4e-28 MeV^2
+    res = run_scan(ScanConfig(process=process, p_min=1e-14, p_max=1e-4, p_steps=11,
+                              p_log=True, theta_min=0.1, theta_max=2 * math.pi - 0.1,
+                              theta_steps=12))
+    assert {r.status for r in res} == {"ok"}
 
 
 def test_exact_pole_is_divergent():
@@ -250,9 +285,10 @@ def _reference_csv(rows, path):
 _THR_MU = math.sqrt(DEFAULT.m_mu ** 2 - DEFAULT.m_e ** 2)
 
 #: grids of more than two chunks: muon pair straddling its threshold,
-#: Moller with a theta row 1e-6 rad from each pole ray (outside the nudge
-#: window, inside the divergence tolerance), and Compton with the werner
-#: input over six decades of p, whose min_pt_eig reaches scientific notation
+#: Moller with a theta row 1e-6 rad from each pole ray (outside the pole
+#: window, so evaluated at every p), a single Moller row on the forward ray
+#: (single rows are not nudged), and Compton with the werner input over six
+#: decades of p, whose min_pt_eig reaches scientific notation
 MULTI_CHUNK_GRIDS = {
     "compton-werner-log-p": (
         dict(process=ProcessKind.COMPTON, initial="werner", p_min=0.01, p_max=1e4,
@@ -266,7 +302,11 @@ MULTI_CHUNK_GRIDS = {
         dict(process=ProcessKind.MOLLER, p_min=0.01, p_max=3.0, p_steps=2200,
              theta_min=1e-6 - math.pi / 8, theta_max=1e-6 + 15 * math.pi / 8,
              theta_steps=8),
-        {"ok", "divergent"}),
+        {"ok"}),
+    "moller-on-ray": (
+        dict(process=ProcessKind.MOLLER, p_min=1e-4, p_max=1e4, p_steps=2 * CHUNK_POINTS + 100,
+             p_log=True, theta_min=0.0, theta_max=0.0, theta_steps=1),
+        {"divergent"}),
 }
 
 
@@ -680,7 +720,7 @@ AUDIT_GRIDS = {
         dict(process=ProcessKind.ANNIHILATION, initial="lr", p_min=0.01, p_max=3.0,
              p_steps=12, theta_min=-math.pi / 20, theta_max=_TWO_PI - math.pi / 20,
              theta_steps=20), 216),
-    "moller-poles": (MULTI_CHUNK_GRIDS["moller-poles"][0], 13200),
+    "moller-poles": (MULTI_CHUNK_GRIDS["moller-poles"][0], 17600),
     "muon-pair-threshold": (MULTI_CHUNK_GRIDS["muon-pair-threshold"][0], 19496),
     # rows longer than CHUNK_POINTS, which the audit compares in pieces
     "moller-split-rows": (dict(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0, p_steps=9000,

@@ -17,7 +17,7 @@ from qedtangle import amplitudes, scan
 from qedtangle.entanglement import partial_transpose
 from qedtangle.errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                               InvalidKinematicsError, QedTangleError, UnfilterableStateError)
-from qedtangle.kinematics import ProcessKind
+from qedtangle.kinematics import P_RANGE, ProcessKind
 from qedtangle.linalg import hermitian_eigenvalues_batch
 from qedtangle.qstate import evolve_batch
 from qedtangle.scan import find_threshold, parse_initial
@@ -53,7 +53,7 @@ def sequential_threshold(process, initial, theta, p_bracket, visited=None):
         return float(hermitian_eigenvalues_batch(partial_transpose(rho))[0, 0])
 
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
-    if not 0 < lo < hi < math.inf:
+    if not P_RANGE[0] <= lo < hi <= P_RANGE[1]:
         raise InvalidConfigError(f"bad bracket {p_bracket}")
     if not math.isfinite(theta):
         raise InvalidKinematicsError(f"non-finite theta={theta}")
@@ -93,6 +93,11 @@ CASES = {
     "annihilation-lr-no-flux": (ProcessKind.ANNIHILATION, "lr", math.pi, (0.01, 1.0)),
     "muon-pair-below": (ProcessKind.MUON_PAIR, "unpolarized", 1.0, (50.0, 500.0)),
     "moller-no-sign-change": (ProcessKind.MOLLER, "unpolarized", math.pi / 2, (2.0, 3.0)),
+    # bracket ends just outside the momentum range
+    "moller-below-range": (ProcessKind.MOLLER, "unpolarized", math.pi / 2,
+                           (math.nextafter(P_RANGE[0], 0.0), 2.0)),
+    "moller-above-range": (ProcessKind.MOLLER, "unpolarized", math.pi / 2,
+                           (0.5, math.nextafter(P_RANGE[1], math.inf))),
 }
 
 
@@ -105,7 +110,9 @@ def test_error_cases_raise_what_they_should():
     want = {"moller-forward-pole": DivergentKinematicsError,
             "annihilation-lr-no-flux": UnfilterableStateError,
             "muon-pair-below": BelowThresholdError,
-            "moller-no-sign-change": InvalidConfigError}
+            "moller-no-sign-change": InvalidConfigError,
+            "moller-below-range": InvalidConfigError,
+            "moller-above-range": InvalidConfigError}
     for case, error in want.items():
         got, message = _outcome(find_threshold, *CASES[case])
         assert got is error, case
