@@ -26,7 +26,6 @@ from .amplitudes import amplitude, helicity_amplitudes_batch
 from .entanglement import analyze, measures_batch, partial_transpose
 from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
 from .kinematics import PROCESS_TABLE, ProcessKind, build_kinematics, mandelstam_batch
-from .linalg import hermitian_eigenvalues_batch
 from .qstate import evolve
 from .scan import (_SYMMETRIES, ScanConfig, cross_section_check, emit_plot_script,
                    find_threshold, parse_initial, parse_process, run_scan)
@@ -220,7 +219,7 @@ def _cmd_audit(args) -> int:
     rho /= np.einsum('naa->n', rho).real[:, None, None]
     res = measures_batch(rho)
     pt = partial_transpose(rho)
-    eigs = hermitian_eigenvalues_batch(pt)
+    eigs = np.linalg.eigvalsh(pt)
     at_most_one = int(np.max(np.sum(eigs < -1e-10, axis=1)))
     ent_ok = bool(np.all(res["entropy"] > -1e-12)
                   and np.all(res["entropy"] < math.log(4.0) + 1e-9))

@@ -11,12 +11,17 @@ The verdict is the Peres-Horodecki test, necessary and sufficient for two
 qubits: a state is entangled iff min(PT eigenvalues) < -PPT_TOL, a fixed
 numerical zero, decided in `_measures` alone.
 
-Spectra come from LAPACK's eigvalsh on 4 x 4 states, or, for a batch of
+Spectra: `analyze` takes both of one state's from LAPACK's eigvalsh. A
+scan's batch of 4 x 4 states takes them from one
+`linalg.hermitian_eigenvalues_batch` call on rho^T_B stacked over rho
+(`_with_partial_transpose`), which runs the Jacobi kernel on the real
+states every scan forms and eigvalsh on complex ones. A batch of
 mirror-invariant states held as their two 2 x 2 blocks
-(`qstate.MirrorState`), in closed form from the blocks (`block_spectra`):
-each block [[a, b], [b*, d]] has eigenvalues (a + d)/2 -+ sqrt(((a - d)/2)^2
-+ |b|^2), and the partial transpose's blocks are formed from the state's.
-Both feed `_measures`, through `measures_batch`.
+(`qstate.MirrorState`) takes them in closed form from the blocks
+(`block_spectra`): each block [[a, b], [b*, d]] has eigenvalues
+(a + d)/2 -+ sqrt(((a - d)/2)^2 + |b|^2), and the partial transpose's
+blocks are formed from the state's. All feed `_measures`, the batches
+through `measures_batch`.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import math
 import numpy as np
 
 from .constants import DEFAULT
-from .linalg import hermitian_eigenvalues_batch, hermitian_part
+from .linalg import hermitian_eigenvalues_batch, hermitian_part, merge_sorted_pairs
 from .qstate import MirrorState, _entries
 
 PPT_TOL = 1e-10
@@ -60,6 +65,24 @@ def partial_transpose(rho) -> np.ndarray:
     state or a (..., 4, 4) stack."""
     m = _entries(rho)
     return m.reshape(m.shape[:-2] + (2,) * 4).swapaxes(-3, -1).reshape(m.shape)
+
+
+#: flat entry of rho that rho^T_B holds at each flat position:
+#: (rho^T_B)[2a + b, 2c + d] = rho[2a + d, 2c + b]
+_PT_ENTRIES = partial_transpose(np.arange(16.0).reshape(4, 4)).astype(int).ravel()
+
+
+def _with_partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """rho^T_B stacked over rho, (2N, 4, 4), for an (N, 4, 4) stack: a view
+    of one entry-major buffer (16, 2, N), filled by one transposing copy of
+    rho's entries and one relabelling of them, so each entry of the pair
+    is a contiguous row, which is how `hermitian_eigenvalues_batch` reads
+    them."""
+    n = rho.shape[0]
+    buf = np.empty((16, 2, n), rho.dtype)
+    buf[:, 1] = rho.reshape(n, 16).T
+    buf[:, 0] = buf[_PT_ENTRIES, 1]
+    return buf.transpose(1, 2, 0).reshape(2 * n, 4, 4)
 
 
 def bell_fidelities(rho) -> dict:
@@ -106,7 +129,7 @@ def analyze(rho) -> EntanglementReport:
     """
     m = hermitian_part(_entries(rho))
     # both spectra, of rho^T_B and rho, from one eigensolve call
-    spectra = hermitian_eigenvalues_batch(np.concatenate([partial_transpose(m)[None], m[None]]))
+    spectra = np.linalg.eigvalsh(np.concatenate([partial_transpose(m)[None], m[None]]))
     res = _measures(*spectra)
 
     raw = bell_fidelities(m)
@@ -141,14 +164,6 @@ def _block_eigenvalues(a, d, b_squared) -> tuple[np.ndarray, np.ndarray]:
     return mid - radius, mid + radius
 
 
-def _merged(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The two blocks' sorted pairs (lower[k], upper[k]), k = 0, 1, merged into
-    one ascending (N, 4) spectrum by minima and maxima."""
-    inner_lo, inner_hi = np.maximum(*lower), np.minimum(*upper)
-    return np.stack([np.minimum(*lower), np.minimum(inner_lo, inner_hi),
-                     np.maximum(inner_lo, inner_hi), np.maximum(*upper)], axis=-1)
-
-
 def block_spectra(state: MirrorState) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra (N, 4) of rho^T_B and of rho for a MirrorState.
 
@@ -163,24 +178,29 @@ def block_spectra(state: MirrorState) -> tuple[np.ndarray, np.ndarray]:
     """
     y, z, x = state.y, state.z, state.x
     re_squared, im_squared = x.real * x.real, x.imag * x.imag      # zero for real x
-    nu = _merged(*_block_eigenvalues(y, z, re_squared + im_squared))
+    nu = merge_sorted_pairs(*_block_eigenvalues(y, z, re_squared + im_squared))
     mu_s = np.array([[state.sign], [-state.sign]])
     dy, dz = 0.5 * (y[0] - y[1]), 0.5 * (z[0] - z[1])
-    pt = _merged(*_block_eigenvalues(0.5 * (y[0] + y[1]) + mu_s * dz,
-                                     0.5 * (z[0] + z[1]) + mu_s * dy,
-                                     re_squared + im_squared[::-1]))
+    pt = merge_sorted_pairs(*_block_eigenvalues(0.5 * (y[0] + y[1]) + mu_s * dz,
+                                                0.5 * (z[0] + z[1]) + mu_s * dy,
+                                                re_squared + im_squared[::-1]))
     return pt, nu
 
 
 def measures_batch(rho) -> dict:
-    """Vectorized scan measures for a batch of states: an (N,4,4) stack,
-    whose spectra come from LAPACK, or a MirrorState (`qstate.evolve_batch`
-    on a MirrorInput), whose spectra come from `block_spectra`.
+    """Vectorized scan measures for a batch of states: an (N,4,4) stack (or
+    any (..., 4, 4) one, whose leading shape the measures take), or
+    a MirrorState (`qstate.evolve_batch` on a MirrorInput), whose spectra
+    come from `block_spectra`. A stack's two spectra come from one
+    `hermitian_eigenvalues_batch` call on rho^T_B and rho stacked
+    (`_with_partial_transpose`): the Jacobi kernel for a real stack, which
+    every scan state is, and LAPACK for a complex one.
 
     Returns arrays: min_pt_eig, negativity, log_negativity, entropy,
     entangled, switching.
     """
     if isinstance(rho, MirrorState):
         return _measures(*block_spectra(rho))
-    return _measures(hermitian_eigenvalues_batch(partial_transpose(rho)),
-                     hermitian_eigenvalues_batch(rho))
+    m = _entries(rho)
+    spectra = hermitian_eigenvalues_batch(_with_partial_transpose(m.reshape(-1, 4, 4)))
+    return _measures(*spectra.reshape((2,) + m.shape[:-1]))

@@ -31,7 +31,6 @@ import math
 import numpy as np
 
 from .errors import UnfilterableStateError
-from .linalg import hermitian_eigenvalues_batch
 
 BASIS = ("LL", "LR", "RL", "RR")
 
@@ -62,7 +61,7 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
-        lo = hermitian_eigenvalues_batch(0.5 * (m + adjoint))[0]
+        lo = np.linalg.eigvalsh(0.5 * (m + adjoint))[0]
         if lo < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
         return DensityMatrix(m)

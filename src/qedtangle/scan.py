@@ -18,9 +18,11 @@ with w1 = w4 and w2 = w3, and `werner` in every process but Compton) that
 is its two 2 x 2 mirror blocks, each chunk's states are MirrorStates, and
 both spectra come in closed form from the evolved blocks
 (`entanglement.block_spectra`), with no 4 x 4 state. Every other input
-and `find_threshold` keep the 4 x 4 state and LAPACK's eigvalsh. The
-blocks read rows 0 and 1 of M alone, so on them the state stage asks the
-engine for those rows only.
+keeps the real 4 x 4 state, whose two spectra come from the vectorised
+Jacobi kernel (`linalg.hermitian_eigenvalues_batch`), elementwise numpy
+calls that the workers overlap better than LAPACK's; `find_threshold`, at
+a few points a call, takes LAPACK's eigvalsh. The blocks read rows 0 and 1
+of M alone, so on them the state stage asks the engine for those rows only.
 
 CSV text: one formatter (`_csv_blocks`) turns a `_chunks` block into the
 lines of its rows x cols, so a chunk is the unit of evaluation and of CSV
@@ -68,7 +70,6 @@ from .entanglement import measures_batch, partial_transpose
 from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                      InvalidKinematicsError, UnfilterableStateError)
 from .kinematics import P_RANGE, ProcessKind, _com_energies
-from .linalg import hermitian_eigenvalues_batch
 from .qstate import (InitialState, MirrorInput, diagonal, evolution_input, evolve_batch, pure,
                      unpolarized, werner_symmetric)
 from .xsection import dsigma_domega_from_msq
@@ -499,8 +500,8 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
 
     def min_eigs(p: list[float]) -> tuple[list[float], list[int]]:
         rho, status = _states(process, np.array(p), np.asarray(theta), rho_in)
-        # only the sign matters: the PT spectrum alone, as `measures_batch` forms it
-        return hermitian_eigenvalues_batch(partial_transpose(rho))[:, 0].tolist(), status.tolist()
+        # only the sign matters: the PT spectrum alone, from LAPACK at these few points
+        return np.linalg.eigvalsh(partial_transpose(rho))[:, 0].tolist(), status.tolist()
 
     def check(status: int, at: str, p: float) -> None:
         if status != _OK:

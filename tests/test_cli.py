@@ -268,7 +268,8 @@ def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr("qedtangle.entanglement.hermitian_eigenvalues_batch", fail)
-    # a pure input is not mirror-invariant, so the scan's spectra come from LAPACK
+    # a pure input is not mirror-invariant, so the scan takes its 4 x 4 spectra
+    # from hermitian_eigenvalues_batch, whose failure must end the scan cleanly
     rc = main(["scan", "--process", "moller", "--initial", "ll", "--p-steps", "2",
                "--theta-steps", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 3

@@ -18,7 +18,6 @@ from qedtangle.entanglement import partial_transpose
 from qedtangle.errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                               InvalidKinematicsError, QedTangleError, UnfilterableStateError)
 from qedtangle.kinematics import P_RANGE, ProcessKind
-from qedtangle.linalg import hermitian_eigenvalues_batch
 from qedtangle.qstate import evolve_batch
 from qedtangle.scan import find_threshold, parse_initial
 
@@ -50,7 +49,7 @@ def sequential_threshold(process, initial, theta, p_bracket, visited=None):
         rho, ok = evolve_batch(amps[None], rho_in)
         if not bool(ok[0]):
             raise UnfilterableStateError(f"no outgoing flux at {at} p={p}")
-        return float(hermitian_eigenvalues_batch(partial_transpose(rho))[0, 0])
+        return float(np.linalg.eigvalsh(partial_transpose(rho))[0, 0])
 
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
     if not P_RANGE[0] <= lo < hi <= P_RANGE[1]:
