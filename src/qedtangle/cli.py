@@ -24,14 +24,12 @@ import numpy as np
 from . import __version__
 from .amplitudes import amplitude, helicity_amplitudes_batch
 from .entanglement import analyze, measures_batch, partial_transpose
-from .errors import InvalidConfigError, InvalidKinematicsError, QedTangleError
+from .errors import InvalidConfigError, QedTangleError
 from .kinematics import PROCESS_TABLE, ProcessKind, build_kinematics, mandelstam_batch
 from .qstate import evolve
 from .scan import (_SYMMETRIES, ScanConfig, cross_section_check, emit_plot_script,
                    find_threshold, parse_initial, parse_process, run_scan)
 from .xsection import dsigma_domega_oracle, msq_oracle
-
-log = logging.getLogger(__name__)
 
 
 def _read_config_file(path: str) -> dict:
@@ -87,10 +85,7 @@ def _build_scan_config(args) -> ScanConfig:
     if "process" not in kwargs:
         raise InvalidConfigError("--process is required (flag or config file)")
     kwargs["process"] = parse_process(kwargs["process"])
-    try:
-        return ScanConfig(**kwargs).validate()
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(str(exc)) from exc
+    return ScanConfig(**kwargs).validate()
 
 
 def _cmd_scan(args) -> int:
@@ -155,7 +150,7 @@ def _cmd_point(args) -> int:
 def _cmd_xsec(args) -> int:
     process = _require_process(args)
     kin = build_kinematics(process, args.p, args.theta)
-    got = cross_section_check(process, kin)
+    got = cross_section_check(kin)
     want = dsigma_domega_oracle(kin)
     rel = abs(got - want) / abs(want) if want else float("inf")
     print(f"dsigma/dOmega (helicity matrix) : {got:.12e} MeV^-2")
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qedtangle",
         description="Helicity entanglement of tree-level QED 2->2 scattering")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scan", help="sweep a (p, theta) grid and write CSV")
@@ -326,14 +320,14 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+    logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InvalidConfigError, InvalidKinematicsError, QedTangleError) as exc:
+    except QedTangleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

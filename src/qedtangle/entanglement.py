@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import DEFAULT
 from .linalg import hermitian_eigenvalues_batch, hermitian_part, merge_sorted_pairs
-from .qstate import MirrorState, _entries
+from .qstate import MirrorState, _entries, check_state
 
 PPT_TOL = 1e-10
 
@@ -125,11 +125,14 @@ def analyze(rho) -> EntanglementReport:
 
     `entangled` is min(PT eigenvalues) < -PPT_TOL; `switching_potential` flags
     |min PT eigenvalue| <= alpha^3, where loop corrections could flip the
-    tree-level verdict.
+    tree-level verdict. Raises NonHermitianError (`hermitian_part`) for a
+    non-Hermitian or non-finite matrix, and the ValueError of
+    `qstate.check_state` for one that is not a state, read off its spectrum.
     """
     m = hermitian_part(_entries(rho))
     # both spectra, of rho^T_B and rho, from one eigensolve call
     spectra = np.linalg.eigvalsh(np.concatenate([partial_transpose(m)[None], m[None]]))
+    check_state(float(spectra[1].sum()), spectra[1, 0])
     res = _measures(*spectra)
 
     raw = bell_fidelities(m)

@@ -16,7 +16,7 @@ kernel's fixed cost is about 0.6 ms a call (590 us for 2 matrices against
 11 us), and LAPACK is faster below several hundred matrices (856 us
 against 601 us at 300, 1.4 ms against 2.1 ms at 1,000; one thread, BLAS
 on one thread).
-`hermitian_part` validates one matrix (shape, Hermiticity).
+`hermitian_part` validates one matrix (shape, finite entries, Hermiticity).
 A LAPACK convergence failure surfaces as numpy.linalg.LinAlgError.
 
 Jacobi's method is at least as accurate as QR on symmetric matrices
@@ -134,12 +134,16 @@ def _scaled_entries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `_FIRST` order, in float64, each matrix scaled by the power of two
     2^-e that brings its largest entry into [1/2, 1), and the exponents e
     (M,). The scaling is exact, and it keeps every square a round forms
-    from over- or underflowing."""
+    from over- or underflowing. Raises numpy.linalg.LinAlgError if an entry
+    is not finite."""
     entries = np.empty((len(_FIRST),) + h.shape[:-2])
     for k, (i, j) in enumerate(_FIRST):
         entries[k] = h[..., i, j]
     entries = entries.reshape(len(_FIRST), -1)
-    exponent = np.frexp(np.maximum(entries.max(axis=0), -entries.min(axis=0)))[1]
+    scale = np.maximum(entries.max(axis=0), -entries.min(axis=0))
+    if not np.isfinite(scale).all():        # NaN or inf in some matrix
+        raise np.linalg.LinAlgError("non-finite matrix entries")
+    exponent = np.frexp(scale)[1]
     np.maximum(exponent, -1021, out=exponent)         # 2^-e stays finite
     entries *= np.ldexp(1.0, -exponent)
     return entries, exponent
@@ -150,10 +154,13 @@ def hermitian_eigenvalues_batch(h: np.ndarray) -> np.ndarray:
     matrices; a single (4, 4) matrix gives shape (4,). Only the lower
     triangle is read. A real stack takes `_jacobi` in float64, whose
     elementwise arithmetic gives each matrix the same bits in any batch; a
-    complex one takes numpy.linalg.eigvalsh.
+    complex one takes numpy.linalg.eigvalsh. Raises numpy.linalg.LinAlgError
+    if a lower-triangle entry is not finite, where eigvalsh would return NaN.
     """
     h = np.asarray(h)
     if np.iscomplexobj(h):
+        if not np.isfinite(np.tril(h)).all():
+            raise np.linalg.LinAlgError("non-finite matrix entries")
         return np.linalg.eigvalsh(h)
     entries, exponent = _scaled_entries(h)
     d = _jacobi(entries)[0]
@@ -164,11 +171,14 @@ def hermitian_eigenvalues_batch(h: np.ndarray) -> np.ndarray:
 def hermitian_part(h: np.ndarray) -> np.ndarray:
     """(H + H^+)/2 of one 4x4 matrix, once max|H - H^+| is within 1e-10.
 
-    Raises NonHermitianError on any other shape or a larger deviation.
+    Raises NonHermitianError on any other shape, a non-finite entry or a
+    larger deviation.
     """
     h = np.asarray(h)
     if h.shape != (4, 4):
         raise NonHermitianError(f"expected a 4x4 matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise NonHermitianError("matrix entries must be finite")
     adjoint = h.conj().T
     dev = np.abs(h - adjoint).max()
     if dev > 1e-10:

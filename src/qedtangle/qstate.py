@@ -58,13 +58,17 @@ class DensityMatrix:
         dev = np.max(np.abs(m - adjoint))
         if dev > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        lo = np.linalg.eigvalsh(0.5 * (m + adjoint))[0]
-        if lo < -PSD_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+        check_state(float(np.trace(m).real), np.linalg.eigvalsh(0.5 * (m + adjoint))[0])
         return DensityMatrix(m)
+
+
+def check_state(trace: float, lowest: float) -> None:
+    """Raise ValueError unless a Hermitian matrix of this trace and lowest
+    eigenvalue is a state: trace 1 within TRACE_TOL, lowest >= -PSD_TOL."""
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be 1, got {trace!r}")
+    if lowest < -PSD_TOL:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,12 @@ Python's own conversion, so every byte is that of f"{v:.17g}".
 Grid angles on a pole ray (`amplitudes.on_pole`) are nudged by half a grid
 step, and the nudged angle lands in the output row; a point still on one is
 "divergent", with empty measures. Points with NaN engine amplitudes, where
-`kinematics._com_energies` gives no outgoing momentum (a NaN q), are
-"below-threshold"; as a bound on work, each chunk leaves its p below the
-first with one unevaluated. Pure initial states can hit zero-flux points,
-reported as "unfilterable". The first status that holds wins: divergent,
-below-threshold, unfilterable. One state stage, `_states`, applies that
-rule (`_status`) for a scan's chunks (`_evaluate` adds the measure stage)
-and for `find_threshold`'s bisection.
+the kinematics give no outgoing momentum (a NaN q), are "below-threshold".
+Pure initial states can hit zero-flux points, reported as "unfilterable".
+The first status that holds wins: divergent, below-threshold, unfilterable.
+One state stage, `_states`, applies that rule (`_status`) to every point of
+a scan's chunks (`_evaluate` adds the measure stage) and of
+`find_threshold`'s bisection.
 """
 from __future__ import annotations
 
@@ -65,11 +64,11 @@ import stat
 
 import numpy as np
 
-from .amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch, on_pole
+from .amplitudes import MIRROR_SIGNS, amplitude, helicity_amplitudes_batch, on_pole
 from .entanglement import measures_batch, partial_transpose
 from .errors import (BelowThresholdError, DivergentKinematicsError, InvalidConfigError,
                      InvalidKinematicsError, UnfilterableStateError)
-from .kinematics import P_RANGE, ProcessKind, _com_energies
+from .kinematics import P_RANGE, ProcessKind
 from .qstate import (InitialState, MirrorInput, diagonal, evolution_input, evolve_batch, pure,
                      unpolarized, werner_symmetric)
 from .xsection import dsigma_domega_from_msq
@@ -327,9 +326,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
 
     A chunk is a block of whole theta rows (a row longer than CHUNK_POINTS
     is split along p), so the amplitude engine contracts spinors once per
-    angle. A chunk evaluates only its p from the first with an outgoing
-    momentum; the points before it keep the status below-threshold, and a
-    chunk with none left evaluates nothing. A thread pool of ``jobs``
+    angle. Each chunk evaluates all of its points. A thread pool of ``jobs``
     workers takes the chunks, so the result does not depend on ``jobs``.
 
     With ``cfg.out`` set, the scan streams its CSV there, with the bytes of
@@ -346,28 +343,20 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
         theta_grid = _nudge_poles(cfg.process, theta_grid, theta_grid[1] - theta_grid[0])
 
     n = theta_grid.size * p_grid.size
+    # every point is written by the chunk that holds it
     result = ScanResult(cfg.process.value, init.description, p_grid, theta_grid,
-                        *(np.full(n, math.nan) for _ in _MEASURES),
-                        *(np.zeros(n, dtype=bool) for _ in _FLAGS),
-                        np.full(n, _BELOW, dtype=np.int8))
-
-    # a bound on work, not the status rule: `fill` clamps each chunk to the
-    # p from the first with an outgoing momentum (q not NaN)
-    live = ~np.isnan(_com_energies(cfg.process, p_grid)[-1])
-    first = int(live.argmax()) if live.any() else p_grid.size
-
+                        *(np.empty(n) for _ in _MEASURES),
+                        *(np.empty(n, dtype=bool) for _ in _FLAGS),
+                        np.empty(n, dtype=np.int8))
     block_text = None if cfg.out is None else _csv_blocks(result)
 
     def fill(block: tuple[slice, slice]) -> bytes | None:
         rows, cols = block
-        live = slice(max(cols.start, first), cols.stop)
-        if live.start < live.stop:
-            theta, p = theta_grid[rows, None], p_grid[live]
-            # p as a broadcast view: one entry per grid point, stored once
-            columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta,
-                                rho_in)
-            for name, column in columns.items():
-                result._grid(name)[rows, live] = column
+        theta, p = theta_grid[rows, None], p_grid[cols]
+        # p as a broadcast view: one entry per grid point, stored once
+        columns = _evaluate(cfg.process, np.broadcast_to(p, (theta.size, p.size)), theta, rho_in)
+        for name, column in columns.items():
+            result._grid(name)[block] = column
         return None if block_text is None else block_text(block)
 
     with _csv_file(cfg.out) as fh:
@@ -376,7 +365,7 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
             for lines in pool.map(fill, _chunks(theta_grid.size, p_grid.size)):
                 if fh is not None:
                     fh.write(lines)
-        result.warnings.extend(symmetry_audit(result, cfg.process))
+        result.warnings.extend(symmetry_audit(result))
     for warning in result.warnings:
         log.warning("%s", warning)
     return result
@@ -396,15 +385,17 @@ _SYMMETRIES = {
 }
 
 
-def symmetry_audit(res: ScanResult, process: ProcessKind) -> list[str]:
-    """theta -> theta + pi invariance for Moller / muon pair / annihilation,
-    theta -> -theta for Bhabha, with angles compared modulo 2 pi.
+def symmetry_audit(res: ScanResult) -> list[str]:
+    """The symmetry of the scan's own process (``res.process``): theta ->
+    theta + pi invariance for Moller / muon pair / annihilation, theta ->
+    -theta for Bhabha, with angles compared modulo 2 pi.
 
     Each theta row is paired with the last row in grid order at its image
     (theta mod 2 pi to 12 digits), each ok point with the ok point at its p.
     Each audit logs its worst deviation and pair count at INFO; any
     deviation above 1e-8 is also returned as a warning.
     """
+    process = ProcessKind(res.process)
     if process not in _SYMMETRIES:
         return []
     label, image = _SYMMETRIES[process]
@@ -536,14 +527,10 @@ def find_threshold(process: ProcessKind, initial: str, theta: float,
 # ---------------------------------------------------------------------------
 # cross-section validation output
 
-def cross_section_check(process: ProcessKind, kin) -> float:
-    """Unpolarized dsigma/dOmega from the helicity matrix at one point [MeV^-2].
-    Raises InvalidConfigError if `kin` is a point of another process."""
-    if process is not kin.process:
-        raise InvalidConfigError(f"kinematics of {kin.process.value} given for {process.value}")
-    from .amplitudes import amplitude
-    amp = amplitude(kin)
-    msq_avg = amp.spin_summed_msq() / 4.0
+def cross_section_check(kin) -> float:
+    """Unpolarized dsigma/dOmega of `kin`'s process at its point, from the
+    helicity matrix [MeV^-2]."""
+    msq_avg = amplitude(kin).spin_summed_msq() / 4.0
     return dsigma_domega_from_msq(msq_avg, kin.s, kin.p, kin.q_out)
 
 

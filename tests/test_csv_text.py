@@ -171,22 +171,27 @@ def test_each_chunk_is_the_text_of_its_rows_and_cols(monkeypatch, tmp_path, p_st
                p_max=2.0 * threshold, p_steps=p_steps, theta_steps=theta_steps)
     evaluated, original = [], scan._evaluate
 
-    def evaluate(process, p, *args):
-        evaluated.append(p)
-        return original(process, p, *args)
+    def evaluate(process, p, theta, *args):
+        evaluated.append((p, theta))
+        return original(process, p, theta, *args)
 
     monkeypatch.setattr(scan, "_evaluate", evaluate)
     res = run_scan(ScanConfig(**cfg))
-    below = res.p_grid < threshold
-    assert below.any() and not below.all()
-    # the points below threshold are never evaluated, and no point twice
-    assert all(p.min() >= threshold for p in evaluated)
-    assert sum(p.size for p in evaluated) == res.theta_grid.size * np.sum(~below)
+    below = res.status == STATUSES.index("below-threshold")
+    assert np.array_equal(below, res.p < threshold) and below.any() and not below.all()
+    blocks = list(scan._chunks(res.theta_grid.size, res.p_grid.size))
+    # each block reaches `_evaluate` once, in grid order, with exactly its
+    # rows x cols, the points below threshold included, so the calls cover
+    # the grid once
+    assert len(evaluated) == len(blocks)
+    for (p, theta), (rows, cols) in zip(evaluated, blocks):
+        assert np.array_equal(theta, res.theta_grid[rows, None])
+        assert np.array_equal(p, np.tile(res.p_grid[cols], (theta.size, 1)))
+    assert sum(p.size for p, _ in evaluated) == res.status.size
 
     _reference_csv(list(res), tmp_path / "reference.csv")
     want = (tmp_path / "reference.csv").read_bytes()
     lines = want.splitlines(keepends=True)[1:]
-    blocks = list(scan._chunks(res.theta_grid.size, res.p_grid.size))
     # rows of 200 go in blocks of 64, 64, 64 and 8 columns, rows of 20 whole
     assert {cols.stop - cols.start for _, cols in blocks} == ({64, 8} if p_steps > 64 else {20})
     block_text = scan._csv_blocks(res)

@@ -10,8 +10,8 @@ from qedtangle.entanglement import (BELL_STATES, analyze, bell_fidelities,
                                     measures_batch, partial_transpose)
 from qedtangle.errors import NonHermitianError
 from qedtangle.kinematics import ProcessKind
-from qedtangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_batch
-from qedtangle.qstate import evolve_batch
+from qedtangle.linalg import hermitian_eigenvalues, hermitian_eigenvalues_batch, hermitian_part
+from qedtangle.qstate import DensityMatrix, evolve_batch
 from qedtangle.scan import ScanConfig, parse_initial, run_scan
 from spectral_bounds import measure_deviations
 
@@ -82,6 +82,18 @@ def test_non_hermitian_rejected():
         hermitian_eigenvalues(h)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_rejected(bad, entry, dtype):
+    # nan and inf - inf fail no comparison with the Hermiticity tolerance
+    h = (np.eye(4) / 4).astype(dtype)
+    h[entry] = h[entry[::-1]] = bad
+    for call in (hermitian_part, hermitian_eigenvalues, analyze):
+        with pytest.raises(NonHermitianError, match="finite"):
+            call(h)
+
+
 # ---------------------------------------------------------------- partial transpose
 
 def test_partial_transpose_product_state_stays_psd():
@@ -132,6 +144,25 @@ def test_analyze_maximally_mixed():
     assert not rep.entangled
     assert not rep.switching_potential  # |min PT eig| = 1/4 is far above alpha^3
     assert abs(rep.pt_eigenvalues[0]) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.diag([2.0, -1.0, 0.0, 0.0]), "not positive semidefinite: min eigenvalue -1.000e+00"),
+    (np.eye(4) / 2, "trace must be 1, got 2.0")])
+def test_analyze_rejects_matrices_that_are_not_states(matrix, message):
+    # without the check these read negativity 1.0 (a state has N <= 1/2)
+    # and entropy ln 4 at trace 2; the error is the constructor's own
+    with pytest.raises(ValueError) as constructed:
+        DensityMatrix.from_matrix(matrix)
+    with pytest.raises(ValueError) as analyzed:
+        analyze(matrix)
+    assert str(analyzed.value) == str(constructed.value) == message
+
+
+def test_analyze_accepts_states_within_the_tolerances():
+    # trace 1 + 5e-13 and lowest eigenvalue -5e-11, inside TRACE_TOL and PSD_TOL
+    rep = analyze(np.diag([0.5 + 5e-11 + 5e-13, 0.5, -5e-11, 0.0]))
+    assert not rep.entangled and rep.pt_eigenvalues[0] == pytest.approx(-5e-11, rel=1e-6)
 
 
 def test_analyze_depolarized_bell():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
-from qedtangle.entanglement import _with_partial_transpose, block_spectra, partial_transpose
+from qedtangle.entanglement import (_with_partial_transpose, block_spectra, measures_batch,
+                                    partial_transpose)
 from qedtangle.kinematics import ProcessKind
 from qedtangle.linalg import _jacobi, _scaled_entries, hermitian_eigenvalues_batch
 from qedtangle.qstate import MirrorInput, evolution_input, evolve_batch
@@ -132,6 +133,19 @@ def test_complex_stacks_take_lapack():
     g = rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4))
     h = g + g.conj().swapaxes(1, 2)
     assert np.array_equal(hermitian_eigenvalues_batch(h), np.linalg.eigvalsh(h))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_raises(bad, dtype):
+    # one entry of the lower triangle of one matrix in a stack of states;
+    # without the check a NaN gives a NaN spectrum and an unentangled verdict
+    h = np.stack([np.eye(4) / 4] * 3).astype(dtype)
+    h[1, 2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        hermitian_eigenvalues_batch(h)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        measures_batch(h)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -74,7 +74,7 @@ def test_trace_mode_runs_on_queries(monkeypatch):
 @pytest.mark.parametrize("cfg, fragile", [
     # the mirror-block state stage, on one thread
     (dict(process=ProcessKind.MOLLER, p_steps=80, theta_steps=60), 0),
-    # LAPACK spectra of every coherence, on the thread pool
+    # Jacobi-kernel spectra of every coherence, on the thread pool
     (dict(process=ProcessKind.COMPTON, initial="werner", p_min=0.05, p_max=3.0,
           p_steps=90, theta_steps=100, jobs=2), 6),
     # the mirror-block state stage across the switching boundary near

@@ -497,15 +497,27 @@ def test_scan_status_matches_the_point_path(seed, grid, jobs, tmp_path):
     assert np.array_equal(columns["status"].ravel(), result.status)
 
 
-def test_grid_below_threshold_makes_no_engine_call(monkeypatch, tmp_path):
-    calls = []
-    monkeypatch.setattr(scan, "helicity_amplitudes_batch", lambda *args: calls.append(args))
+def _counting_engine(monkeypatch) -> list:
+    """The engine's point count per call, appended to the list returned."""
+    points, engine = [], scan.helicity_amplitudes_batch
+
+    def counting(process, p, theta, *args, **kwargs):
+        points.append(np.broadcast(p, theta).size)
+        return engine(process, p, theta, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "helicity_amplitudes_batch", counting)
+    return points
+
+
+def test_grid_below_threshold_evaluates_every_point_once(monkeypatch, tmp_path):
+    points = _counting_engine(monkeypatch)
     for jobs in (1, 2, 3):
-        # every row is written, though no p is evaluated
+        points.clear()
+        # one chunk of 4 x 30 points, each evaluated and found below threshold
         result = run_scan(ScanConfig(process=ProcessKind.MUON_PAIR, p_min=1.0,
                                      p_max=0.99 * _THR_MU, p_steps=30, theta_steps=4,
                                      jobs=jobs, out=str(tmp_path / "streamed.csv")))
-        assert calls == []
+        assert points == [4 * 30]
         assert {r.status for r in result} == {"below-threshold"}
         emit_csv(result, tmp_path / "result.csv")
         streamed = (tmp_path / "streamed.csv").read_bytes()
@@ -514,27 +526,22 @@ def test_grid_below_threshold_makes_no_engine_call(monkeypatch, tmp_path):
 
 
 def test_threshold_inside_split_rows_gives_identical_csv_for_any_jobs(monkeypatch, tmp_path):
-    # the rows from the first p above threshold are longer than a chunk, so
-    # each is split along p in two
+    # rows longer than a chunk, each split along p in two: the first chunk
+    # of a row holds its points below threshold and the first above
     base = dict(process=ProcessKind.MUON_PAIR, p_min=0.9 * _THR_MU, p_max=2.0 * _THR_MU,
                 p_steps=CHUNK_POINTS + 2000, theta_steps=3)
-    points = []
-
-    def counting(process, p, theta, *args, **kwargs):
-        points.append(np.size(p))
-        return amplitudes_batch(process, p, theta, *args, **kwargs)
-
-    amplitudes_batch = scan.helicity_amplitudes_batch
-    monkeypatch.setattr(scan, "helicity_amplitudes_batch", counting)
+    points = _counting_engine(monkeypatch)
     want = None
     for jobs in (1, 2, 3):
         points.clear()
         result = run_scan(ScanConfig(**base, jobs=jobs, out=str(tmp_path / "streamed.csv")))
         below = result.status == STATUSES.index("below-threshold")
         row = below[:base["p_steps"]]                # every row straddles the threshold
-        assert 0 < row.sum() and below.sum() == 3 * row.sum()
-        assert len(points) == 6 and max(points) <= CHUNK_POINTS
-        assert sum(points) == np.sum(~below)        # the prefix is never evaluated
+        assert 0 < row.sum() < CHUNK_POINTS and below.sum() == 3 * row.sum()
+        assert row[:row.sum()].all()
+        # every point is evaluated once, by the chunk that holds it
+        assert sorted(points) == [2000] * 3 + [CHUNK_POINTS] * 3
+        assert sum(points) == result.status.size
         emit_csv(result, tmp_path / "scan.csv")
         got = (tmp_path / "scan.csv").read_bytes()
         assert (tmp_path / "streamed.csv").read_bytes() == got
@@ -616,18 +623,18 @@ def test_symmetry_audit_clean_and_violated():
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0,
                      p_steps=4, theta_steps=8)
     result = run_scan(cfg)
-    assert symmetry_audit(result, ProcessKind.MOLLER) == []
+    assert symmetry_audit(result) == []
     # corrupt one point: the audit must flag the broken pair
     assert result[3].status == "ok"
     result.negativity[3] += 1e-3
-    assert symmetry_audit(result, ProcessKind.MOLLER)
+    assert symmetry_audit(result)
 
 
 def test_bhabha_audit_uses_reflection():
     cfg = ScanConfig(process=ProcessKind.BHABHA, p_min=0.4, p_max=1.0,
                      p_steps=3, theta_steps=8)
     rows = run_scan(cfg)
-    assert symmetry_audit(rows, ProcessKind.BHABHA) == []
+    assert symmetry_audit(rows) == []
 
 
 def _audit_messages(caplog):
@@ -650,10 +657,10 @@ def test_symmetry_audit_outside_first_turn(process, turn, caplog):
     result = run_scan(ScanConfig(**base, theta_min=shift, theta_max=shift + 2 * math.pi))
     first, shifted = _audit_messages(caplog)
     assert first.endswith("over 96 pairs") and shifted.endswith("over 96 pairs")
-    assert symmetry_audit(result, process) == []
+    assert symmetry_audit(result) == []
     assert result[20].status == "ok"
     result.negativity[20] += 1e-3
-    warnings = symmetry_audit(result, process)
+    warnings = symmetry_audit(result)
     assert len(warnings) == 1 and warnings[0].endswith("over 96 pairs")
 
 
@@ -682,11 +689,11 @@ def _point_keyed_audit(result, process):
     return worst, mine.size
 
 
-def _audit_numbers(result, process, caplog):
+def _audit_numbers(result, caplog):
     """(worst deviation, pairs) as symmetry_audit logs them, unrounded."""
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="qedtangle.scan"):
-        symmetry_audit(result, process)
+        symmetry_audit(result)
     (record,) = [r for r in caplog.records if r.getMessage().startswith("symmetry audit")]
     return record.args[1:]
 
@@ -733,19 +740,19 @@ def test_row_paired_audit_matches_point_keyed_pairing(grid, caplog):
     base, pairs = AUDIT_GRIDS[grid]
     result = run_scan(ScanConfig(**base))
     process = base["process"]
-    got = _audit_numbers(result, process, caplog)
+    got = _audit_numbers(result, caplog)
     assert got == _point_keyed_audit(result, process)
     assert got[1] == pairs
     # a deviation planted at the last ok point is seen by both
     last = np.flatnonzero(result.status == STATUSES.index("ok"))[-1]
     result.entropy[last] += 1e-3
-    assert _audit_numbers(result, process, caplog) == _point_keyed_audit(result, process)
+    assert _audit_numbers(result, caplog) == _point_keyed_audit(result, process)
 
 
 @pytest.mark.parametrize("workload, processes, pairs", [
     ("scan-moller", [ProcessKind.MOLLER], [90000]),
-    # Compton has no symmetry: its grid is audited under the other rules;
-    # the jittered theta_min leaves -theta off the grid
+    # Compton has no symmetry: its grid, relabelled, is audited under the
+    # other rules; the jittered theta_min leaves -theta off the grid
     ("scan-compton-wide", [ProcessKind.MOLLER, ProcessKind.BHABHA], [180000, 0])])
 def test_row_paired_audit_matches_point_keyed_pairing_on_benchmark_grids(
         workload, processes, pairs, caplog):
@@ -753,7 +760,7 @@ def test_row_paired_audit_matches_point_keyed_pairing_on_benchmark_grids(
     spec = dataclasses.asdict(_load("workloads").scan_spec(workload, 1))
     result = run_scan(ScanConfig(**{**spec, "process": ProcessKind(spec["process"])}))
     for process, want in zip(processes, pairs):
-        got = _audit_numbers(result, process, caplog)
+        got = _audit_numbers(dataclasses.replace(result, process=process.value), caplog)
         assert got == _point_keyed_audit(result, process)
         assert got[1] == want
 
@@ -779,7 +786,7 @@ def test_run_scan_keeps_its_audit_warnings(monkeypatch):
     cfg = ScanConfig(process=ProcessKind.MOLLER, p_min=0.4, p_max=2.0,
                      p_steps=4, theta_steps=8)
     assert run_scan(cfg).warnings == []
-    monkeypatch.setattr("qedtangle.scan.symmetry_audit", lambda res, process: ["broken"])
+    monkeypatch.setattr("qedtangle.scan.symmetry_audit", lambda res: ["broken"])
     assert run_scan(cfg).warnings == ["broken"]
 
 
