@@ -3,19 +3,24 @@
 `hermitian_eigenvalues_batch` takes the spectra of a scan's (N,4,4)
 stacks. Every state a scan forms is real, and a real stack goes to a
 vectorised cyclic Jacobi kernel (`_jacobi`): plain elementwise numpy calls,
-which release the GIL while they run. On a scan chunk's 15,600 matrices it
-is about twice as fast as LAPACK's eigvalsh, and a scan's two worker
-threads overlap it better (two threads' time over one's: 1.3-1.5x against
-1.5-2.1x). eigvalsh keeps the complex stacks, which only a library caller
-passes.
+which release the GIL while they run. Each matrix sweeps until its
+off-diagonal norm is at most eps |H|_F, SWEEPS times at the most, a rule
+on its own entries alone. On a scan chunk's 15,600 matrices it is
+1.7-1.9x as fast as LAPACK's eigvalsh (9.3 against 15.7 ms for Compton
+`werner` states, 7.4 against 14.2 ms for Moller `ll` ones), and a scan's
+two worker threads overlap it better (two threads' time over one's:
+1.3-1.5x against 1.5-2.1x). eigvalsh keeps the complex stacks, which only
+a library caller passes.
 
 The point paths (`hermitian_eigenvalues`, and the callers in `entanglement`,
 `qstate`, `scan` and `cli` that take one state, a bisection's few or the
 audit's random complex states) call numpy.linalg.eigvalsh directly: the
-kernel's fixed cost is about 0.6 ms a call (590 us for 2 matrices against
-11 us), and LAPACK is faster below several hundred matrices (856 us
-against 601 us at 300, 1.4 ms against 2.1 ms at 1,000; one thread, BLAS
-on one thread).
+kernel's fixed cost is 0.3-0.7 ms a call (0.30-0.70 ms for 2 matrices
+against 12-20 us, over two runs in different phases of the host), and
+LAPACK is faster below several hundred matrices (0.40-0.52 ms against
+0.30-0.32 ms at 300, 0.71-0.81 ms against 1.02-1.06 ms at 1,000, in the
+faster phase; one thread, BLAS on one thread, medians of 60 alternating
+calls).
 `hermitian_part` validates one matrix (shape, finite entries, Hermiticity).
 A LAPACK convergence failure surfaces as numpy.linalg.LinAlgError.
 
@@ -28,14 +33,16 @@ import numpy as np
 
 from .errors import NonHermitianError
 
-#: Sweeps of `_jacobi`, each three rounds of two rotations. A constant,
-#: chosen by measuring the largest off-diagonal norm left, relative to
-#: |H|_F, over four seeded draws of 36,000 scan matrices (rho and rho^T_B
-#: of six process/input pairs, p from 1e-3 to 1e5 MeV) and of 20,000
-#: random symmetric ones: after 4 sweeps at most 5.9e-11 and 1.5e-10,
-#: above eps; after 5, at most 2.6e-18 and 8.7e-41, below it.
-#: A fixed count keeps each matrix's bits independent of the batch it
-#: comes in, so of CHUNK_POINTS and of jobs.
+#: The most sweeps `_jacobi` runs, each three rounds of two rotations.
+#: Over four seeded draws of 36,000 scan matrices (rho and rho^T_B of six
+#: process/input pairs, p from 1e-3 to 1e5 MeV) and of 20,000 random
+#: symmetric ones, the largest off-diagonal norm left, relative to |H|_F,
+#: was 5.9e-11 and 1.5e-10 after 4 sweeps, above eps, and 2.6e-18 and
+#: 8.7e-41 after 5, below it. Most matrices get below eps sooner and stop
+#: there: of the 360,000 of the 300 x 600 Compton `werner` grid of
+#: `perfbench` `scan-compton-wide`, seed 1, 100%, 71%, 21% and 1.3% still
+#: run after sweeps 1 to 4; of the 180,000 of the seed-1 `scan-moller`
+#: grid with the input `ll`, 50%, 50%, 49.9% and 0.04%.
 SWEEPS = 5
 
 #: (row, column) of the lower-triangle entries the first round reads, in
@@ -50,12 +57,17 @@ _FIRST = ((0, 0), (3, 3), (1, 1), (2, 2), (1, 0), (3, 2), (3, 0), (2, 0), (3, 1)
 #: scaled matrix
 _GUARD = 2.0 ** -600
 
+#: a matrix has converged once its off-diagonal norm left is at most
+#: eps |H|_F, that is, its square at most _EPS2 |H|_F^2
+_EPS2 = np.finfo(float).eps ** 2
+
 
 def _jacobi(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SWEEPS sweeps over the real symmetric matrices whose lower-triangle
-    entries `entries` (10, M) holds in `_FIRST` order, which it overwrites:
-    the diagonal (2, 2, M), unsorted, and the pivots and cross entries
-    (2, M) each that are left, the only nonzero off-diagonal entries.
+    """At most SWEEPS sweeps over the real symmetric matrices whose
+    lower-triangle entries `entries` (10, M) holds in `_FIRST` order, which
+    it overwrites: the diagonal (2, 2, M), unsorted, and the pivots and
+    cross entries (2, M) each that are left, the only nonzero off-diagonal
+    entries.
 
     A round rotates two disjoint planes (p1, q1) and (p2, q2) at once,
     which commute, and annihilates both pivots. With the diagonals
@@ -70,16 +82,34 @@ def _jacobi(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (2, M), and a round maps it with a dozen products. Each round stores
     its result with row and column 0 (p1 in every round) negated, a
     similarity that saves a negation.
+
+    After each sweep but the last, a matrix whose off-diagonal norm left,
+    squared, 2 (|a|^2 + |u|^2), is at most eps^2 |H|_F^2 (|H|_F taken once
+    from the entries) has converged: its state goes to the outputs, and
+    the matrices still running are gathered (`np.take`) into the start of
+    the other bank, contiguous, for the next sweeps. The rule reads only
+    the matrix's own entries, so its bits do not depend on the batch.
     """
     m = entries.shape[1]
-    work = np.empty((8, 2, m))
-    dd_2a, cs, d_next = work[0:2], work[2:4], work[4:6]     # [dd, 2a], [c, s], [dp, dq]
-    c, s = cs
-    t, ta = work[6], work[7]
-    d = entries[:4].reshape(2, 2, m)
-    a = entries[4:6]                                      # updated in place
-    u_buffers = entries[6:].reshape(2, 2, m)              # free once the first round read them
+    work = np.empty(12 * m)
+    squares = np.multiply(entries, entries, out=work[:10 * m].reshape(10, m))
+    tol = squares[4:].sum(axis=0)          # |H|_F^2 / 2, off-diagonal entries counted once
+    tol += 0.5 * squares[:4].sum(axis=0)
+    tol *= _EPS2
+    # the running matrices' d (4 rows), a and u (2 each) fill the start of
+    # two flat banks, the current one first: a round maps one to the other
+    banks = [entries.reshape(-1), np.empty(8 * m)]
+    out = np.empty((8, m))
+    index = np.arange(m)        # the running matrices' columns in out
+    n = m
     for rnd in range(3 * SWEEPS):
+        state, state_next = (bank[:8 * n].reshape(8, n) for bank in banks)
+        d, a, u = state[:4].reshape(2, 2, n), state[4:6], state[6:8]
+        flat, a_next, u_next = state_next[:4], state_next[4:6], state_next[6:8]
+        scratch = work[:12 * n].reshape(12, n)
+        dd_2a, cs = scratch[:4].reshape(2, 2, n), scratch[4:8].reshape(2, 2, n)  # [dd, 2a], [c, s]
+        c, s = cs
+        t, ta = scratch[8:10], scratch[10:12]
         np.subtract(d[1], d[0], out=dd_2a[0])
         np.add(a, a, out=dd_2a[1])
         np.multiply(dd_2a, dd_2a, out=cs)
@@ -96,29 +126,49 @@ def _jacobi(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.multiply(t, c, out=s)
         np.multiply(t, a, out=ta)
         # the next round's dp = (dp1, dq1) and dq = (dq2, dp2), rotated
-        flat = d_next.reshape(4, m)
         np.subtract(d[0], ta, out=flat[0::3])
         np.add(d[1], ta, out=flat[1:3])
-        d, d_next = d_next, d
-        u_next = u_buffers[rnd % 2]
         if rnd == 0:
-            # the first cross block is full: rotate its rows, then its columns
+            # the first cross block x is full: rotate its rows into the old
+            # diagonal's rows, then its columns
             x = entries[6:].reshape(2, 2, m)
-            rows = np.stack([c[0] * x[0] - s[0] * x[1], s[0] * x[0] + c[0] * x[1]])
-            left = c[1] * rows[:, 0] - s[1] * rows[:, 1]     # (p1, p2), (q1, p2)
-            right = s[1] * rows[:, 0] + c[1] * rows[:, 1]    # (p1, q2), (q1, q2)
-            a[0], a[1] = -right[0], left[1]
-            u_next[0], u_next[1] = -left[0], right[1]
+            rows = d
+            np.multiply(c[0], x[0], out=rows[0])
+            rows[0] -= np.multiply(s[0], x[1], out=ta)
+            np.multiply(s[0], x[0], out=rows[1])
+            rows[1] += np.multiply(c[0], x[1], out=ta)
+            left, right = x[0], u_next    # (p1, p2), (q1, p2); (p1, q2), (q1, q2)
+            np.multiply(c[1], rows[:, 0], out=left)
+            left -= np.multiply(s[1], rows[:, 1], out=ta)
+            np.multiply(s[1], rows[:, 0], out=right)
+            right += np.multiply(c[1], rows[:, 1], out=ta)
+            np.negative(right[0], out=a_next[0])
+            a_next[1] = left[1]
+            np.negative(left[0], out=right[0])
         else:
             x, y = u
             k = np.multiply(cs[::-1, 0], cs[::-1, 1], out=t)     # (s1 s2, c1 c2)
-            np.multiply(k, y, out=a)
-            a -= np.multiply(k[::-1], x, out=ta)
+            np.multiply(k, y, out=a_next)
+            a_next -= np.multiply(k[::-1], x, out=ta)
             w = np.multiply(cs[:, 0], cs[::-1, 1], out=t)        # (c1 s2, s1 c2)
             np.multiply(w, x, out=u_next)
             u_next += np.multiply(w[::-1], y, out=ta)
-        u = u_next
-    return d, a, u
+        banks.reverse()
+        if rnd % 3 < 2 or rnd == 3 * SWEEPS - 1:
+            continue
+        # a sweep is over: the matrices that have converged leave
+        done = np.multiply(state_next[4:], state_next[4:], out=scratch[:4]).sum(axis=0) <= tol
+        if not done.any():
+            continue
+        fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+        out[:, index[fin]] = np.take(state_next, fin, axis=1)
+        n, index, tol = keep.size, index[keep], tol[keep]
+        np.take(state_next, keep, axis=1, out=banks[1][:8 * n].reshape(8, n), mode="clip")
+        banks.reverse()
+        if not n:
+            break
+    out[:, index] = banks[0][:8 * n].reshape(8, n)
+    return out[:4].reshape(2, 2, m), out[4:6], out[6:8]
 
 
 def merge_sorted_pairs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

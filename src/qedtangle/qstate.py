@@ -104,7 +104,7 @@ def diagonal(weights) -> InitialState:
     Its description "diag:w1;w2;w3;w4" gives each weight as its shortest
     round-trip text, so the label parses back to the same state bit for bit.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float) + 0.0      # -0 + 0 is +0: one label per state
     if w.shape != (4,):
         raise ValueError("diagonal mixture needs exactly 4 weights")
     if not np.all(np.isfinite(w)) or np.any(w < 0):

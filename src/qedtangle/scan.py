@@ -140,11 +140,13 @@ class ScanConfig:
             raise InvalidConfigError(f"p_min and p_max must lie in {list(P_RANGE)} MeV, "
                                      f"got {self.p_min}, {self.p_max}")
         for name in ("p_steps", "theta_steps", "jobs"):
+            value = getattr(self, name)
             try:
-                operator.index(getattr(self, name))
+                if isinstance(value, bool):        # operator.index(True) is 1
+                    raise TypeError
+                operator.index(value)
             except TypeError:
-                raise InvalidConfigError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.p_steps < 1 or self.theta_steps < 1:
             raise InvalidConfigError("step counts must be at least 1")
         if self.p_steps > 1 and not self.p_min < self.p_max:

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qedtangle import linalg
 from qedtangle.amplitudes import MIRROR_SIGNS, helicity_amplitudes_batch
 from qedtangle.entanglement import (_with_partial_transpose, block_spectra, measures_batch,
                                     partial_transpose)
@@ -111,6 +112,38 @@ def test_any_sub_stack_gives_the_same_bits():
     # neighbours of any size in the same call do not move a matrix's bits
     mixed = np.concatenate([h[:10], 1e300 * h[10:20], 1e-300 * h[20:30]])
     assert np.array_equal(hermitian_eigenvalues_batch(mixed)[:10], whole[:10])
+
+
+def _last_sweeps(h: np.ndarray, monkeypatch) -> np.ndarray:
+    """The number of sweeps each matrix runs: the first after which its
+    off-diagonal norm left is at most eps |H|_F, or SWEEPS."""
+    entries, _ = _scaled_entries(h)
+    norm = np.sqrt(np.sum(entries[:4] ** 2, axis=0) + 2.0 * np.sum(entries[4:] ** 2, axis=0))
+    sweeps = np.full(len(h), linalg.SWEEPS)
+    for k in range(linalg.SWEEPS - 1, 0, -1):
+        monkeypatch.setattr(linalg, "SWEEPS", k)
+        _, pivots, cross = _jacobi(entries.copy())
+        left = np.sqrt(2.0 * (np.sum(pivots ** 2, axis=0) + np.sum(cross ** 2, axis=0)))
+        sweeps[left <= EPS * norm] = k
+    monkeypatch.undo()
+    return sweeps
+
+
+def test_neighbours_that_stop_at_other_sweeps_keep_a_matrix_bits(monkeypatch):
+    # each matrix leaves the kernel once it has converged, so one batch
+    # mixes matrices that run 1 to SWEEPS sweeps; none may move another
+    cases = dict(CORPUS)
+    parts = [cases[name] for name in ("zero", "I/4", "diagonal", "clustered within 1e-12",
+                                      "random symmetric", "moller ll", "compton werner")]
+    interleaved = np.stack([m[k % len(m)] for k in range(max(map(len, parts))) for m in parts])
+    permuted = interleaved[np.random.default_rng(31).permutation(len(interleaved))]
+    for h in (interleaved, permuted):
+        sweeps = _last_sweeps(h, monkeypatch)
+        assert set(sweeps) == {1, 2, 3, 4, 5}
+        assert np.count_nonzero(np.diff(sweeps)) > len(h) // 2
+        whole = hermitian_eigenvalues_batch(h)
+        for k, m in enumerate(h):
+            assert np.array_equal(hermitian_eigenvalues_batch(m), whole[k])
 
 
 @pytest.mark.parametrize("power", [-600, -64, 64, 600])

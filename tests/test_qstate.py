@@ -53,6 +53,17 @@ def test_diagonal_validation():
         diagonal([1.0, 0.0, 0.0])
 
 
+def test_negative_zero_weight_gives_one_label():
+    # repr(-0.0) is "-0": without normalising, one state had two CSV labels
+    want = diagonal([0.0, 0.0, 0.0, 1.0])
+    assert want.description == "diag:0;0;0;1"
+    for state in (diagonal([-0.0, 0, 0, 1]), parse_initial("diag:-0,0,0,1"),
+                  parse_initial("diag:0,0,0,1")):
+        assert state.description == want.description
+        assert parse_initial(state.description).description == want.description
+        assert not np.signbit(state.density.entries).any()
+
+
 def test_non_finite_input_is_rejected():
     # every comparison with NaN is False, so range checks alone accept it
     for weights in ([math.nan, 0, 0, 0], [1.0, 0, 0, math.nan], [math.inf, 0, 0, 0],

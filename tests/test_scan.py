@@ -35,6 +35,11 @@ def test_config_validation():
         for value in (2.5, 3.0):
             with pytest.raises(InvalidConfigError, match=f"{count} must be an integer"):
                 ScanConfig(process=ProcessKind.MOLLER, **{count: value}).validate()
+    # operator.index(True) is 1, but a bool is not a count
+    for count in ("theta_steps", "p_steps", "jobs"):
+        for value in (True, False):
+            with pytest.raises(InvalidConfigError, match=f"{count} must be an integer"):
+                ScanConfig(process=ProcessKind.MOLLER, **{count: value}).validate()
     # momenta outside kinematics.P_RANGE; p_max counts only with more than one step
     lo, hi = P_RANGE
     for p_min, p_max in [(math.nextafter(lo, 0.0), 1.0), (1.0, math.nextafter(hi, math.inf)),
