@@ -8,9 +8,9 @@ off-diagonal norm is at most eps |H|_F, SWEEPS times at the most, a rule
 on its own entries alone. On a scan chunk's 15,600 matrices it is
 1.7-1.9x as fast as LAPACK's eigvalsh (9.3 against 15.7 ms for Compton
 `werner` states, 7.4 against 14.2 ms for Moller `ll` ones), and a scan's
-two worker threads overlap it better (two threads' time over one's:
-1.3-1.5x against 1.5-2.1x). eigvalsh keeps the complex stacks, which only
-a library caller passes.
+two worker threads overlap it better (two threads' time over one's, with
+the CLI's heap policy set: medians 1.37-1.44x against 1.63-1.73x).
+eigvalsh keeps the complex stacks, which only a library caller passes.
 
 The point paths (`hermitian_eigenvalues`, and the callers in `entanglement`,
 `qstate`, `scan` and `cli` that take one state, a bisection's few or the

@@ -53,9 +53,11 @@ a scan's chunks (`_evaluate` adds the measure stage) and of
 """
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
 from dataclasses import dataclass, field
+import itertools
 import logging
 import math
 import operator
@@ -329,12 +331,14 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
     A chunk is a block of whole theta rows (a row longer than CHUNK_POINTS
     is split along p), so the amplitude engine contracts spinors once per
     angle. Each chunk evaluates all of its points. A thread pool of ``jobs``
-    workers takes the chunks, so the result does not depend on ``jobs``.
+    workers takes the chunks, so the result does not depend on ``jobs``;
+    at most 2 ``jobs`` chunks are submitted and not yet taken in grid order.
 
     With ``cfg.out`` set, the scan streams its CSV there, with the bytes of
     `emit_csv`: the worker that evaluates a chunk also formats its lines,
     and the caller writes the chunks in grid order as they arrive. A scan
-    that raises removes the file it was writing if that is a regular file.
+    that raises does so in grid order, cancels the chunks not yet started
+    and removes the file it was writing if that is a regular file.
     """
     cfg.validate()
     init = parse_initial(cfg.initial)
@@ -361,12 +365,24 @@ def run_scan(cfg: ScanConfig) -> ScanResult:
             result._grid(name)[block] = column
         return None if block_text is None else block_text(block)
 
+    blocks = _chunks(theta_grid.size, p_grid.size)
     with _csv_file(cfg.out) as fh:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            # in grid order; reading a result re-raises its worker's exception
-            for lines in pool.map(fill, _chunks(theta_grid.size, p_grid.size)):
-                if fh is not None:
-                    fh.write(lines)
+            # at most 2 jobs chunks ahead of the writer, so finished text
+            # cannot pile up behind a slow sink
+            pending = deque(pool.submit(fill, block)
+                            for block in itertools.islice(blocks, 2 * cfg.jobs))
+            try:
+                while pending:
+                    # in grid order; reading a result re-raises its worker's exception
+                    lines = pending.popleft().result()
+                    if fh is not None:
+                        fh.write(lines)
+                    pending.extend(pool.submit(fill, block)
+                                   for block in itertools.islice(blocks, 1))
+            finally:
+                for future in pending:
+                    future.cancel()
         result.warnings.extend(symmetry_audit(result))
     for warning in result.warnings:
         log.warning("%s", warning)

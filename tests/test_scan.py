@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import logging
 import math
 import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -440,6 +442,60 @@ def test_failed_scan_removes_its_csv_but_never_a_device(monkeypatch, tmp_path):
     with pytest.raises(np.linalg.LinAlgError):
         run_scan(ScanConfig(**two_chunks, out=os.devnull))
     assert len(calls) == 2 and unlinked == []
+
+
+def test_scan_evaluates_at_most_two_chunks_per_job_ahead_of_its_writer(monkeypatch, tmp_path):
+    # behind a slow sink, such as a pipe, evaluated chunks wait for the
+    # writer; count them at each write, the chunk being written included
+    monkeypatch.setattr(scan, "CHUNK_POINTS", 64)
+    evaluate, evaluated, ahead, written = scan._evaluate, [], [], []
+
+    def counted(*args):
+        columns = evaluate(*args)
+        evaluated.append(1)
+        return columns
+
+    class SlowSink:
+        def write(self, lines):
+            ahead.append(len(evaluated) - len(written))
+            time.sleep(0.02)
+            written.append(lines)
+
+    @contextlib.contextmanager
+    def slow_csv_file(path):
+        yield SlowSink()
+
+    monkeypatch.setattr(scan, "_evaluate", counted)
+    monkeypatch.setattr(scan, "_csv_file", slow_csv_file)
+    cfg = ScanConfig(process=ProcessKind.MOLLER, p_steps=32, theta_steps=24, jobs=2,
+                     out=str(tmp_path / "unused.csv"))
+    result = run_scan(cfg)
+    assert len(written) == 12 and max(ahead) <= 2 * cfg.jobs
+    monkeypatch.undo()
+    emit_csv(result, tmp_path / "want.csv")
+    assert b"".join(written) == (tmp_path / "want.csv").read_bytes()[len(CSV_HEADER) + 1:]
+
+
+def test_failed_chunk_raises_in_grid_order_and_cancels_the_rest(monkeypatch, tmp_path):
+    # every chunk but the first raises; the second chunk's error surfaces,
+    # whichever worker failed first, and chunks not yet submitted never run
+    monkeypatch.setattr(scan, "CHUNK_POINTS", 64)
+    cfg = ScanConfig(process=ProcessKind.MOLLER, p_steps=32, theta_steps=24, jobs=2,
+                     out=str(tmp_path / "x.csv"))
+    evaluate, started = scan._evaluate, []
+
+    def fail_after_first(process, p, theta, rho_in):
+        started.append(theta)
+        if theta[0, 0] != cfg.theta_grid()[0]:
+            raise np.linalg.LinAlgError(f"chunk at theta {theta[0, 0]!r}")
+        return evaluate(process, p, theta, rho_in)
+
+    monkeypatch.setattr(scan, "_evaluate", fail_after_first)
+    with pytest.raises(np.linalg.LinAlgError) as failure:
+        run_scan(cfg)
+    assert str(failure.value) == f"chunk at theta {cfg.theta_grid()[2]!r}"
+    assert len(started) <= 2 * cfg.jobs + 1 < 12
+    assert not (tmp_path / "x.csv").exists()
 
 
 #: grids that together hold every status: a muon pair straddling its
